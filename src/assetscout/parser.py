@@ -67,7 +67,8 @@ def preprocess(text: str, path: str = "<string>",
         diagnostics.append(Diagnostic(msg, "warning", line))
 
     out_lines: List[str] = []
-    cond_stack: List[bool] = []   # active-branch flags
+    # one [branch active, some branch of this level taken] pair per level
+    cond_stack: List[List[bool]] = []
     lines = cleaned.split("\n")
     i = 0
     while i < len(lines):
@@ -82,22 +83,20 @@ def preprocess(text: str, path: str = "<string>",
                 out_lines.append("")
                 joined = joined[:-1] + " " + lines[i].strip()
             stripped = joined
-        active = all(cond_stack)
+        active = all(level[0] for level in cond_stack)
         if stripped.startswith("`"):
             parts = stripped.split(None, 2)
             word = parts[0][1:]
-            if word == "ifdef":
-                cond_stack.append(active and len(parts) > 1 and parts[1] in defines)
-            elif word == "ifndef":
-                cond_stack.append(active and not (len(parts) > 1 and parts[1] in defines))
+            defined = len(parts) > 1 and parts[1] in defines
+            if word in ("ifdef", "ifndef"):
+                hit = active and (defined == (word == "ifdef"))
+                cond_stack.append([hit, hit])
             elif word in ("else", "elsif"):
                 if cond_stack:
-                    parent = all(cond_stack[:-1])
-                    if word == "else":
-                        cond_stack[-1] = parent and not cond_stack[-1]
-                    else:
-                        taken = len(parts) > 1 and parts[1] in defines
-                        cond_stack[-1] = parent and not cond_stack[-1] and taken
+                    level = cond_stack[-1]
+                    parent = all(outer[0] for outer in cond_stack[:-1])
+                    level[0] = parent and not level[1] and (word == "else" or defined)
+                    level[1] = level[1] or level[0]
                 else:
                     diagnostics.append(Diagnostic(f"`{word} without `ifdef", "warning", lineno))
             elif word == "endif":
@@ -449,13 +448,13 @@ class _Parser:
             # non-ANSI: plain name list; body declarations fill in direction
             toks = self.collect_until(")")
             for name in collect_identifiers(toks):
-                if not any(p.name == name for p in mod.ports):
-                    mod.ports.append(SignalDecl(name, INPUT, 1,
-                                                decl_line=toks[0].line if toks else 0))
+                if mod.signal(name) is None:
+                    mod.add_port(SignalDecl(name, INPUT, 1,
+                                            decl_line=toks[0].line if toks else 0))
 
     def _parse_ansi_ports(self, mod: ModuleDef) -> None:
         direction = INPUT
-        rng: Optional[Tuple[List[str], List[str]]] = None
+        rng: Optional[Tuple[List[Token], List[Token]]] = None
         while not self.at_end():
             t = self.peek()
             if t.value == ")" and t.kind == "punct":
@@ -480,8 +479,8 @@ class _Parser:
                 if self.peek() is not None and self.peek().value == "=":
                     self.advance()
                     self.collect_until(",", ")", consume=False)
-                mod.ports.append(SignalDecl(name, direction, None if rng else 1,
-                                            decl_line=t.line, range_expr=rng))
+                mod.add_port(SignalDecl(name, direction, None if rng else 1,
+                                        decl_line=t.line, range_expr=rng))
                 continue
             if t.value == ";" or t.is_keyword("module", "macromodule", "endmodule"):
                 # a port list cannot contain these: the header is malformed
@@ -489,8 +488,8 @@ class _Parser:
             # anything else (e.g. stray tokens): skip
             self.advance()
 
-    def _parse_range(self) -> Tuple[List[str], List[str]]:
-        self.expect("[")
+    def _parse_range(self) -> Tuple[List[Token], List[Token]]:
+        open_tok = self.expect("[")
         msb: List[Token] = []
         depth = 0
         while not self.at_end():
@@ -500,15 +499,14 @@ class _Parser:
                 break
             if depth == 0 and t.value == "]" and t.kind == "punct":
                 self.advance()
-                return ([tok.value for tok in msb], ["0"])
+                return (msb, [Token("number", "0", open_tok.line)])
             if t.kind == "punct":
                 if t.value in "([{":
                     depth += 1
                 elif t.value in ")]}":
                     depth -= 1
             msb.append(self.advance())
-        lsb = self.collect_until("]")
-        return ([t.value for t in msb], [t.value for t in lsb])
+        return (msb, self.collect_until("]"))
 
     # -- parameters -----------------------------------------------------------
     def _parse_parameter_list(self, mod: ModuleDef, terminator: str) -> None:
@@ -613,7 +611,7 @@ class _Parser:
 
     def _parse_body_port_decl(self, mod: ModuleDef) -> None:
         direction = _DIRECTIONS[self.advance().value]
-        rng: Optional[Tuple[List[str], List[str]]] = None
+        rng: Optional[Tuple[List[Token], List[Token]]] = None
         is_reg = False
         line = self.tokens[self.pos - 1].line
         while not self.at_end():
@@ -633,22 +631,23 @@ class _Parser:
                 continue
             if t.kind == "id" and t.value not in RESERVED_WORDS:
                 name = self.advance().value
-                existing = next((p for p in mod.ports if p.name == name), None)
-                decl = SignalDecl(name, direction, None if rng else 1,
-                                  decl_line=t.line, range_expr=rng)
-                if existing is not None:
-                    # non-ANSI merge: direction/width from the body declaration
-                    idx = mod.ports.index(existing)
-                    mod.ports[idx] = decl
+                width = None if rng else 1
+                existing = mod.signal(name)
+                if existing is not None and existing.is_port:
+                    # non-ANSI merge: direction/width from the body declaration,
+                    # in the header's slot
+                    existing.direction, existing.width_bits = direction, width
+                    existing.decl_line, existing.range_expr = t.line, rng
                 else:
-                    mod.ports.append(decl)
+                    mod.add_port(SignalDecl(name, direction, width,
+                                            decl_line=t.line, range_expr=rng))
                 continue
             self.advance()
         raise ParseError("unterminated port declaration", line)
 
     def _parse_net_decl(self, mod: ModuleDef) -> None:
         kw = self.advance()
-        rng: Optional[Tuple[List[str], List[str]]] = None
+        rng: Optional[Tuple[List[Token], List[Token]]] = None
         default_width = 32 if kw.value in ("integer", "int", "time") else 1
         while not self.at_end():
             t = self.peek()
@@ -667,7 +666,7 @@ class _Parser:
                 while self.peek() is not None and self.peek().value == "[":
                     self._parse_range()
                 if mod.signal(name) is None:
-                    mod.nets.append(SignalDecl(
+                    mod.add_net(SignalDecl(
                         name, NET,
                         None if rng else default_width,
                         decl_line=t.line, range_expr=rng))
@@ -920,16 +919,6 @@ class _Parser:
         for decl in mod.all_signals():
             if decl.range_expr is not None:
                 decl.width_bits = _range_width(decl.range_expr, params)
-        self._record_unresolved_refs(mod)
-
-    def _record_unresolved_refs(self, mod: ModuleDef) -> None:
-        known = {s.name for s in mod.all_signals()} | set(mod.parameters)
-        seen = set()
-        for stmt in mod.statements:
-            for name in stmt.cond_idents + stmt.lhs_idents + stmt.rhs_idents:
-                if name not in known and name not in seen:
-                    seen.add(name)
-                    mod.unresolved_refs.append(name)
 
 
 class _ParamExpr:
@@ -969,11 +958,11 @@ def _evaluate_parameters(mod: ModuleDef) -> Dict[str, Optional[int]]:
     return resolved
 
 
-def _range_width(range_expr: Tuple[List[str], List[str]],
+def _range_width(range_expr: Tuple[List[Token], List[Token]],
                  params: Dict[str, Optional[int]]) -> Optional[int]:
     msb_toks, lsb_toks = range_expr
-    msb = eval_const_expr(tokenize(" ".join(msb_toks)), params)
-    lsb = eval_const_expr(tokenize(" ".join(lsb_toks)), params)
+    msb = eval_const_expr(msb_toks, params)
+    lsb = eval_const_expr(lsb_toks, params)
     if msb is None or lsb is None:
         return None
     return abs(msb - lsb) + 1

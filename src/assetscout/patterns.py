@@ -8,7 +8,7 @@ multi-bit Input rhs).  Inout ports count as both Input and Output.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Set, Tuple
 
 from .design import DesignDatabase
 from .syntax import (
@@ -27,6 +27,11 @@ Evidence = Tuple[int, str, str]  # (line, statement kind, role)
 
 @dataclass
 class BehaviorClassification:
+    """Pattern buckets of one module, each in first-seen signal order.
+
+    Filled through `_add`, which also keeps the per-pattern member sets
+    behind `patterns_of`.
+    """
     module: str
     control: List[str] = field(default_factory=list)
     configuration: List[str] = field(default_factory=list)
@@ -34,22 +39,19 @@ class BehaviorClassification:
     data: List[str] = field(default_factory=list)
     evidence: Dict[str, List[Evidence]] = field(default_factory=dict)
     unresolved_count: int = 0
+    _members: Dict[str, Set[str]] = field(
+        default_factory=lambda: {p: set() for p in PATTERNS}, repr=False, compare=False)
 
     def patterns_of(self, signal: str) -> List[str]:
-        out = []
-        if signal in self.control:
-            out.append(CONTROL)
-        if signal in self.configuration:
-            out.append(CONFIGURATION)
-        if signal in self.status:
-            out.append(STATUS)
-        if signal in self.data:
-            out.append(DATA)
-        return out
+        return [p for p in PATTERNS if signal in self._members[p]]
 
-    def _add(self, bucket: List[str], signal: str, ev: Evidence) -> None:
-        if signal not in bucket:
-            bucket.append(signal)
+    def _add(self, pattern: str, signal: str, ev: Evidence) -> None:
+        members = self._members[pattern]
+        if signal not in members:
+            members.add(signal)
+            buckets = {CONTROL: self.control, CONFIGURATION: self.configuration,
+                       STATUS: self.status, DATA: self.data}
+            buckets[pattern].append(signal)
         self.evidence.setdefault(signal, []).append(ev)
 
 
@@ -76,10 +78,10 @@ def classify_behaviors(module: ModuleDef) -> BehaviorClassification:
                     continue
                 ev = (stmt.line, stmt.kind, "condition")
                 if decl.width_bits == 1:
-                    result._add(result.control, name, ev)
+                    result._add(CONTROL, name, ev)
                 elif (decl.width_bits is None or decl.width_bits >= 2) \
                         and _is_multi_statement(stmt):
-                    result._add(result.configuration, name, ev)
+                    result._add(CONFIGURATION, name, ev)
         elif stmt.kind in ASSIGN_KINDS:
             for name in stmt.lhs_idents:
                 decl = module.signal(name)
@@ -90,9 +92,9 @@ def classify_behaviors(module: ModuleDef) -> BehaviorClassification:
                     continue
                 ev = (stmt.line, stmt.kind, "lhs")
                 if decl.width_bits == 1:
-                    result._add(result.status, name, ev)
+                    result._add(STATUS, name, ev)
                 else:
-                    result._add(result.data, name, ev)
+                    result._add(DATA, name, ev)
             for name in stmt.rhs_idents:
                 decl = module.signal(name)
                 if decl is None:
@@ -101,7 +103,7 @@ def classify_behaviors(module: ModuleDef) -> BehaviorClassification:
                 if decl.direction not in (INPUT, INOUT):
                     continue
                 if decl.width_bits is None or decl.width_bits >= 2:
-                    result._add(result.data, name, (stmt.line, stmt.kind, "rhs"))
+                    result._add(DATA, name, (stmt.line, stmt.kind, "rhs"))
     return result
 
 

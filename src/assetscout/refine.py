@@ -18,7 +18,7 @@ from .design import (
     ConnEdge, DesignDatabase, DesignError, SignalRef, adjacency,
 )
 from .keywords import AVAILABILITY, CLOCK_RESET_NAMES, INTEGRITY
-from .patterns import CONTROL, STATUS, classify_design
+from .patterns import CONTROL, STATUS, BehaviorClassification
 from .rules import CandidateAsset
 from .syntax import INOUT, INPUT, NET, OUTPUT
 
@@ -175,14 +175,15 @@ def refine(candidates: Sequence[CandidateAsset],
 
 def link_status_to_control(assets: Sequence[PrimaryAsset],
                            db: DesignDatabase,
-                           edges: Sequence[ConnEdge]) -> List[PrimaryAsset]:
+                           edges: Sequence[ConnEdge],
+                           behaviors: Dict[str, BehaviorClassification],
+                           ) -> List[PrimaryAsset]:
     """Upgrade Status assets wired to another module's Control signal.
 
     Reachability through instantiation connections to a Control-classified
     signal of a different module adds Availability; otherwise Integrity is
-    guaranteed present.
+    guaranteed present. `behaviors` is `classify_design(db)`.
     """
-    behaviors = classify_design(db)
     inst_adj = _traversal_adjacency(edges, {VIA_INSTANTIATION})
     for asset in assets:
         if STATUS not in asset.patterns:
@@ -193,7 +194,7 @@ def link_status_to_control(assets: Sequence[PrimaryAsset],
             if mod == asset.module:
                 return False
             behavior = behaviors.get(mod)
-            return behavior is not None and sig in behavior.control
+            return behavior is not None and CONTROL in behavior.patterns_of(sig)
 
         hits = _bfs_paths(asset.ref, inst_adj, is_foreign_control)
         target = AVAILABILITY if hits else INTEGRITY

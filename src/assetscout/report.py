@@ -144,7 +144,8 @@ class AssetReport:
         raise ValueError(f"unknown format {fmt!r}")
 
 
-def _load_corpus(rtl_dir: str):
+def _load_design(rtl_dir: str):
+    """Parse every RTL file under `rtl_dir`: (files, database, line count)."""
     if not os.path.isdir(rtl_dir):
         raise NoRtlFilesError(f"RTL directory not found: {rtl_dir}")
     files = discover_rtl_files(rtl_dir)
@@ -156,7 +157,12 @@ def _load_corpus(rtl_dir: str):
         with open(path, "rb") as fh:
             line_count += fh.read().count(b"\n")
         units.append(parse_file(path, include_dirs=[rtl_dir]))
-    return files, units, line_count
+    try:
+        db = build_database(units)
+    except DesignError as err:
+        # files exist but no module parsed: treat as an unusable corpus
+        raise NoRtlFilesError(str(err)) from err
+    return files, db, line_count
 
 
 def run_pipeline(rtl_dir: str,
@@ -169,12 +175,7 @@ def run_pipeline(rtl_dir: str,
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     config = load_family_config(family)
-    files, units, line_count = _load_corpus(rtl_dir)
-    try:
-        db = build_database(units)
-    except DesignError as err:
-        # files exist but no module parsed: treat as an unusable corpus
-        raise NoRtlFilesError(str(err)) from err
+    files, db, line_count = _load_design(rtl_dir)
     tops = find_top_modules(db, top)
     edges = build_connectivity(db)
 
@@ -186,7 +187,7 @@ def run_pipeline(rtl_dir: str,
     all_assets: List[PrimaryAsset] = []
     for top_name in tops:
         assets = refine(candidates, db, edges, top_name)
-        assets = link_status_to_control(assets, db, edges)
+        assets = link_status_to_control(assets, db, edges, behaviors)
         assets_by_top[top_name] = assets
         all_assets.extend(assets)
 
@@ -229,8 +230,7 @@ def emit_keyword_stats(rtl_dir: str, family: str,
                        out_path: Optional[str] = None) -> Dict[str, int]:
     """Write per-group keyword occurrence counts as `group,count` CSV."""
     config = load_family_config(family)
-    _files, units, _lines = _load_corpus(rtl_dir)
-    db = build_database(units)
+    _files, db, _lines = _load_design(rtl_dir)
     counts = count_keyword_occurrences(db, config)
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:

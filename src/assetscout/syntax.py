@@ -7,6 +7,8 @@ treated as immutable and safe to share across threads.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from .tokenizer import Token
+
 # Signal directions
 INPUT = "Input"
 OUTPUT = "Output"
@@ -51,13 +53,14 @@ class Diagnostic:
         return {"message": self.message, "severity": self.severity, "line": self.line}
 
 
-@dataclass
+# slots, here and on Statement: a parsed design holds thousands of each
+@dataclass(slots=True)
 class SignalDecl:
     name: str
     direction: str          # Input / Output / Inout / Net
     width_bits: Optional[int] = 1   # None when unresolved
     decl_line: int = 0
-    range_expr: Optional[Tuple[List[str], List[str]]] = None  # raw (msb, lsb) tokens
+    range_expr: Optional[Tuple[List[Token], List[Token]]] = None  # (msb, lsb) tokens
 
     @property
     def width_class(self) -> str:
@@ -68,7 +71,7 @@ class SignalDecl:
         return self.direction in (INPUT, OUTPUT, INOUT)
 
 
-@dataclass
+@dataclass(slots=True)
 class Statement:
     kind: str
     line: int
@@ -91,6 +94,11 @@ class Instantiation:
 
 @dataclass
 class ModuleDef:
+    """One parsed module.
+
+    Add ports and nets through `add_port` and `add_net`, which keep the
+    name index behind `signal` up to date.
+    """
     name: str
     path: str = ""
     line: int = 0
@@ -100,19 +108,29 @@ class ModuleDef:
     parameters: Dict[str, Optional[int]] = field(default_factory=dict)
     statements: List[Statement] = field(default_factory=list)
     instantiations: List[Instantiation] = field(default_factory=list)
-    unresolved_refs: List[str] = field(default_factory=list)
+    _signals: Dict[str, SignalDecl] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # walking backwards leaves the first port, else the first net
+        self._signals = {s.name: s for s in reversed(self.ports + self.nets)}
+
+    def add_port(self, decl: SignalDecl) -> None:
+        """Append a port; the first port of a name hides any net of that name."""
+        self.ports.append(decl)
+        known = self._signals.get(decl.name)
+        if known is None or not known.is_port:
+            self._signals[decl.name] = decl
+
+    def add_net(self, decl: SignalDecl) -> None:
+        self.nets.append(decl)
+        self._signals.setdefault(decl.name, decl)
 
     def all_signals(self) -> List[SignalDecl]:
         return list(self.ports) + list(self.nets)
 
     def signal(self, name: str) -> Optional[SignalDecl]:
-        for s in self.ports:
-            if s.name == name:
-                return s
-        for s in self.nets:
-            if s.name == name:
-                return s
-        return None
+        """The first port named `name`, else the first net, else None."""
+        return self._signals.get(name)
 
     def port_order(self) -> List[str]:
         return [p.name for p in self.ports]

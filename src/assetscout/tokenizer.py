@@ -54,7 +54,8 @@ _SYSTEM_ID_RE = re.compile(r"\$[A-Za-z_][A-Za-z0-9_$]*")
 _DIRECTIVE_RE = re.compile(r"`[A-Za-z_][A-Za-z0-9_$]*")
 
 
-@dataclass(frozen=True)
+# slots: range bounds keep their tokens for as long as the design lives
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # 'id', 'number', 'string', 'punct', 'sysid', 'directive', 'diag'
     value: str

@@ -2,14 +2,17 @@
 
 import os
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from assetscout.parser import parse_file, parse_source, parse_tree
+from assetscout.parser import (
+    eval_const_expr, parse_file, parse_source, parse_tree, preprocess,
+)
 from assetscout.syntax import (
     CASE_STMT, IF_STMT, NARROW, NONBLOCKING_ASSIGN, SINGLE, TERNARY_STMT, WIDE,
 )
-from assetscout.tokenizer import RESERVED_WORDS
+from assetscout.tokenizer import RESERVED_WORDS, tokenize
 
 from conftest import MINI_CORPUS, SPLITTER_FILE
 from fixtures_rtl import AB_SOURCE
@@ -258,3 +261,97 @@ def test_width_formula_property(msb, lsb):
     mod = parse_source(
         f"module m (input x);\n  wire [{msb}:{lsb}] w;\nendmodule\n").modules[0]
     assert mod.signal("w").width_bits == abs(msb - lsb) + 1
+
+
+# `ifdef/`ifndef A ... `elsif B ... `else or `elsif C ... `endif; every case
+# also defines the names of the later branches, so keeping more than the
+# first true branch shows up as a second x<n> in the output.
+_TRUE_FIRST = {"ifdef": {"A"}, "ifndef": set()}
+_FALSE_FIRST = {"ifdef": set(), "ifndef": {"A"}}
+
+
+@pytest.mark.parametrize("opener", ["ifdef", "ifndef"])
+@pytest.mark.parametrize("closer", ["`else", "`elsif C"])
+@pytest.mark.parametrize("taken", [0, 1, 2])
+def test_conditional_chain_keeps_only_first_true_branch(opener, closer, taken):
+    defined = [_TRUE_FIRST[opener] | {"B", "C"},
+               _FALSE_FIRST[opener] | {"B", "C"},
+               _FALSE_FIRST[opener] | {"C"}][taken]
+    src = (f"`{opener} A\nx0\n`elsif B\nx1\n{closer}\nx2\n`endif\n"
+           "after\n")
+    out = preprocess(src, defines={name: "" for name in defined})
+    assert out.split() == [f"x{taken}", "after"]
+    assert out.count("\n") == src.count("\n")
+
+
+_NAMES = ["a", "b", "c", "d"]
+_RANGE = st.sampled_from(["", "[3:0] ", "[7:0] "])
+_ANSI_PORT = st.tuples(st.sampled_from(["input", "output", "inout"]), _RANGE,
+                       st.sampled_from(_NAMES))
+_NAME_LIST = st.lists(st.sampled_from(_NAMES), min_size=1, max_size=3)
+_BODY_ITEM = st.tuples(
+    st.sampled_from(["input", "output", "inout", "wire", "reg"]), _RANGE, _NAME_LIST)
+
+
+def _linear_signal(mod, name):
+    """Signal lookup as a scan: the first port of that name, else the first net."""
+    for decl in mod.ports + mod.nets:
+        if decl.name == name:
+            return decl
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(header=st.one_of(st.none(), st.lists(_ANSI_PORT, min_size=1, max_size=5),
+                        _NAME_LIST),
+       body=st.lists(_BODY_ITEM, max_size=8))
+def test_signal_index_matches_linear_scan(header, body):
+    if header is None:
+        head, port_names = "", []
+    elif isinstance(header[0], tuple):   # ANSI ports
+        head = "(" + ", ".join(f"{d} {r}{n}" for d, r, n in header) + ")"
+        port_names = [n for _d, _r, n in header]
+    else:                                # non-ANSI name list
+        head, port_names = "(" + ", ".join(header) + ")", list(header)
+    items = "".join(f"  {kw} {r}{', '.join(names)};\n" for kw, r, names in body)
+    port_names += [n for kw, _r, names in body if kw in ("input", "output", "inout")
+                   for n in names]
+    mod = parse_source(f"module m {head};\n{items}endmodule\n").modules[0]
+    for name in _NAMES:
+        assert mod.signal(name) is _linear_signal(mod, name), name
+    # a port declared after a same-named net is still a port
+    assert {p.name for p in mod.ports} == set(port_names)
+
+
+_OPERAND = st.one_of(st.integers(min_value=0, max_value=300).map(str),
+                     st.sampled_from(["P", "Q", "UNDEF", "8'd12", "4 'h F"]))
+
+
+def _combine(children):
+    binary = st.tuples(children, st.sampled_from(["+", "-", "*", "/"]), children,
+                       st.sampled_from(["", " "])
+                       ).map(lambda t: f"{t[0]}{t[3]}{t[1]}{t[3]}{t[2]}")
+    return st.one_of(binary, children.map(lambda e: f"({e})"),
+                     children.map(lambda e: f"-{e}"))
+
+
+_EXPR = st.recursive(_OPERAND, _combine, max_leaves=8)
+
+
+def _retokenized_width(range_expr, params):
+    """Width by joining the bound tokens to text and tokenizing it again."""
+    msb, lsb = (eval_const_expr(tokenize(" ".join(t.value for t in toks)), params)
+                for toks in range_expr)
+    if msb is None or lsb is None:
+        return None
+    return abs(msb - lsb) + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(msb=_EXPR, lsb=st.one_of(st.none(), _EXPR))
+def test_range_width_from_kept_tokens_matches_retokenized(msb, lsb):
+    rng = f"[{msb}]" if lsb is None else f"[{msb}:{lsb}]"
+    mod = parse_source("module m #(parameter P = 6, parameter Q = P * 2 - 1)"
+                       f" (input {rng} w);\nendmodule\n").modules[0]
+    decl = mod.signal("w")
+    assert decl.width_bits == _retokenized_width(decl.range_expr, mod.parameters)

@@ -2,7 +2,7 @@
 
 from assetscout.parser import parse_source, parse_tree
 from assetscout.design import build_database
-from assetscout.patterns import classify_behaviors, classify_design
+from assetscout.patterns import PATTERNS, classify_behaviors, classify_design
 
 from conftest import MINI_CORPUS
 from fixtures_rtl import AB_SOURCE, BEHAVIOR_CASES
@@ -91,3 +91,15 @@ def test_width_gates_hold_on_corpus():
             assert bits is None or bits >= 2, (module_name, name)
         for name in behavior.status:
             assert module.signal(name).width_bits == 1, (module_name, name)
+
+
+def test_patterns_of_matches_buckets():
+    db = build_database(parse_tree(MINI_CORPUS))
+    for module_name, behavior in classify_design(db).items():
+        buckets = (behavior.control, behavior.configuration,
+                   behavior.status, behavior.data)
+        for bucket in buckets:
+            assert len(bucket) == len(set(bucket)), module_name
+        for decl in db.modules_by_name[module_name].all_signals():
+            want = [p for p, bucket in zip(PATTERNS, buckets) if decl.name in bucket]
+            assert behavior.patterns_of(decl.name) == want, (module_name, decl.name)

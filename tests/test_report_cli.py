@@ -2,9 +2,11 @@
 
 import json
 import os
+import sys
 
 import pytest
 
+import assetscout.patterns
 from assetscout.cli import (
     EXIT_BAD_CONFIG, EXIT_BAD_TOP, EXIT_NO_RTL, EXIT_OK, main,
 )
@@ -120,6 +122,28 @@ def test_cli_stdout_report(capsys):
 
 def test_cli_empty_dir_exit_2(tmp_path, capsys):
     assert main(["--rtl-dir", str(tmp_path)]) == EXIT_NO_RTL
+
+
+@pytest.mark.parametrize("mode", [[], ["--stats"]])
+def test_cli_tree_without_modules_exit_2(tmp_path, capsys, mode):
+    (tmp_path / "empty.v").write_text("// no modules here\n")
+    assert main(["--rtl-dir", str(tmp_path)] + mode) == EXIT_NO_RTL
+
+
+def test_pipeline_classifies_once_for_many_tops(monkeypatch):
+    original = assetscout.patterns.classify_design
+    calls = []
+
+    def counting(db):
+        calls.append(db)
+        return original(db)
+    for module in list(sys.modules.values()):
+        if module is not None and module.__name__.startswith("assetscout") \
+                and getattr(module, "classify_design", None) is original:
+            monkeypatch.setattr(module, "classify_design", counting)
+    report = run_pipeline(MINI_CORPUS, family="crypto")
+    assert len(report.top_modules) > 1
+    assert len(calls) == 1
 
 
 def test_cli_unknown_top_exit_3(capsys):

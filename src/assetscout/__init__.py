@@ -14,14 +14,14 @@ from .design import (  # noqa: F401
 )
 from .keywords import (  # noqa: F401
     ClassificationRule, ConfigError, FamilyConfig, PartialKeywordGroup,
-    count_keyword_occurrences, load_family_config,
+    load_family_config,
 )
-from .matcher import ImportantElement, match_elements, match_oracle  # noqa: F401
+from .matcher import ImportantElement, count_keyword_occurrences, match_elements  # noqa: F401
 from .patterns import (  # noqa: F401
     BehaviorClassification, classify_behaviors, classify_design,
 )
 from .rules import CandidateAsset, apply_family_rules, default_rules  # noqa: F401
-from .refine import PrimaryAsset, link_status_to_control, refine  # noqa: F401
+from .refine import PrimaryAsset, link_status_to_control  # noqa: F401
 from .evaluation import (  # noqa: F401
     EvalResult, GroundTruth, GroundTruthError, evaluate, load_ground_truth,
 )

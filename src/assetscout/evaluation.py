@@ -3,7 +3,7 @@
 import csv
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set
 
 from .design import SignalRef
 from .keywords import CLOCK_RESET_NAMES

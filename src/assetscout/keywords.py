@@ -8,10 +8,10 @@ and `FamilyConfig.to_dict` for the on-disk layout).
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from .tokenizer import VERILOG_2005_KEYWORDS
-from .syntax import INPUT, NARROW, NET, OUTPUT, SINGLE, WIDE
+from .syntax import INPUT, NET, OUTPUT
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -23,7 +23,6 @@ OBJECTIVES = (CONFIDENTIALITY, INTEGRITY, AVAILABILITY)
 BUILTIN_FAMILIES = ("crypto", "gpio", "peripheral")
 
 _DIRECTIONS = (INPUT, OUTPUT, NET)
-_WIDTH_CLASSES = (SINGLE, NARROW, WIDE)
 
 
 class ConfigError(Exception):
@@ -51,8 +50,6 @@ CLOCK_RESET_NAMES = clock_reset_closure()
 class PartialKeywordGroup:
     name: str
     fragments: List[str]
-    directions: List[str] = field(default_factory=lambda: list(_DIRECTIONS))
-    width_classes: List[str] = field(default_factory=lambda: list(_WIDTH_CLASSES))
     objectives: List[str] = field(default_factory=list)
     exclude_fragments: List[str] = field(default_factory=list)
 
@@ -69,19 +66,11 @@ class PartialKeywordGroup:
         for obj in self.objectives:
             if obj not in OBJECTIVES:
                 raise ConfigError(f"group '{self.name}': unknown objective {obj!r}")
-        for d in self.directions:
-            if d not in (INPUT, OUTPUT, NET):
-                raise ConfigError(f"group '{self.name}': unknown direction {d!r}")
-        for wc in self.width_classes:
-            if wc not in _WIDTH_CLASSES:
-                raise ConfigError(f"group '{self.name}': unknown width class {wc!r}")
 
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "fragments": list(self.fragments),
-            "directions": list(self.directions),
-            "width_classes": list(self.width_classes),
             "objectives": list(self.objectives),
             "exclude_fragments": list(self.exclude_fragments),
         }
@@ -189,8 +178,6 @@ def _config_from_dict(data: dict) -> FamilyConfig:
             groups.append(PartialKeywordGroup(
                 name=gd["name"],
                 fragments=list(gd["fragments"]),
-                directions=list(gd.get("directions", _DIRECTIONS)),
-                width_classes=list(gd.get("width_classes", _WIDTH_CLASSES)),
                 objectives=list(gd.get("objectives", [])),
                 exclude_fragments=list(gd.get("exclude_fragments", [])),
             ))
@@ -238,36 +225,13 @@ def load_family_config(name_or_path: str) -> FamilyConfig:
     return _config_from_dict(data)
 
 
-def count_keyword_occurrences(db, config: FamilyConfig) -> Dict[str, int]:
-    """Per-group count of signals whose name contains any group fragment.
-
-    Signals hit by the global exclusions are not counted; a signal matching
-    several groups contributes to each of them.
-    """
-    from .matcher import fragment_matches  # local import to avoid a cycle
-    excl = config.exclusion_set()
-    counts = {g.name: 0 for g in config.groups}
-    for (_mod, name), _decl in db.signal_index.items():
-        lower = name.lower()
-        if lower in excl:
-            continue
-        for group in config.groups:
-            if fragment_matches(lower, group):
-                counts[group.name] += 1
-    return counts
-
-
 # ---------------------------------------------------------------------------
 # Bundled family definitions (reconstructions, user-overridable)
 # ---------------------------------------------------------------------------
 
 def _g(name: str, fragments: Sequence[str], objectives: Sequence[str],
-       directions: Sequence[str] = _DIRECTIONS,
-       width_classes: Sequence[str] = _WIDTH_CLASSES,
        exclude: Sequence[str] = ()) -> PartialKeywordGroup:
-    return PartialKeywordGroup(name, list(fragments), list(directions),
-                               list(width_classes), list(objectives),
-                               list(exclude))
+    return PartialKeywordGroup(name, list(fragments), list(objectives), list(exclude))
 
 
 def _r(name: str, groups: Sequence[str], patterns: Sequence[str],
@@ -282,7 +246,7 @@ def _r(name: str, groups: Sequence[str], patterns: Sequence[str],
 def _builtin_config(family: str) -> FamilyConfig:
     if family == "crypto":
         groups = [
-            _g("key", ["key"], [CONFIDENTIALITY], width_classes=[NARROW, WIDE]),
+            _g("key", ["key"], [CONFIDENTIALITY]),
             _g("text", ["text", "plain", "cipher", "msg"], [CONFIDENTIALITY]),
             _g("data", ["data", "din", "dout", "bank", "word", "block"],
                [CONFIDENTIALITY], exclude=["ding"]),
@@ -290,18 +254,15 @@ def _builtin_config(family: str) -> FamilyConfig:
             _g("seed", ["seed", "random", "rng"], [CONFIDENTIALITY]),
             _g("round", ["round", "rnd"], [INTEGRITY]),
             _g("enable", ["en", "wen", "ren"], [AVAILABILITY],
-               width_classes=[SINGLE], exclude=["end", "gen", "len"]),
-            _g("start", ["start", "init", "go"], [AVAILABILITY],
-               width_classes=[SINGLE]),
-            _g("done", ["done", "finish", "complete"], [INTEGRITY],
-               width_classes=[SINGLE]),
-            _g("ready", ["ready", "rdy"], [INTEGRITY], width_classes=[SINGLE]),
-            _g("busy", ["busy"], [INTEGRITY], width_classes=[SINGLE]),
-            _g("valid", ["valid", "vld"], [INTEGRITY], width_classes=[SINGLE]),
-            _g("load", ["load"], [AVAILABILITY], width_classes=[SINGLE],
-               exclude=["upload", "download"]),
+               exclude=["end", "gen", "len"]),
+            _g("start", ["start", "init", "go"], [AVAILABILITY]),
+            _g("done", ["done", "finish", "complete"], [INTEGRITY]),
+            _g("ready", ["ready", "rdy"], [INTEGRITY]),
+            _g("busy", ["busy"], [INTEGRITY]),
+            _g("valid", ["valid", "vld"], [INTEGRITY]),
+            _g("load", ["load"], [AVAILABILITY], exclude=["upload", "download"]),
             _g("mode", ["mode", "sel", "cfg", "ctl", "ctrl"],
-               [AVAILABILITY, INTEGRITY], width_classes=[SINGLE, NARROW]),
+               [AVAILABILITY, INTEGRITY]),
         ]
         rules = [
             _r("encryption-key", ["key"], ["Data"], min_width=64,
@@ -327,7 +288,7 @@ def _builtin_config(family: str) -> FamilyConfig:
             _g("enable", ["en", "ena"], [AVAILABILITY],
                exclude=["end", "gen", "len"]),
             _g("dir", ["dir"], [AVAILABILITY, INTEGRITY]),
-            _g("irq", ["irq", "intr"], [AVAILABILITY], width_classes=[SINGLE, NARROW]),
+            _g("irq", ["irq", "intr"], [AVAILABILITY]),
             _g("out", ["out"], [INTEGRITY], exclude=["timeout"]),
             _g("in", ["in"], [INTEGRITY], exclude=["int", "init"]),
         ]
@@ -352,13 +313,13 @@ def _builtin_config(family: str) -> FamilyConfig:
             _g("data", ["data", "din", "dout"], [CONFIDENTIALITY],
                exclude=["ding"]),
             _g("enable", ["en"], [AVAILABILITY], exclude=["end", "gen", "len"]),
-            _g("busy", ["busy"], [INTEGRITY], width_classes=[SINGLE]),
-            _g("ready", ["ready", "rdy"], [INTEGRITY], width_classes=[SINGLE]),
-            _g("valid", ["valid", "vld"], [INTEGRITY], width_classes=[SINGLE]),
+            _g("busy", ["busy"], [INTEGRITY]),
+            _g("ready", ["ready", "rdy"], [INTEGRITY]),
+            _g("valid", ["valid", "vld"], [INTEGRITY]),
             _g("addr", ["addr", "adr"], [INTEGRITY]),
-            _g("cs", ["cs", "ss"], [AVAILABILITY], width_classes=[SINGLE, NARROW]),
+            _g("cs", ["cs", "ss"], [AVAILABILITY]),
             _g("sel", ["sel"], [AVAILABILITY, INTEGRITY]),
-            _g("irq", ["irq", "intr"], [AVAILABILITY], width_classes=[SINGLE, NARROW]),
+            _g("irq", ["irq", "intr"], [AVAILABILITY]),
         ]
         rules = [
             _r("txrx-data", ["tx", "rx", "data"], ["Data"], min_width=2,

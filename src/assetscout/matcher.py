@@ -1,7 +1,7 @@
 """Partial-keyword matching: reduce all extracted signals to the important set."""
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .design import DesignDatabase
 from .keywords import FamilyConfig, PartialKeywordGroup
@@ -79,28 +79,19 @@ def match_elements(db: DesignDatabase, config: FamilyConfig) -> List[ImportantEl
     return out
 
 
-def match_oracle(name: str, config: FamilyConfig) -> List[Tuple[str, str]]:
-    """Naive reference matcher used for equivalence testing.
+def count_keyword_occurrences(db: DesignDatabase, config: FamilyConfig) -> Dict[str, int]:
+    """Per-group count of signals whose name contains any group fragment.
 
-    Returns (group, fragment) pairs by scanning every offset of the name for
-    every fragment of every group, applying the same exclusion semantics.
+    Signals hit by the global exclusions are not counted; a signal matching
+    several groups contributes to each of them.
     """
-    lower = name.lower()
-    if lower in config.exclusion_set():
-        return []
-    pairs = []
-    for group in config.groups:
-        for frag in group.fragments:
-            for off in range(len(lower) - len(frag) + 1):
-                if lower[off:off + len(frag)] != frag:
-                    continue
-                inside_exclusion = False
-                for excl in group.exclude_fragments:
-                    for eoff in range(len(lower) - len(excl) + 1):
-                        if lower[eoff:eoff + len(excl)] == excl \
-                                and eoff <= off \
-                                and off + len(frag) <= eoff + len(excl):
-                            inside_exclusion = True
-                if not inside_exclusion and (group.name, frag) not in pairs:
-                    pairs.append((group.name, frag))
-    return pairs
+    excl = config.exclusion_set()
+    counts = {g.name: 0 for g in config.groups}
+    for (_mod, name), _decl in db.signal_index.items():
+        lower = name.lower()
+        if lower in excl:
+            continue
+        for group in config.groups:
+            if fragment_matches(lower, group):
+                counts[group.name] += 1
+    return counts

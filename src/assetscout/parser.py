@@ -9,7 +9,8 @@ modules: recovery happens at the next `module` keyword.
 """
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+import re
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .tokenizer import RESERVED_WORDS, Token, strip_comments, tokenize
 from .syntax import (
@@ -157,27 +158,13 @@ def _read_include(target: str, from_path: str, include_dirs: Sequence[str]) -> O
     return None
 
 
+_MACRO_USE_RE = re.compile(r"`([\w$]*)")
+
+
 def _substitute_macros(line: str, defines: Dict[str, str]) -> str:
     if "`" not in line:
         return line
-    out = []
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c == "`":
-            j = i + 1
-            while j < n and (line[j].isalnum() or line[j] in "_$"):
-                j += 1
-            name = line[i + 1:j]
-            if name in defines:
-                out.append(defines[name])
-            else:
-                out.append(line[i:j])
-            i = j
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return _MACRO_USE_RE.sub(lambda m: defines.get(m.group(1), m.group()), line)
 
 
 # ---------------------------------------------------------------------------
@@ -981,6 +968,7 @@ def parse_source(text: str, path: str = "<string>",
     parser = _Parser(tokens, path)
     parser.diagnostics.extend(diags)
     unit = parser.parse_unit()
+    unit.line_count = text.count("\n")
     return unit
 
 

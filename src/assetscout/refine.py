@@ -9,7 +9,6 @@ Case 3: a net first expands through assignment and instantiation edges to
 port signals, then Cases 1-2 run on each discovered port.
 """
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -20,7 +19,6 @@ from .design import (
 from .keywords import AVAILABILITY, CLOCK_RESET_NAMES, INTEGRITY
 from .patterns import CONTROL, STATUS, BehaviorClassification
 from .rules import CandidateAsset
-from .syntax import INOUT, INPUT, NET, OUTPUT
 
 MAX_BFS_DEPTH = 64
 
@@ -174,7 +172,6 @@ def refine(candidates: Sequence[CandidateAsset],
 
 
 def link_status_to_control(assets: Sequence[PrimaryAsset],
-                           db: DesignDatabase,
                            edges: Sequence[ConnEdge],
                            behaviors: Dict[str, BehaviorClassification],
                            ) -> List[PrimaryAsset]:

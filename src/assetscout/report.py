@@ -5,7 +5,7 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from . import __version__
 from .design import (
@@ -13,8 +13,8 @@ from .design import (
     find_top_modules,
 )
 from .evaluation import EvalResult, GroundTruth, evaluate
-from .keywords import ConfigError, FamilyConfig, count_keyword_occurrences, load_family_config
-from .matcher import ImportantElement, match_elements
+from .keywords import load_family_config
+from .matcher import ImportantElement, count_keyword_occurrences, match_elements
 from .parser import discover_rtl_files, parse_file
 from .patterns import classify_design
 from .refine import PrimaryAsset, link_status_to_control, refine
@@ -151,18 +151,13 @@ def _load_design(rtl_dir: str):
     files = discover_rtl_files(rtl_dir)
     if not files:
         raise NoRtlFilesError(f"no RTL files (.v/.sv/.vh/.svh) under {rtl_dir}")
-    line_count = 0
-    units = []
-    for path in files:
-        with open(path, "rb") as fh:
-            line_count += fh.read().count(b"\n")
-        units.append(parse_file(path, include_dirs=[rtl_dir]))
+    units = [parse_file(path, include_dirs=[rtl_dir]) for path in files]
     try:
         db = build_database(units)
     except DesignError as err:
         # files exist but no module parsed: treat as an unusable corpus
         raise NoRtlFilesError(str(err)) from err
-    return files, db, line_count
+    return files, db, sum(unit.line_count for unit in units)
 
 
 def run_pipeline(rtl_dir: str,
@@ -187,7 +182,7 @@ def run_pipeline(rtl_dir: str,
     all_assets: List[PrimaryAsset] = []
     for top_name in tops:
         assets = refine(candidates, db, edges, top_name)
-        assets = link_status_to_control(assets, db, edges, behaviors)
+        assets = link_status_to_control(assets, edges, behaviors)
         assets_by_top[top_name] = assets
         all_assets.extend(assets)
 

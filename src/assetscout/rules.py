@@ -9,7 +9,7 @@ from .keywords import (
 )
 from .matcher import ImportantElement
 from .patterns import BehaviorClassification
-from .syntax import INOUT, INPUT, NET, OUTPUT, SignalDecl
+from .syntax import INOUT, INPUT, OUTPUT, SignalDecl
 
 
 class RuleError(Exception):

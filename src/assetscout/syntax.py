@@ -141,3 +141,4 @@ class SourceUnit:
     path: str
     modules: List[ModuleDef] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
+    line_count: int = 0  # newlines in the source text, before preprocessing

@@ -1,7 +1,13 @@
 """Lexer for the supported Verilog/SystemVerilog subset.
 
-Comments, attribute blocks and whitespace are stripped during scanning;
-everything else becomes a flat token stream with source line numbers.
+The lexical grammar is one master regex with a named group per token class,
+tried in order at each position (the "Writing a Tokenizer" idiom of the
+``re`` docs). ``tokenize`` turns its matches into tokens with source line
+numbers; whitespace, comments and ``(* ... *)`` attributes yield none.
+``strip_comments`` blanks comments with one ``re.sub`` over the grammar's
+comment, string and escaped-identifier groups, so in both a string or an
+escaped identifier (which runs to whitespace, IEEE 1364-2005 §3.7.1) hides
+a comment opener.
 """
 
 import re
@@ -44,14 +50,40 @@ _PUNCTUATION = [
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "?", "'",
 ]
 
-_NUMBER_RE = re.compile(
-    r"(?:\d[\d_]*\s*)?'\s*[sS]?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+"
-    r"|\d[\d_]*\.\d[\d_]*"
-    r"|\d[\d_]*"
-)
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_$]*")
-_SYSTEM_ID_RE = re.compile(r"\$[A-Za-z_][A-Za-z0-9_$]*")
-_DIRECTIVE_RE = re.compile(r"`[A-Za-z_][A-Za-z0-9_$]*")
+# Fragments shared by both patterns (compiled with re.DOTALL). "(*)" is the
+# event control @(*), not an attribute; an unclosed comment runs to EOF.
+_SHARED = [
+    ("line_comment", r"//[^\n]*"),
+    ("block_comment", r"/\*.*?\*/"),
+    ("attribute", r"\(\*(?!\)).*?\*\)"),
+    ("unterminated", r"(?:/\*|\(\*(?!\))).*"),
+    ("string", r'"(?:[^"\\\n]|\\.?)*(?P<closed>")?'),
+    ("escaped", r"\\[^ \t\r\n]*"),
+]
+
+
+def _compile(groups: List[Tuple[str, str]]) -> "re.Pattern[str]":
+    return re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in groups),
+                      re.DOTALL)
+
+
+_TOKEN_RE = _compile([
+    ("space", r"[ \t\r\f\v\n]+"),  # tokenize counts the newlines of every match
+    ("id", r"[A-Za-z_][A-Za-z0-9_$]*"),
+    # a bare ' is punctuation ({'0}); only a based literal makes it a number
+    ("number", r"(?:\d[\d_]*\s*)?'\s*[sS]?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+"
+               r"|\d[\d_]*\.\d[\d_]*|\d[\d_]*"),
+    *_SHARED,
+    ("sysid", r"\$[A-Za-z_][A-Za-z0-9_$]*"),
+    ("directive", r"`[A-Za-z_][A-Za-z0-9_$]*"),
+    ("punct", "|".join(map(re.escape, _PUNCTUATION))),
+    ("other", r"."),
+])
+_COMMENT_RE = _compile(_SHARED)
+
+_TOKEN_KINDS = {"id": "id", "escaped": "id", "number": "number", "string": "string",
+                "punct": "punct", "sysid": "sysid", "directive": "directive"}
+_UNTERMINATED = {"/": "unterminated block comment", "(": "unterminated attribute block"}
 
 
 # slots: range bounds keep their tokens for as long as the design lives
@@ -66,139 +98,48 @@ class Token:
 
 
 def strip_comments(text: str) -> Tuple[str, List[Tuple[str, int]]]:
-    """Replace comments and ``(* ... *)`` attribute blocks with spaces.
+    """Replace comments and ``(* ... *)`` attributes with spaces, keep newlines.
 
-    Newlines are preserved so later stages keep original line numbers.
-    Returns the cleaned text plus (message, line) pairs for unterminated
-    constructs.
+    Line comments are deleted; strings and escaped identifiers stay as they
+    are. Returns the cleaned text plus (message, line) pairs for
+    unterminated comments and attribute blocks.
     """
-    out = []
-    diags = []
-    i, n = 0, len(text)
-    line = 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            out.append("\n")
-            line += 1
-            i += 1
-        elif c == "/" and text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-        elif c == "/" and text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                diags.append(("unterminated block comment", line))
-                out.extend("\n" for ch in text[i:] if ch == "\n")
-                break
-            for ch in text[i:end + 2]:
-                out.append("\n" if ch == "\n" else " ")
-                if ch == "\n":
-                    line += 1
-            i = end + 2
-        elif c == "(" and text.startswith("(*", i) and not text.startswith("(*)", i):
-            end = text.find("*)", i + 2)
-            if end < 0:
-                diags.append(("unterminated attribute block", line))
-                out.extend("\n" for ch in text[i:] if ch == "\n")
-                break
-            for ch in text[i:end + 2]:
-                out.append("\n" if ch == "\n" else " ")
-                if ch == "\n":
-                    line += 1
-            i = end + 2
-        elif c == '"':
-            # copy the string verbatim so quotes cannot hide comments
-            j = i + 1
-            while j < n and text[j] != '"' and text[j] != "\n":
-                if text[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n or text[j] == "\n":
-                diags.append(("unterminated string literal", line))
-                out.append(text[i:j])
-                i = j
-            else:
-                out.append(text[i:j + 1])
-                i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out), diags
+    diags: List[Tuple[str, int]] = []
+
+    def blank(m: "re.Match[str]") -> str:
+        group, value = m.lastgroup, m.group()
+        if group in ("string", "escaped"):
+            return value
+        if group == "line_comment":
+            return ""
+        if group == "unterminated":
+            diags.append((_UNTERMINATED[value[0]], text.count("\n", 0, m.start()) + 1))
+            return "\n" * value.count("\n")
+        return "\n".join(" " * len(part) for part in value.split("\n"))
+
+    return _COMMENT_RE.sub(blank, text), diags
 
 
 def tokenize(source: str) -> List[Token]:
     """Tokenize Verilog source text.
 
-    Comments and attribute blocks are stripped first; string literals,
-    escaped identifiers and based numeric literals each form one token.
-    Unterminated constructs yield a 'diag' token instead of failing.
+    Comments and attribute blocks produce no token; strings, escaped
+    identifiers and based literals each form one token. Unterminated
+    constructs and stray characters yield a 'diag' token instead of failing.
     """
-    cleaned, comment_diags = strip_comments(source)
-    tokens: List[Token] = [Token("diag", msg, ln) for msg, ln in comment_diags]
-    i, n = 0, len(cleaned)
+    tokens: List[Token] = []
     line = 1
-    while i < n:
-        c = cleaned[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c in " \t\r\f\v":
-            i += 1
-            continue
-        if c == '"':
-            j = i + 1
-            while j < n and cleaned[j] != '"' and cleaned[j] != "\n":
-                if cleaned[j] == "\\":
-                    j += 1
-                j += 1
-            if j >= n or cleaned[j] == "\n":
+    for m in _TOKEN_RE.finditer(source):
+        group, value = m.lastgroup, m.group()
+        kind = _TOKEN_KINDS.get(group)
+        if kind is not None:
+            if group == "string" and m.group("closed") is None:
                 tokens.append(Token("diag", "unterminated string literal", line))
-                tokens.append(Token("string", cleaned[i:j], line))
-                i = j
-            else:
-                tokens.append(Token("string", cleaned[i:j + 1], line))
-                i = j + 1
-            continue
-        if c == "\\":
-            # escaped identifier: runs until whitespace
-            j = i + 1
-            while j < n and cleaned[j] not in " \t\r\n":
-                j += 1
-            tokens.append(Token("id", cleaned[i:j], line))
-            i = j
-            continue
-        m = _NUMBER_RE.match(cleaned, i)
-        if m and (c.isdigit() or c == "'"):
-            # bare ' is also punctuation ({'0}); only treat as number when
-            # the regex really consumed a based literal
-            if c != "'" or "'" in m.group(0) and len(m.group(0)) > 1:
-                text = m.group(0)
-                tokens.append(Token("number", text, line))
-                i = m.end()
-                continue
-        m = _IDENT_RE.match(cleaned, i)
-        if m:
-            tokens.append(Token("id", m.group(0), line))
-            i = m.end()
-            continue
-        m = _SYSTEM_ID_RE.match(cleaned, i)
-        if m:
-            tokens.append(Token("sysid", m.group(0), line))
-            i = m.end()
-            continue
-        m = _DIRECTIVE_RE.match(cleaned, i)
-        if m:
-            tokens.append(Token("directive", m.group(0), line))
-            i = m.end()
-            continue
-        for p in _PUNCTUATION:
-            if cleaned.startswith(p, i):
-                tokens.append(Token("punct", p, line))
-                i += len(p)
-                break
-        else:
-            tokens.append(Token("diag", f"unexpected character {c!r}", line))
-            i += 1
+            tokens.append(Token(kind, value, line))
+        elif group == "unterminated":
+            tokens.append(Token("diag", _UNTERMINATED[value[0]], line))
+        elif group == "other":
+            tokens.append(Token("diag", f"unexpected character {value!r}", line))
+        if "\n" in value:  # else keep the line's int: range bounds keep their tokens
+            line += value.count("\n")
     return tokens

@@ -13,7 +13,7 @@ from fractions import Fraction
 from assetscout.design import build_connectivity, build_database
 from assetscout.evaluation import EvalResult
 from assetscout.keywords import load_family_config
-from assetscout.matcher import match_elements, match_oracle
+from assetscout.matcher import match_elements
 from assetscout.parser import parse_source, parse_tree
 from assetscout.patterns import classify_behaviors
 from assetscout.refine import refine
@@ -23,6 +23,7 @@ from assetscout.tokenizer import RESERVED_WORDS
 
 from conftest import CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR
 from fixtures_rtl import AB_SOURCE, BEHAVIOR_CASES, NET_EXPANSION_SOURCE, SECONDARY_NET_SOURCE
+from test_matcher import match_oracle
 
 
 def _verdict(name, ok):

@@ -6,9 +6,9 @@ import pytest
 
 from assetscout.keywords import (
     BUILTIN_FAMILIES, CLOCK_RESET_NAMES, CONFIG_SCHEMA_VERSION, ConfigError,
-    FamilyConfig, PartialKeywordGroup, clock_reset_closure,
-    count_keyword_occurrences, load_family_config,
+    FamilyConfig, PartialKeywordGroup, clock_reset_closure, load_family_config,
 )
+from assetscout.matcher import count_keyword_occurrences
 from assetscout.parser import parse_tree
 from assetscout.design import build_database
 
@@ -103,6 +103,16 @@ def test_save_load_round_trip(tmp_path):
         path2 = tmp_path / f"{name}2.json"
         reloaded.save(str(path2))
         assert path.read_bytes() == path2.read_bytes()
+
+
+def test_old_group_keys_are_ignored(tmp_path):
+    data = load_family_config("crypto").to_dict()
+    for group in data["groups"]:
+        group["directions"] = ["Input", "Net"]
+        group["width_classes"] = ["Single"]
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(data))
+    assert load_family_config(str(path)).to_dict() == load_family_config("crypto").to_dict()
 
 
 def test_wrong_schema_version_rejected(tmp_path):

@@ -1,17 +1,47 @@
 """Partial-keyword matching: production matcher vs naive oracle."""
 
+from typing import List, Tuple
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assetscout.design import build_database
-from assetscout.keywords import CLOCK_RESET_NAMES, load_family_config
-from assetscout.matcher import match_elements, match_oracle
+from assetscout.keywords import CLOCK_RESET_NAMES, FamilyConfig, load_family_config
+from assetscout.matcher import match_elements
 from assetscout.parser import parse_tree
 
 from conftest import MINI_CORPUS, build_db
 
 CONFIGS = {name: load_family_config(name)
            for name in ("crypto", "gpio", "peripheral")}
+
+
+def match_oracle(name: str, config: FamilyConfig) -> List[Tuple[str, str]]:
+    """Naive reference matcher used for equivalence testing.
+
+    Returns (group, fragment) pairs by scanning every offset of the name for
+    every fragment of every group, applying the same exclusion semantics.
+    """
+    lower = name.lower()
+    if lower in config.exclusion_set():
+        return []
+    pairs = []
+    for group in config.groups:
+        for frag in group.fragments:
+            for off in range(len(lower) - len(frag) + 1):
+                if lower[off:off + len(frag)] != frag:
+                    continue
+                inside_exclusion = False
+                for excl in group.exclude_fragments:
+                    for eoff in range(len(lower) - len(excl) + 1):
+                        if lower[eoff:eoff + len(excl)] == excl \
+                                and eoff <= off \
+                                and off + len(frag) <= eoff + len(excl):
+                            inside_exclusion = True
+                if not inside_exclusion and (group.name, frag) not in pairs:
+                    pairs.append((group.name, frag))
+    return pairs
+
 
 identifiers = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789_", min_size=0, max_size=24)

@@ -98,6 +98,12 @@ def test_comment_only_file():
     assert unit.diagnostics == []
 
 
+def test_unterminated_string_is_diagnosed_once():
+    unit = parse_source('module m(input a);\nassign b = "abc;\nendmodule\n')
+    assert [(d.message, d.line) for d in unit.diagnostics
+            if d.message.startswith("unterminated")] == [("unterminated string literal", 2)]
+
+
 def test_non_ansi_ports():
     mod = parse_source("""
         module nansi (a, b, q);
@@ -355,3 +361,20 @@ def test_range_width_from_kept_tokens_matches_retokenized(msb, lsb):
                        f" (input {rng} w);\nendmodule\n").modules[0]
     decl = mod.signal("w")
     assert decl.width_bits == _retokenized_width(decl.range_expr, mod.parameters)
+
+
+_PP_LINES = [
+    "`define A 1", "`define F(x) x", "`define LONG a \\", "  b \\", "`undef A",
+    "`ifdef A", "`ifndef B", "`elsif A", "`else", "`endif", "`timescale 1ns/1ps",
+    "wire w = `A + `B;", "// c", "/* c", "*/ x", "/* one */ y", "(* attr", "*)",
+    '"s // t"', '"open', '"a\\', "\\esc//aped", "",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.one_of(st.sampled_from(_PP_LINES),
+                                st.text(alphabet='`"\\/*() \t\r\nABdefi', max_size=8)),
+                      max_size=30))
+def test_preprocess_keeps_line_count(lines):
+    text = "\n".join(lines)
+    assert preprocess(text).count("\n") == text.count("\n")

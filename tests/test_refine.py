@@ -146,7 +146,7 @@ def test_status_linked_to_foreign_control_gains_availability():
     asset = PrimaryAsset(module="worker", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
                          patterns=["Status"], objectives=["Integrity"])
-    linked = link_status_to_control([asset], db, edges, classify_design(db))
+    linked = link_status_to_control([asset], edges, classify_design(db))
     assert "Availability" in linked[0].objectives
 
 
@@ -163,7 +163,7 @@ def test_status_without_consumer_keeps_integrity_only():
     asset = PrimaryAsset(module="solo", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
                          patterns=["Status"], objectives=[])
-    linked = link_status_to_control([asset], db, edges, classify_design(db))
+    linked = link_status_to_control([asset], edges, classify_design(db))
     assert "Integrity" in linked[0].objectives
     assert "Availability" not in linked[0].objectives
 
@@ -174,5 +174,5 @@ def test_link_ignores_non_status_assets():
     asset = PrimaryAsset(module="boss", name="go_in", direction="Input",
                          width_bits=1, patterns=["Control"],
                          objectives=["Availability"])
-    linked = link_status_to_control([asset], db, edges, classify_design(db))
+    linked = link_status_to_control([asset], edges, classify_design(db))
     assert linked[0].objectives == ["Availability"]

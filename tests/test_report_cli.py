@@ -1,5 +1,7 @@
 """End-to-end pipeline runs, report formats, and CLI exit codes."""
 
+import ast
+import hashlib
 import json
 import os
 import sys
@@ -15,7 +17,7 @@ from assetscout.report import (
 )
 
 from conftest import (
-    CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, SPLITTER_TRUTH,
+    CORPUS_FAMILIES, FIXTURES, MINI_CORPUS, SPLITTER_DIR, SPLITTER_TRUTH, TESTS_DIR,
 )
 
 GOLDEN_ROOTS = {
@@ -187,3 +189,28 @@ def test_cli_version(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "assetscout" in capsys.readouterr().out
+
+
+BENCH_DIR = os.path.join(os.path.dirname(TESTS_DIR), "bench")
+
+
+def _bench_fixtures():
+    """`FIXTURES` of bench/run.py, evaluated without importing the runner."""
+    path = os.path.join(BENCH_DIR, "run.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), path)
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and [getattr(t, "id", None) for t in n.targets] == ["FIXTURES"])
+    return eval(compile(ast.Expression(node.value), path, "eval"),
+                {"os": os, "FIXTURE_DIR": FIXTURES})
+
+
+def test_fixture_reports_match_pinned_digests(tmp_path):
+    with open(os.path.join(BENCH_DIR, "pinned.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)["fixtures"]
+    fixtures = _bench_fixtures()
+    assert sorted(fixtures) == sorted(pinned)
+    for name, (rtl_dir, args) in fixtures.items():
+        out = tmp_path / f"{name}.json"
+        assert main(["--rtl-dir", rtl_dir, "--out", str(out)] + args) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned[name], name

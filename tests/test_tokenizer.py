@@ -1,9 +1,14 @@
 """Lexer behavior: comment stripping, literals, keyword tables."""
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
 from assetscout.tokenizer import (
     RESERVED_WORDS, SYSTEMVERILOG_KEYWORDS, VERILOG_2005_KEYWORDS,
     strip_comments, tokenize,
 )
+
+import lexer_oracle
 
 
 def values(source):
@@ -28,6 +33,11 @@ def test_block_comment_keeps_line_numbers():
     toks = tokenize("/* one\ntwo */ wire w;")
     assert [t.value for t in toks] == ["wire", "w", ";"]
     assert toks[0].line == 2
+    # an escaped newline in a string and a size on the line above its base
+    # make multi-line tokens too
+    for source in ('"a\\\nb"\nx', "8\n'hFF\nx"):
+        last = tokenize(source)[-1]
+        assert (last.value, last.line) == ("x", 3)
 
 
 def test_attribute_block_is_stripped():
@@ -51,6 +61,16 @@ def test_escaped_identifier_is_single_token():
     toks = tokenize("wire \\foo!bar ;")
     assert [t.value for t in toks] == ["wire", "\\foo!bar", ";"]
     assert toks[1].kind == "id"
+
+
+def test_escaped_identifier_hides_quotes_and_comment_openers():
+    # IEEE 1364-2005 3.7.1: an escaped identifier runs to whitespace
+    source = 'wire \\a"b ;\nwire \\c//d ;\nwire \\e/*f ;\nwire \\g(*h ;'
+    assert strip_comments(source) == (source, [])
+    toks = [(t.kind, t.value, t.line) for t in tokenize(source)
+            if t.value.startswith("\\")]
+    assert toks == [("id", '\\a"b', 1), ("id", "\\c//d", 2),
+                    ("id", "\\e/*f", 3), ("id", "\\g(*h", 4)]
 
 
 def test_unterminated_block_comment_yields_diagnostic():
@@ -83,3 +103,35 @@ def test_keyword_tables_are_disjoint_where_expected():
 def test_tokenize_is_deterministic():
     src = "module m (input a);\n  assign y = a ? 1'b0 : 1'b1;\nendmodule\n"
     assert tokenize(src) == tokenize(src)
+
+
+# Verilog fragments: each comment, string and escaped identifier is whole,
+# and escaped identifiers contain no quote or comment opener
+_FRAGMENTS = lexer_oracle._PUNCTUATION + [
+    "a", "w_1", "data$x", "module", "$display", "$", "`define", "`W", "`",
+    "0", "8", "12_000", "1.5", "8'hFF", "8 'h ff", "4'b1x0z", "'d15", "'sd3",
+    '"s"', '"a\\"b"', '"a\\\nb"', '"x // y /* z (* w"', '"open', '"tail\\',
+    "\\foo!bar ", "\\a+b\t", "\\ ",
+    "// c", "/* c */", "/* two\nlines */", "(* full_case *)", "(*)",
+    "/* open", "(* open",
+    " ", "\t", "\n", "\r\n", "\f", "\v", "\x00", "\u00e9", "\xa0", "\u00b2",
+    "\u0663",
+]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40))
+def test_tokenize_matches_oracle_on_comment_free_text(fragments):
+    text, _diags = strip_comments("".join(fragments))
+    new = [(t.kind, t.value, t.line) for t in tokenize(text)]
+    # a quote closing a string early can leave a backslash outside it
+    assume(not any(v.startswith("\\") and any(s in v for s in ('"', "//", "/*", "(*"))
+                   for _k, v, _l in new))
+    # the oracle's own comment strip reports each unterminated string again,
+    # ahead of all tokens
+    repeated = len(lexer_oracle.strip_comments(text)[1])
+    old = [(t.kind, t.value, t.line) for t in lexer_oracle.tokenize(text)[repeated:]]
+    assert [t[:2] for t in new] == [t[:2] for t in old]
+    # the oracle does not count newlines inside tokens
+    if not any("\n" in value for _kind, value, _line in old):
+        assert new == old

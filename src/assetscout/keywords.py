@@ -129,6 +129,9 @@ class FamilyConfig:
             seen.add(group.name)
         for rule in self.rules:
             rule.validate()
+            for name in rule.groups:
+                if name not in seen:
+                    raise ConfigError(f"rule '{rule.name}': unknown group {name!r}")
         excl = set(self.exclusion_set())
         for group in self.groups:
             for frag in group.fragments:
@@ -139,6 +142,8 @@ class FamilyConfig:
         required = {"clk", "clock", "rst", "reset"}
         if not required <= excl:
             raise ConfigError("global exclusions must cover clock/reset names")
+        if not self.rules:
+            raise ConfigError(f"family '{self.family}' has no rules")
 
     def exclusion_set(self) -> frozenset:
         """Exact-match exclusion names: user list + clock/reset + keywords."""
@@ -166,43 +171,76 @@ class FamilyConfig:
             fh.write("\n")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON field types by the name a ConfigError gives them
+_FIELD_TYPES = {
+    "a string": lambda v: isinstance(v, str),
+    "a list of strings": lambda v: (isinstance(v, list)
+                                    and all(isinstance(x, str) for x in v)),
+    "an integer": _is_int,
+    "an integer or null": lambda v: v is None or _is_int(v),
+}
+_REQUIRED = object()
+
+
+def _field(entry: dict, key: str, kind: str, what: str, default=_REQUIRED):
+    """`entry[key]` checked to be `kind`, or `default` when it is absent."""
+    if key not in entry:
+        if default is _REQUIRED:
+            raise ConfigError(f"{what} missing field '{key}'")
+        return default
+    value = entry[key]
+    if not _FIELD_TYPES[kind](value):
+        raise ConfigError(f"{what}: '{key}' must be {kind}, not {value!r}")
+    return list(value) if isinstance(value, list) else value
+
+
+def _entries(data: dict, key: str) -> List[dict]:
+    value = data.get(key, [])
+    if not isinstance(value, list) or not all(isinstance(e, dict) for e in value):
+        raise ConfigError(f"'{key}' must be a list of objects, not {value!r}")
+    return value
+
+
 def _config_from_dict(data: dict) -> FamilyConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     version = data.get("version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version: {version!r}")
-    groups = []
-    for gd in data.get("groups", []):
-        try:
-            groups.append(PartialKeywordGroup(
-                name=gd["name"],
-                fragments=list(gd["fragments"]),
-                objectives=list(gd.get("objectives", [])),
-                exclude_fragments=list(gd.get("exclude_fragments", [])),
-            ))
-        except KeyError as err:
-            raise ConfigError(f"group entry missing field {err}") from err
-    rules = []
-    for rd in data.get("rules", []):
-        try:
-            rules.append(ClassificationRule(
-                name=rd["name"],
-                groups=list(rd["groups"]),
-                patterns=list(rd["patterns"]),
-                directions=list(rd.get("directions", _DIRECTIONS)),
-                min_width=int(rd.get("min_width", 1)),
-                max_width=rd.get("max_width"),
-                objectives=list(rd.get("objectives", [])),
-            ))
-        except KeyError as err:
-            raise ConfigError(f"rule entry missing field {err}") from err
+    group, rule = "group entry", "rule entry"
+    groups = [
+        PartialKeywordGroup(
+            name=_field(gd, "name", "a string", group),
+            fragments=_field(gd, "fragments", "a list of strings", group),
+            objectives=_field(gd, "objectives", "a list of strings", group, []),
+            exclude_fragments=_field(gd, "exclude_fragments",
+                                     "a list of strings", group, []),
+        )
+        for gd in _entries(data, "groups")
+    ]
+    rules = [
+        ClassificationRule(
+            name=_field(rd, "name", "a string", rule),
+            groups=_field(rd, "groups", "a list of strings", rule),
+            patterns=_field(rd, "patterns", "a list of strings", rule),
+            directions=_field(rd, "directions", "a list of strings", rule,
+                              list(_DIRECTIONS)),
+            min_width=_field(rd, "min_width", "an integer", rule, 1),
+            max_width=_field(rd, "max_width", "an integer or null", rule, None),
+            objectives=_field(rd, "objectives", "a list of strings", rule, []),
+        )
+        for rd in _entries(data, "rules")
+    ]
     cfg = FamilyConfig(
         family=str(data.get("family", "user-defined")),
         groups=groups,
         rules=rules,
-        global_exclusions=list(data.get("global_exclusions",
-                                        ["clk", "clock", "rst", "reset"])),
+        global_exclusions=_field(data, "global_exclusions", "a list of strings",
+                                 "config", ["clk", "clock", "rst", "reset"]),
     )
     cfg.validate()
     return cfg
@@ -220,7 +258,9 @@ def load_family_config(name_or_path: str) -> FamilyConfig:
     except FileNotFoundError as err:
         raise ConfigError(
             f"no builtin family and no config file named {name_or_path!r}") from err
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise ConfigError(f"cannot read config file {name_or_path!r}: {err}") from err
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError(f"malformed config file {name_or_path!r}: {err}") from err
     return _config_from_dict(data)
 

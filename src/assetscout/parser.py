@@ -20,6 +20,7 @@ from .syntax import (
 )
 
 RTL_EXTENSIONS = (".v", ".sv", ".vh", ".svh")
+MAX_INCLUDE_DEPTH = 17  # files on an include chain, the parsed file included
 
 _NET_TYPES = {"wire", "reg", "logic", "integer", "tri", "tri0", "tri1",
               "wand", "wor", "triand", "trior", "trireg", "supply0",
@@ -53,12 +54,15 @@ def preprocess(text: str, path: str = "<string>",
                include_dirs: Sequence[str] = (),
                defines: Optional[Dict[str, str]] = None,
                diagnostics: Optional[List[Diagnostic]] = None,
-               _depth: int = 0) -> str:
+               _chain: Tuple[str, ...] = ()) -> str:
     """Expand object-like macros and resolve includes / conditionals.
 
     Returns preprocessed text with the same number of lines as the input
     (included content is appended in place on the directive's line).
+    `_chain` holds the real paths of the files being expanded, outermost
+    first: a file already on it is an include cycle and is not expanded.
     """
+    chain = _chain or (os.path.realpath(path),)
     if defines is None:
         defines = {}
     if diagnostics is None:
@@ -121,16 +125,19 @@ def preprocess(text: str, path: str = "<string>",
                     defines.pop(parts[1], None)
             elif word == "include":
                 target = stripped.split(None, 1)[1].strip().strip('"<>') if len(parts) > 1 else ""
-                inc_text = _read_include(target, path, include_dirs)
-                if inc_text is None:
+                found = _read_include(target, path, include_dirs)
+                if found is None:
                     diagnostics.append(Diagnostic(
                         f"include file not found: {target}", "warning", lineno))
-                elif _depth > 16:
+                elif found[0] in chain:
+                    diagnostics.append(Diagnostic(
+                        f"include cycle at {target}", "warning", lineno))
+                elif len(chain) > MAX_INCLUDE_DEPTH:
                     diagnostics.append(Diagnostic(
                         f"include depth limit reached at {target}", "warning", lineno))
                 else:
-                    expanded = preprocess(inc_text, target, include_dirs,
-                                          defines, diagnostics, _depth + 1)
+                    expanded = preprocess(found[1], target, include_dirs,
+                                          defines, diagnostics, chain + (found[0],))
                     out_lines.append(expanded.replace("\n", " "))
                     i += 1
                     continue
@@ -144,7 +151,9 @@ def preprocess(text: str, path: str = "<string>",
     return "\n".join(out_lines)
 
 
-def _read_include(target: str, from_path: str, include_dirs: Sequence[str]) -> Optional[str]:
+def _read_include(target: str, from_path: str,
+                  include_dirs: Sequence[str]) -> Optional[Tuple[str, str]]:
+    """(real path, text) of the first file `target` names, or None."""
     candidates = []
     if from_path and from_path != "<string>":
         candidates.append(os.path.join(os.path.dirname(from_path), target))
@@ -154,17 +163,25 @@ def _read_include(target: str, from_path: str, include_dirs: Sequence[str]) -> O
     for cand in candidates:
         if os.path.isfile(cand):
             with open(cand, "rb") as fh:
-                return fh.read().decode("utf-8", errors="replace")
+                return (os.path.realpath(cand),
+                        fh.read().decode("utf-8", errors="replace"))
     return None
 
 
-_MACRO_USE_RE = re.compile(r"`([\w$]*)")
+# A string literal holds no macro use, so it matches whole and stays as it
+# is; so does an escaped identifier (IEEE 1364-2005 §3.7.1), whose `"` must
+# not open a string.
+_MACRO_USE_RE = re.compile(r'"(?:[^"\\]|\\.?)*"?|\\[^ \t\r\n]*|`([\w$]*)')
 
 
 def _substitute_macros(line: str, defines: Dict[str, str]) -> str:
     if "`" not in line:
         return line
-    return _MACRO_USE_RE.sub(lambda m: defines.get(m.group(1), m.group()), line)
+
+    def expand(m: "re.Match[str]") -> str:
+        name = m.group(1)
+        return m.group() if name is None else defines.get(name, m.group())
+    return _MACRO_USE_RE.sub(expand, line)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ Case 1: a candidate that is already a top-module port roots at itself.
 Case 2: a port of another module is traced through instantiation and
 continuous-assignment edges to a reachable top port; unreachable candidates
 are dropped when their module sits inside the top's instantiation tree and
-kept (flagged) when it does not.
+kept (flagged) when it does not. Cases 1-2 are one search, whose start may
+already be accepted.
 Case 3: a net first expands through assignment and instantiation edges to
-port signals, then Cases 1-2 run on each discovered port.
+port signals, once for all tops, then Cases 1-2 run on each discovered port.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ class PrimaryAsset:
     objectives: List[str] = field(default_factory=list)
     trace_path: List[ConnEdge] = field(default_factory=list)
     outside_top_tree: bool = False
+    top: str = ""
 
     @property
     def ref(self) -> SignalRef:
@@ -64,106 +66,114 @@ def _bfs_paths(start: SignalRef,
                accept,
                max_depth: int = MAX_BFS_DEPTH,
                ) -> List[Tuple[SignalRef, List[ConnEdge]]]:
-    """All accepted nodes at the minimal BFS depth, with their paths."""
+    """All accepted nodes at the minimal BFS depth, with their paths.
+
+    Each reached node records the node and edge it was first reached by;
+    a path is walked back from these parent pointers only for the hits.
+    """
     if accept(start):
         return [(start, [])]
-    visited = {start}
-    frontier = [(start, [])]
+    parent: Dict[SignalRef, Optional[Tuple[SignalRef, ConnEdge]]] = {start: None}
+    frontier = [start]
     depth = 0
     while frontier and depth < max_depth:
         depth += 1
-        next_frontier: List[Tuple[SignalRef, List[ConnEdge]]] = []
-        hits: List[Tuple[SignalRef, List[ConnEdge]]] = []
-        for node, path in frontier:
-            for neighbor, edge in adj.get(node, []):
-                if neighbor in visited:
+        next_frontier: List[SignalRef] = []
+        hits: List[SignalRef] = []
+        for node in frontier:
+            for neighbor, edge in adj.get(node, ()):
+                if neighbor in parent:
                     continue
-                visited.add(neighbor)
-                new_path = path + [edge]
+                parent[neighbor] = (node, edge)
                 if accept(neighbor):
-                    hits.append((neighbor, new_path))
+                    hits.append(neighbor)
                 else:
-                    next_frontier.append((neighbor, new_path))
+                    next_frontier.append(neighbor)
         if hits:
-            return sorted(hits, key=lambda h: h[0])
+            return [(hit, _path_to(hit, parent)) for hit in sorted(hits)]
         frontier = next_frontier
     return []
+
+
+def _path_to(node: SignalRef, parent) -> List[ConnEdge]:
+    path: List[ConnEdge] = []
+    while parent[node] is not None:
+        node, edge = parent[node]
+        path.append(edge)
+    return path[::-1]
 
 
 def refine(candidates: Sequence[CandidateAsset],
            db: DesignDatabase,
            edges: Sequence[ConnEdge],
-           top: str) -> List[PrimaryAsset]:
-    """Trace every candidate to its root and merge duplicates."""
-    if top not in db.modules_by_name:
-        raise DesignError(f"top module '{top}' not found")
-    top_tree = db.modules_under(top)
+           tops: Sequence[str]) -> List[PrimaryAsset]:
+    """Trace every candidate to its roots under each top and merge duplicates.
+
+    The assets come top by top in the order of `tops`, each top's sorted by
+    signal. Net candidates are expanded to ports once, for all tops.
+    """
+    for top in tops:
+        if top not in db.modules_by_name:
+            raise DesignError(f"top module '{top}' not found")
     port_adj = _traversal_adjacency(edges, _PORT_SEARCH_VIAS)
     net_adj = _traversal_adjacency(edges, _NET_EXPANSION_VIAS)
 
-    def is_top_io(ref: SignalRef) -> bool:
-        if _is_clock_reset(ref):
-            return False
+    def is_port(ref: SignalRef) -> bool:
         decl = db.signal_index.get(ref)
-        return ref[0] == top and decl is not None and decl.is_port
+        return decl is not None and decl.is_port and not _is_clock_reset(ref)
 
-    merged: Dict[SignalRef, PrimaryAsset] = {}
-
-    def emit(root: SignalRef, candidate: CandidateAsset,
-             path: List[ConnEdge], outside: bool = False) -> None:
-        decl = db.signal_index[root]
-        asset = merged.get(root)
-        if asset is None:
-            asset = PrimaryAsset(
-                module=root[0], name=root[1],
-                direction=decl.direction, width_bits=decl.width_bits,
-                trace_path=list(path), outside_top_tree=outside)
-            merged[root] = asset
-        if candidate not in asset.contributors:
-            asset.contributors.append(candidate)
-        for p in candidate.patterns:
-            if p not in asset.patterns:
-                asset.patterns.append(p)
-        for o in candidate.objectives:
-            if o not in asset.objectives:
-                asset.objectives.append(o)
-        if path and (not asset.trace_path or len(path) < len(asset.trace_path)):
-            asset.trace_path = list(path)
-
-    def resolve_port(candidate: CandidateAsset, ref: SignalRef,
-                     prefix: List[ConnEdge]) -> None:
-        # Case 1: the signal is a top-module I/O port
-        if is_top_io(ref):
-            emit(ref, candidate, prefix)
-            return
-        # Case 2: search for reachable top I/O through instantiations and
-        # continuous assignments
-        hits = _bfs_paths(ref, port_adj, is_top_io)
-        if hits:
-            for root, path in hits:
-                emit(root, candidate, prefix + path)
-        elif ref[0] not in top_tree:
-            emit(ref, candidate, prefix, outside=True)
-        # else: unreachable inside the top tree -> likely secondary, dropped
-
+    # Case 3: a net expands to the port signals it reaches; a port is its
+    # own single start with an empty prefix
+    starts = []
     for candidate in candidates:
         ref = (candidate.module, candidate.signal.name)
-        if candidate.signal.is_port:
-            resolve_port(candidate, ref, [])
-        else:
-            # Case 3: expand the net to port signals first
-            hits = _bfs_paths(
-                ref, net_adj,
-                lambda r: (r in db.signal_index
-                           and db.signal_index[r].is_port
-                           and not _is_clock_reset(r)))
-            if hits:
-                for port_ref, path in hits:
-                    resolve_port(candidate, port_ref, path)
-            elif ref[0] not in top_tree:
-                emit(ref, candidate, [], outside=True)
+        ports = ([(ref, [])] if candidate.signal.is_port
+                 else _bfs_paths(ref, net_adj, is_port))
+        starts.append((candidate, ref, ports))
 
-    out = sorted(merged.values(), key=lambda a: a.ref)
+    out: List[PrimaryAsset] = []
+    for top in tops:
+        top_tree = db.modules_under(top)
+        merged: Dict[SignalRef, PrimaryAsset] = {}
+
+        def is_top_io(ref: SignalRef) -> bool:
+            return ref[0] == top and is_port(ref)
+
+        def emit(root: SignalRef, candidate: CandidateAsset,
+                 path: List[ConnEdge], outside: bool = False) -> None:
+            decl = db.signal_index[root]
+            asset = merged.get(root)
+            if asset is None:
+                asset = PrimaryAsset(
+                    module=root[0], name=root[1],
+                    direction=decl.direction, width_bits=decl.width_bits,
+                    trace_path=list(path), outside_top_tree=outside, top=top)
+                merged[root] = asset
+            if candidate not in asset.contributors:
+                asset.contributors.append(candidate)
+            for p in candidate.patterns:
+                if p not in asset.patterns:
+                    asset.patterns.append(p)
+            for o in candidate.objectives:
+                if o not in asset.objectives:
+                    asset.objectives.append(o)
+            if path and (not asset.trace_path or len(path) < len(asset.trace_path)):
+                asset.trace_path = list(path)
+
+        for candidate, ref, ports in starts:
+            if not ports and ref[0] not in top_tree:
+                emit(ref, candidate, [], outside=True)
+            for port, prefix in ports:
+                # Cases 1-2: the port itself or the top I/O it reaches
+                # through instantiations and continuous assignments
+                hits = _bfs_paths(port, port_adj, is_top_io)
+                for root, path in hits:
+                    emit(root, candidate, prefix + path)
+                if not hits and port[0] not in top_tree:
+                    emit(port, candidate, prefix, outside=True)
+                # else: unreachable inside the top tree -> secondary, dropped
+
+        out.extend(sorted(merged.values(), key=lambda a: a.ref))
     for asset in out:
         asset.patterns.sort()
         asset.objectives.sort()

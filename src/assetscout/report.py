@@ -9,7 +9,7 @@ from typing import Dict, List, Optional
 
 from . import __version__
 from .design import (
-    ConnEdge, DesignDatabase, DesignError, build_connectivity, build_database,
+    DesignDatabase, DesignError, build_connectivity, build_database,
     find_top_modules,
 )
 from .evaluation import EvalResult, GroundTruth, evaluate
@@ -37,16 +37,14 @@ class AssetReport:
     corpus_stats: Dict[str, int]
     stage_counts: Dict[str, int]
     assets: List[PrimaryAsset]
-    assets_by_top: Dict[str, List[PrimaryAsset]]
     diagnostics: List[Diagnostic]
     database: DesignDatabase = None
-    edges: List[ConnEdge] = field(default_factory=list)
     important: List[ImportantElement] = field(default_factory=list)
     evaluation: Optional[EvalResult] = None
 
     # -- serialization -------------------------------------------------------
 
-    def _asset_dict(self, asset: PrimaryAsset, top: str) -> dict:
+    def _asset_dict(self, asset: PrimaryAsset) -> dict:
         return {
             "module": asset.module,
             "name": asset.name,
@@ -55,7 +53,7 @@ class AssetReport:
             "patterns": list(asset.patterns),
             "objectives": list(asset.objectives),
             "outside_top_tree": asset.outside_top_tree,
-            "top": top,
+            "top": asset.top,
             "contributors": [
                 {"module": c.module, "signal": c.signal.name,
                  "rule": c.matched_rule,
@@ -69,10 +67,7 @@ class AssetReport:
         }
 
     def to_dict(self) -> dict:
-        asset_entries = []
-        for top in self.top_modules:
-            for asset in self.assets_by_top.get(top, []):
-                asset_entries.append(self._asset_dict(asset, top))
+        asset_entries = [self._asset_dict(asset) for asset in self.assets]
         asset_entries.sort(key=lambda a: (a["module"], a["name"], a["top"]))
         data = {
             "schema_version": SCHEMA_VERSION,
@@ -96,16 +91,15 @@ class AssetReport:
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["top", "module", "signal", "direction", "width_bits",
                          "patterns", "objectives", "contributors"])
-        for top in self.top_modules:
-            for asset in self.assets_by_top.get(top, []):
-                writer.writerow([
-                    top, asset.module, asset.name, asset.direction,
-                    asset.width_bits if asset.width_bits is not None else "",
-                    "|".join(asset.patterns),
-                    "|".join(asset.objectives),
-                    "|".join(f"{c.module}.{c.signal.name}"
-                             for c in asset.contributors),
-                ])
+        for asset in self.assets:
+            writer.writerow([
+                asset.top, asset.module, asset.name, asset.direction,
+                asset.width_bits if asset.width_bits is not None else "",
+                "|".join(asset.patterns),
+                "|".join(asset.objectives),
+                "|".join(f"{c.module}.{c.signal.name}"
+                         for c in asset.contributors),
+            ])
         return buf.getvalue()
 
     def to_text(self) -> str:
@@ -119,8 +113,10 @@ class AssetReport:
                 f"{k}={v}" for k, v in self.stage_counts.items()),
             "",
         ]
-        for top in self.top_modules:
-            assets = self.assets_by_top.get(top, [])
+        by_top: Dict[str, List[PrimaryAsset]] = {t: [] for t in self.top_modules}
+        for asset in self.assets:
+            by_top[asset.top].append(asset)
+        for top, assets in by_top.items():
             lines.append(f"top module {top}: {len(assets)} potential primary assets")
             for asset in assets:
                 width = asset.width_bits if asset.width_bits is not None else "?"
@@ -178,13 +174,8 @@ def run_pipeline(rtl_dir: str,
     behaviors = classify_design(db)
     candidates = apply_family_rules(important, behaviors, config)
 
-    assets_by_top: Dict[str, List[PrimaryAsset]] = {}
-    all_assets: List[PrimaryAsset] = []
-    for top_name in tops:
-        assets = refine(candidates, db, edges, top_name)
-        assets = link_status_to_control(assets, edges, behaviors)
-        assets_by_top[top_name] = assets
-        all_assets.extend(assets)
+    assets = link_status_to_control(refine(candidates, db, edges, tops),
+                                    edges, behaviors)
 
     report = AssetReport(
         tool_version=__version__,
@@ -200,18 +191,16 @@ def run_pipeline(rtl_dir: str,
             "extracted": db.signal_count,
             "important": len(important),
             "candidates": len(candidates),
-            "assets": len(all_assets),
+            "assets": len(assets),
         },
-        assets=all_assets,
-        assets_by_top=assets_by_top,
+        assets=assets,
         diagnostics=list(db.diagnostics),
         database=db,
-        edges=edges,
         important=important,
     )
     if ground_truth is not None:
         warnings: List[str] = []
-        report.evaluation = evaluate(all_assets, ground_truth,
+        report.evaluation = evaluate(assets, ground_truth,
                                      db.signal_index.keys(), warnings)
         for msg in warnings:
             report.diagnostics.append(Diagnostic(msg, "warning", 0))

@@ -87,7 +87,7 @@ _UNTERMINATED = {"/": "unterminated block comment", "(": "unterminated attribute
 
 
 # slots: range bounds keep their tokens for as long as the design lives
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Token:
     kind: str  # 'id', 'number', 'string', 'punct', 'sysid', 'directive', 'diag'
     value: str

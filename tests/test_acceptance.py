@@ -78,17 +78,17 @@ def test_refinement_cases_suite():
     # Case 1: top-port candidate roots at itself with an empty path
     db1 = build_database([parse_source(AB_SOURCE, "ab.v")])
     edges1 = build_connectivity(db1)
-    a1 = refine([_fake_candidate(db1, "top_b", "top_in")], db1, edges1, "top_b")
+    a1 = refine([_fake_candidate(db1, "top_b", "top_in")], db1, edges1, ["top_b"])
     case1 = [(x.ref, len(x.trace_path)) for x in a1] == [(("top_b", "top_in"), 0)]
 
     # Case 2: child port traced through one instantiation hop
-    a2 = refine([_fake_candidate(db1, "child_a", "din")], db1, edges1, "top_b")
+    a2 = refine([_fake_candidate(db1, "child_a", "din")], db1, edges1, ["top_b"])
     case2 = [(x.ref, len(x.trace_path)) for x in a2] == [(("top_b", "top_in"), 1)]
 
     # Case 3: net expands to a child port, then one hop to each top port
     db3 = build_database([parse_source(NET_EXPANSION_SOURCE, "net.v")])
     edges3 = build_connectivity(db3)
-    a3 = refine([_fake_candidate(db3, "leaf", "key_mix")], db3, edges3, "wrap")
+    a3 = refine([_fake_candidate(db3, "leaf", "key_mix")], db3, edges3, ["wrap"])
     case3 = ({x.ref for x in a3} ==
              {("wrap", "secret_in"), ("wrap", "secret_out")}
              and all(len(x.trace_path) == 2 for x in a3))
@@ -96,7 +96,7 @@ def test_refinement_cases_suite():
     # Secondary: unconnected deep net inside the top tree produces nothing
     db4 = build_database([parse_source(SECONDARY_NET_SOURCE, "deep.v")])
     edges4 = build_connectivity(db4)
-    a4 = refine([_fake_candidate(db4, "deep", "key_buf")], db4, edges4, "roof")
+    a4 = refine([_fake_candidate(db4, "deep", "key_buf")], db4, edges4, ["roof"])
     secondary = a4 == []
 
     _verdict("refinement cases 1-3 plus secondary drop (exact roots, path lengths)",

@@ -140,6 +140,15 @@ def test_malformed_config_file_rejected(tmp_path):
         load_family_config(str(missing))
 
 
+def test_unreadable_config_file_rejected(tmp_path):
+    with pytest.raises(ConfigError, match="cannot read"):
+        load_family_config(str(tmp_path))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b'{"version": 1, "family": "\xff"}')
+    with pytest.raises(ConfigError, match="malformed"):
+        load_family_config(str(binary))
+
+
 def test_splitter_occurrence_counts(splitter_db):
     counts = count_keyword_occurrences(splitter_db, load_family_config("crypto"))
     # data, data_in_reg (plus the "bank" fragment hits in the same group)

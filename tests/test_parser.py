@@ -1,13 +1,15 @@
 """Parser behavior: the splitter fixture, port styles, widths, recovery."""
 
 import os
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from assetscout.parser import (
-    eval_const_expr, parse_file, parse_source, parse_tree, preprocess,
+    MAX_INCLUDE_DEPTH, eval_const_expr, parse_file, parse_source, parse_tree,
+    preprocess,
 )
 from assetscout.syntax import (
     CASE_STMT, IF_STMT, NARROW, NONBLOCKING_ASSIGN, SINGLE, TERNARY_STMT, WIDE,
@@ -203,6 +205,38 @@ def test_missing_include_is_diagnosed(tmp_path):
     unit = parse_file(str(top))
     assert len(unit.modules) == 1
     assert any("nope.vh" in d.message for d in unit.diagnostics)
+
+
+def test_include_cycle_is_diagnosed_not_expanded(tmp_path):
+    (tmp_path / "a.vh").write_text('`include "a.vh"\n`include "a.vh"\nwire w;\n')
+    top = tmp_path / "top.v"
+    top.write_text('`include "a.vh"\nmodule m (input a);\nendmodule\n')
+    start = time.perf_counter()
+    unit = parse_file(str(top), include_dirs=[str(tmp_path)])
+    assert time.perf_counter() - start < 1.0
+    assert len(unit.modules) == 1
+    assert [(d.message, d.line) for d in unit.diagnostics] == [
+        ("include cycle at a.vh", 1), ("include cycle at a.vh", 2)]
+
+
+def test_include_chain_without_cycle_stops_at_depth_limit(tmp_path):
+    for i in range(20):
+        (tmp_path / f"h{i}.vh").write_text(f'`include "h{i + 1}.vh"\nwire w{i};\n')
+    (tmp_path / "h20.vh").write_text("wire w20;\n")
+    diags = []
+    text = preprocess('`include "h0.vh"\n', str(tmp_path / "top.v"),
+                      [str(tmp_path)], diagnostics=diags)
+    assert text.count("wire w") == MAX_INCLUDE_DEPTH
+    assert [d.message for d in diags] == [
+        f"include depth limit reached at h{MAX_INCLUDE_DEPTH}.vh"]
+
+
+def test_macro_uses_in_strings_and_escaped_identifiers_stay():
+    text = preprocess('`define A 1\n'
+                      'initial $display("`A \\" `A", `A);\n'
+                      'wire \\w`A = `A;\n')
+    assert text.splitlines()[1:] == ['initial $display("`A \\" `A", 1);',
+                                     'wire \\w`A = 1;']
 
 
 def test_unsupported_construct_is_skipped_with_diagnostic():

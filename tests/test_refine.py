@@ -1,15 +1,20 @@
 """Root tracing, deduplication, and status-to-control linkage."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from assetscout.design import (
-    DesignError, build_connectivity, build_database,
+    ConnEdge, DesignError, adjacency, build_connectivity, build_database,
+    find_top_modules,
 )
 from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
 from assetscout.parser import parse_tree
 from assetscout.patterns import classify_design
-from assetscout.refine import PrimaryAsset, link_status_to_control, refine
+from assetscout.refine import (
+    MAX_BFS_DEPTH, PrimaryAsset, _bfs_paths, link_status_to_control, refine,
+)
 from assetscout.report import run_pipeline
 from assetscout.rules import CandidateAsset, apply_family_rules
 
@@ -25,7 +30,7 @@ def stage_outputs(db, family, top):
     important = match_elements(db, config)
     behaviors = classify_design(db)
     candidates = apply_family_rules(important, behaviors, config)
-    return candidates, edges, refine(candidates, db, edges, top)
+    return candidates, edges, refine(candidates, db, edges, [top])
 
 
 def candidate_for(db, module, name, patterns):
@@ -46,7 +51,7 @@ def test_case2_child_port_traced_one_hop():
     db = build_db(AB_SOURCE)
     edges = build_connectivity(db)
     cand = candidate_for(db, "child_a", "din", ["Data"])
-    assets = refine([cand], db, edges, "top_b")
+    assets = refine([cand], db, edges, ["top_b"])
     assert [(a.module, a.name) for a in assets] == [("top_b", "top_in")]
     assert len(assets[0].trace_path) == 1
 
@@ -55,7 +60,7 @@ def test_case3_net_expands_then_traces():
     db = build_db(NET_EXPANSION_SOURCE)
     edges = build_connectivity(db)
     cand = candidate_for(db, "leaf", "key_mix", ["Data"])
-    assets = refine([cand], db, edges, "wrap")
+    assets = refine([cand], db, edges, ["wrap"])
     roots = {(a.module, a.name) for a in assets}
     assert roots == {("wrap", "secret_in"), ("wrap", "secret_out")}
     for asset in assets:
@@ -66,7 +71,7 @@ def test_secondary_net_is_dropped():
     db = build_db(SECONDARY_NET_SOURCE)
     edges = build_connectivity(db)
     cand = candidate_for(db, "deep", "key_buf", ["Data"])
-    assert refine([cand], db, edges, "roof") == []
+    assert refine([cand], db, edges, ["roof"]) == []
 
 
 def test_outside_top_tree_candidate_is_flagged():
@@ -81,7 +86,7 @@ endmodule
     db = build_db(source)
     edges = build_connectivity(db)
     cand = candidate_for(db, "stray", "key_word", ["Data"])
-    assets = refine([cand], db, edges, "roof")
+    assets = refine([cand], db, edges, ["roof"])
     assert [(a.module, a.name) for a in assets] == [("stray", "key_word")]
     assert assets[0].outside_top_tree
 
@@ -98,7 +103,7 @@ def test_splitter_dedup_merges_done_contributors():
 def test_unknown_top_is_an_error():
     db = build_db(AB_SOURCE)
     with pytest.raises(DesignError):
-        refine([], db, [], "nope")
+        refine([], db, [], ["nope"])
 
 
 def test_refine_is_idempotent():
@@ -109,7 +114,7 @@ def test_refine_is_idempotent():
         candidates, edges, assets = stage_outputs(db, family, top)
         again = refine(
             [candidate_for(db, a.module, a.name, a.patterns) for a in assets],
-            db, edges, top)
+            db, edges, [top])
         assert {(a.module, a.name) for a in again} == \
             {(a.module, a.name) for a in assets}
 
@@ -176,3 +181,68 @@ def test_link_ignores_non_status_assets():
                          objectives=["Availability"])
     linked = link_status_to_control([asset], edges, classify_design(db))
     assert linked[0].objectives == ["Availability"]
+
+
+def test_refine_all_tops_equals_one_top_at_a_time():
+    db = build_database(parse_tree(MINI_CORPUS))
+    tops = find_top_modules(db, None)
+    assert len(tops) == 3
+    config = load_family_config("crypto")
+    edges = build_connectivity(db)
+    candidates = apply_family_rules(match_elements(db, config),
+                                    classify_design(db), config)
+    per_top = []
+    for top in tops:
+        one = refine(candidates, db, edges, [top])
+        assert {a.top for a in one} <= {top}
+        per_top.extend(one)
+    assert refine(candidates, db, edges, tops) == per_top
+    assert refine(candidates, db, edges, []) == []
+
+
+def copying_bfs_paths(start, adj, accept, max_depth=MAX_BFS_DEPTH):
+    """Oracle: the BFS that copies `path + [edge]` for every visited node."""
+    if accept(start):
+        return [(start, [])]
+    visited = {start}
+    frontier = [(start, [])]
+    depth = 0
+    while frontier and depth < max_depth:
+        depth += 1
+        next_frontier = []
+        hits = []
+        for node, path in frontier:
+            for neighbor, edge in adj.get(node, []):
+                if neighbor in visited:
+                    continue
+                visited.add(neighbor)
+                new_path = path + [edge]
+                if accept(neighbor):
+                    hits.append((neighbor, new_path))
+                else:
+                    next_frontier.append((neighbor, new_path))
+        if hits:
+            return sorted(hits, key=lambda h: h[0])
+        frontier = next_frontier
+    return []
+
+
+_NODE = st.builds(lambda m, s: (m, s), st.sampled_from("ab"), st.sampled_from("pqrs"))
+
+
+@settings(max_examples=400, deadline=None)
+@example(edges=[ConnEdge(("a", "p"), ("a", "s"), "x"),  # hits found unsorted
+                ConnEdge(("a", "p"), ("a", "r"), "x")],
+         accepted={("a", "r"), ("a", "s")}, start=("a", "p"), max_depth=2)
+@example(edges=[ConnEdge(("a", "p"), ("a", "q"), "x"),  # a two-edge path
+                ConnEdge(("a", "q"), ("b", "p"), "y")],
+         accepted={("b", "p")}, start=("a", "p"), max_depth=2)
+@given(edges=st.lists(st.builds(ConnEdge, _NODE, _NODE, st.sampled_from("xy")),
+                      max_size=24),
+       accepted=st.sets(_NODE), start=_NODE,
+       max_depth=st.integers(min_value=0, max_value=5))
+def test_parent_pointer_bfs_matches_path_copying_oracle(edges, accepted, start,
+                                                        max_depth):
+    adj = adjacency(edges)
+    assert _bfs_paths(start, adj, accepted.__contains__, max_depth) == \
+        copying_bfs_paths(start, adj, accepted.__contains__, max_depth)

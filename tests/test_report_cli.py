@@ -7,8 +7,11 @@ import os
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import assetscout.patterns
+import assetscout.report
 from assetscout.cli import (
     EXIT_BAD_CONFIG, EXIT_BAD_TOP, EXIT_NO_RTL, EXIT_OK, main,
 )
@@ -148,6 +151,21 @@ def test_pipeline_classifies_once_for_many_tops(monkeypatch):
     assert len(calls) == 1
 
 
+def test_pipeline_refines_and_links_once_for_many_tops(monkeypatch):
+    calls = {"refine": 0, "link_status_to_control": 0}
+    for name in calls:
+        original = getattr(assetscout.report, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+        monkeypatch.setattr(assetscout.report, name, counting)
+    report = run_pipeline(MINI_CORPUS, family="crypto")
+    assert len(report.top_modules) > 1
+    assert calls == {"refine": 1, "link_status_to_control": 1}
+    assert {a.top for a in report.assets} <= set(report.top_modules)
+
+
 def test_cli_unknown_top_exit_3(capsys):
     code = main(["--rtl-dir", SPLITTER_DIR, "--top", "missing"])
     assert code == EXIT_BAD_TOP
@@ -159,6 +177,61 @@ def test_cli_bad_config_exit_4(tmp_path, capsys):
     bad.write_text('{"version": 99}')
     code = main(["--rtl-dir", SPLITTER_DIR, "--config", str(bad)])
     assert code == EXIT_BAD_CONFIG
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=3),
+    max_leaves=12)
+
+
+_GROUP = st.fixed_dictionaries({
+    "fragments": st.lists(st.sampled_from(["key", "data", "en"]), min_size=1,
+                          max_size=2),
+    "objectives": st.lists(st.sampled_from(["Integrity", "Availability"]),
+                           min_size=1, max_size=2),
+}, optional={"exclude_fragments": st.just(["end"])})
+_RULE = st.fixed_dictionaries({
+    "name": st.text(max_size=4),
+    "groups": st.lists(st.sampled_from(["g0", "g1"]), min_size=1, max_size=2),
+    "patterns": st.lists(st.sampled_from(["Control", "Configuration", "Status",
+                                          "Data"]), min_size=1, max_size=2),
+}, optional={
+    "directions": st.lists(st.sampled_from(["Input", "Output", "Net"]), max_size=3),
+    "min_width": st.integers(1, 8),
+    "max_width": st.none() | st.integers(1, 64),
+    "objectives": st.just(["Confidentiality"]),
+})
+
+
+@st.composite
+def _configs(draw):
+    """A mostly well-formed config with at most one field damaged or dropped."""
+    groups = [dict(group, name=f"g{i}")
+              for i, group in enumerate(draw(st.lists(_GROUP, min_size=1,
+                                                      max_size=2)))]
+    config = {"version": 1, "groups": groups,
+              "rules": draw(st.lists(_RULE, min_size=1, max_size=2))}
+    if draw(st.booleans()):
+        target = draw(st.sampled_from(
+            [config] + config["groups"] + config["rules"]))
+        key = draw(st.sampled_from(sorted(target) + ["family", "global_exclusions"]))
+        if draw(st.booleans()):
+            target[key] = draw(_JSON)
+        else:
+            target.pop(key, None)
+    return config
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=_JSON | _configs())
+def test_cli_any_config_json_exits_0_or_4(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--rtl-dir", SPLITTER_DIR, "--config", str(path)]) in (
+        EXIT_OK, EXIT_BAD_CONFIG)
 
 
 def test_cli_bad_ground_truth_exit_4(tmp_path, capsys):

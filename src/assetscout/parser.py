@@ -136,7 +136,8 @@ def preprocess(text: str, path: str = "<string>",
                     diagnostics.append(Diagnostic(
                         f"include depth limit reached at {target}", "warning", lineno))
                 else:
-                    expanded = preprocess(found[1], target, include_dirs,
+                    # the included file's own includes resolve from its directory
+                    expanded = preprocess(found[1], found[0], include_dirs,
                                           defines, diagnostics, chain + (found[0],))
                     out_lines.append(expanded.replace("\n", " "))
                     i += 1
@@ -811,22 +812,31 @@ class _Parser:
         return [stmt]
 
     def _parse_if(self, mod: ModuleDef, guards: List[str]) -> List[Statement]:
-        kw = self.expect("if")
-        self.expect("(")
-        cond_toks = self.collect_until(")")
-        cond_ids = collect_identifiers(cond_toks)
-        then_stmts = self._parse_statement(mod, guards + cond_ids)
-        else_stmts: List[Statement] = []
-        branches = 1
-        if self.peek() is not None and self.peek().is_keyword("else"):
+        """An `if` and its `else if` chain, walked in a loop: the records are
+        those of each `else if` nested in the branch before it."""
+        out: List[Statement] = []
+        heads = []  # (head, its index in out, its then-statement count)
+        while True:
+            kw = self.expect("if")
+            self.expect("(")
+            cond_ids = collect_identifiers(self.collect_until(")"))
+            guards = guards + cond_ids
+            head = Statement(IF_STMT, kw.line, cond_idents=cond_ids, branch_count=1)
+            then_stmts = self._parse_statement(mod, guards)
+            heads.append((head, len(out), len(then_stmts)))
+            out.append(head)
+            out.extend(then_stmts)
+            if self.peek() is None or not self.peek().is_keyword("else"):
+                break
             self.advance()
-            branches = 2
-            else_stmts = self._parse_statement(mod, guards + cond_ids)
-        head = Statement(IF_STMT, kw.line, cond_idents=cond_ids,
-                         body_statement_count=max(len(then_stmts), len(else_stmts)),
-                         branch_count=branches)
-        return [head] + then_stmts + else_stmts
-
+            head.branch_count = 2
+            if self.peek() is None or not self.peek().is_keyword("if"):
+                out.extend(self._parse_statement(mod, guards))
+                break
+        # a head's else branch holds every record after its own statements
+        for head, at, n_then in heads:
+            head.body_statement_count = max(n_then, len(out) - at - 1 - n_then)
+        return out
 
     def _parse_case(self, mod: ModuleDef, guards: List[str]) -> List[Statement]:
         kw = self.advance()  # case/casez/casex

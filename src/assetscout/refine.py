@@ -103,6 +103,23 @@ def _path_to(node: SignalRef, parent) -> List[ConnEdge]:
     return path[::-1]
 
 
+def _components(adj) -> Dict[SignalRef, SignalRef]:
+    """Node -> first node of its connected component in `adj`, a flood fill:
+    `adj` holds each edge both ways, so no search over it leaves a component."""
+    label: Dict[SignalRef, SignalRef] = {}
+    for start in adj:
+        if start in label:
+            continue
+        label[start] = start
+        stack = [start]
+        while stack:
+            for neighbor, _edge in adj.get(stack.pop(), ()):
+                if neighbor not in label:
+                    label[neighbor] = start
+                    stack.append(neighbor)
+    return label
+
+
 def refine(candidates: Sequence[CandidateAsset],
            db: DesignDatabase,
            edges: Sequence[ConnEdge],
@@ -111,11 +128,13 @@ def refine(candidates: Sequence[CandidateAsset],
 
     The assets come top by top in the order of `tops`, each top's sorted by
     signal. Net candidates are expanded to ports once, for all tops.
+    `edges` is `build_connectivity(db)`: every edge in both directions.
     """
     for top in tops:
         if top not in db.modules_by_name:
             raise DesignError(f"top module '{top}' not found")
     port_adj = _traversal_adjacency(edges, _PORT_SEARCH_VIAS)
+    component = _components(port_adj)
     net_adj = _traversal_adjacency(edges, _NET_EXPANSION_VIAS)
 
     def is_port(ref: SignalRef) -> bool:
@@ -138,6 +157,11 @@ def refine(candidates: Sequence[CandidateAsset],
 
         def is_top_io(ref: SignalRef) -> bool:
             return ref[0] == top and is_port(ref)
+
+        # a port search finds top I/O only in a component that holds some
+        top_refs = [(top, s.name) for s in db.modules_by_name[top].all_signals()]
+        top_components = {component.get(ref, ref) for ref in top_refs
+                          if is_top_io(ref)}
 
         def emit(root: SignalRef, candidate: CandidateAsset,
                  path: List[ConnEdge], outside: bool = False) -> None:
@@ -166,7 +190,8 @@ def refine(candidates: Sequence[CandidateAsset],
             for port, prefix in ports:
                 # Cases 1-2: the port itself or the top I/O it reaches
                 # through instantiations and continuous assignments
-                hits = _bfs_paths(port, port_adj, is_top_io)
+                hits = (_bfs_paths(port, port_adj, is_top_io)
+                        if component.get(port, port) in top_components else [])
                 for root, path in hits:
                     emit(root, candidate, prefix + path)
                 if not hits and port[0] not in top_tree:

@@ -44,47 +44,33 @@ class AssetReport:
 
     # -- serialization -------------------------------------------------------
 
-    def _asset_dict(self, asset: PrimaryAsset) -> dict:
-        return {
-            "module": asset.module,
-            "name": asset.name,
-            "direction": asset.direction,
-            "width_bits": asset.width_bits,
-            "patterns": list(asset.patterns),
-            "objectives": list(asset.objectives),
-            "outside_top_tree": asset.outside_top_tree,
-            "top": asset.top,
-            "contributors": [
-                {"module": c.module, "signal": c.signal.name,
-                 "rule": c.matched_rule,
-                 "matched_groups": list(c.matched_groups)}
-                for c in asset.contributors
-            ],
-            "trace_path": [
-                {"from": list(e.src), "to": list(e.dst), "via": e.via}
-                for e in asset.trace_path
-            ],
-        }
+    def to_json(self) -> str:
+        """The report as `json.dumps(indent=2, sort_keys=True)` writes it, plus a newline."""
+        return "".join(self._json_pieces())
 
-    def to_dict(self) -> dict:
-        asset_entries = [self._asset_dict(asset) for asset in self.assets]
-        asset_entries.sort(key=lambda a: (a["module"], a["name"], a["top"]))
-        data = {
+    def _json_pieces(self):
+        # `indent=2` makes `json.dumps` run its pure-Python encoder, so the
+        # assets, the bulk of a report, are written here, keys in sorted order
+        yield '{\n  "assets": ['
+        sep = "\n    "
+        for asset in sorted(self.assets, key=lambda a: (a.module, a.name, a.top)):
+            yield sep
+            yield _asset_json(asset)
+            sep = ",\n    "
+        yield "\n  ]" if self.assets else "]"
+        small = {
             "schema_version": SCHEMA_VERSION,
             "tool_version": self.tool_version,
             "family": self.family,
             "top_modules": list(self.top_modules),
             "corpus_stats": dict(self.corpus_stats),
             "stage_counts": dict(self.stage_counts),
-            "assets": asset_entries,
             "diagnostics": [d.as_dict() for d in self.diagnostics],
         }
         if self.evaluation is not None:
-            data["evaluation"] = self.evaluation.as_dict()
-        return data
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+            small["evaluation"] = self.evaluation.as_dict()
+        # every other key sorts after "assets"
+        yield ",\n" + json.dumps(small, indent=2, sort_keys=True)[2:] + "\n"
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -138,6 +124,43 @@ class AssetReport:
         if fmt == "text":
             return self.to_text()
         raise ValueError(f"unknown format {fmt!r}")
+
+
+_str = json.encoder.encode_basestring_ascii  # the escaper json.dumps uses
+
+
+def _list(items: List[str], pad: str) -> str:
+    """A JSON list of rendered `items`, each at indent `pad`."""
+    if not items:
+        return "[]"
+    return f"[\n{pad}" + f",\n{pad}".join(items) + f"\n{pad[:-2]}]"
+
+
+def _strs(items, pad: str) -> str:
+    return _list([_str(s) for s in items], pad)
+
+
+def _asset_json(a: PrimaryAsset) -> str:
+    """One asset as `json.dumps(indent=2, sort_keys=True)` writes it at depth 2."""
+    p8, p10, p12 = " " * 8, " " * 10, " " * 12
+    contributors = [
+        f'{{\n{p10}"matched_groups": {_strs(c.matched_groups, p12)},\n'
+        f'{p10}"module": {_str(c.module)},\n{p10}"rule": {_str(c.matched_rule)},\n'
+        f'{p10}"signal": {_str(c.signal.name)}\n{p8}}}' for c in a.contributors]
+    trace = [
+        f'{{\n{p10}"from": {_strs(e.src, p12)},\n{p10}"to": {_strs(e.dst, p12)},\n'
+        f'{p10}"via": {_str(e.via)}\n{p8}}}' for e in a.trace_path]
+    width = "null" if a.width_bits is None else a.width_bits
+    return (f'{{\n      "contributors": {_list(contributors, p8)},\n'
+            f'      "direction": {_str(a.direction)},\n'
+            f'      "module": {_str(a.module)},\n'
+            f'      "name": {_str(a.name)},\n'
+            f'      "objectives": {_strs(a.objectives, p8)},\n'
+            f'      "outside_top_tree": {"true" if a.outside_top_tree else "false"},\n'
+            f'      "patterns": {_strs(a.patterns, p8)},\n'
+            f'      "top": {_str(a.top)},\n'
+            f'      "trace_path": {_list(trace, p8)},\n'
+            f'      "width_bits": {width}\n    }}')
 
 
 def _load_design(rtl_dir: str):

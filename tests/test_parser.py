@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from assetscout.cli import EXIT_OK, main
 from assetscout.parser import (
-    MAX_INCLUDE_DEPTH, eval_const_expr, parse_file, parse_source, parse_tree,
-    preprocess,
+    MAX_INCLUDE_DEPTH, _Parser, collect_identifiers, eval_const_expr,
+    parse_file, parse_source, parse_tree, preprocess,
 )
 from assetscout.syntax import (
     CASE_STMT, IF_STMT, NARROW, NONBLOCKING_ASSIGN, SINGLE, TERNARY_STMT, WIDE,
+    Statement,
 )
 from assetscout.tokenizer import RESERVED_WORDS, tokenize
 
@@ -231,6 +233,19 @@ def test_include_chain_without_cycle_stops_at_depth_limit(tmp_path):
         f"include depth limit reached at h{MAX_INCLUDE_DEPTH}.vh"]
 
 
+def test_nested_include_resolves_against_including_file(tmp_path, monkeypatch):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.vh").write_text('`include "b.vh"\n')
+    (tmp_path / "sub" / "b.vh").write_text("`define W 8\n")
+    top = tmp_path / "top.v"
+    top.write_text('`include "sub/a.vh"\nmodule m (input [`W-1:0] d);\nendmodule\n')
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    unit = parse_file(str(top), include_dirs=[str(tmp_path)])
+    assert unit.diagnostics == []
+    assert unit.modules[0].signal("d").width_bits == 8
+
+
 def test_macro_uses_in_strings_and_escaped_identifiers_stay():
     text = preprocess('`define A 1\n'
                       'initial $display("`A \\" `A", `A);\n'
@@ -412,3 +427,72 @@ _PP_LINES = [
 def test_preprocess_keeps_line_count(lines):
     text = "\n".join(lines)
     assert preprocess(text).count("\n") == text.count("\n")
+
+
+def recursive_parse_if(self, mod, guards):
+    """Oracle: the `if` parser that recurses into each `else if`."""
+    kw = self.expect("if")
+    self.expect("(")
+    cond_ids = collect_identifiers(self.collect_until(")"))
+    then_stmts = self._parse_statement(mod, guards + cond_ids)
+    else_stmts = []
+    branches = 1
+    if self.peek() is not None and self.peek().is_keyword("else"):
+        self.advance()
+        branches = 2
+        else_stmts = self._parse_statement(mod, guards + cond_ids)
+    head = Statement(IF_STMT, kw.line, cond_idents=cond_ids,
+                     body_statement_count=max(len(then_stmts), len(else_stmts)),
+                     branch_count=branches)
+    return [head] + then_stmts + else_stmts
+
+
+_IDS = st.lists(st.sampled_from(["s", "t", "u"]), max_size=2)
+_COND = _IDS.map(lambda ids: " & ".join(ids) or "1")
+_ASSIGN = st.tuples(st.sampled_from(["x", "y"]), _IDS).map(
+    lambda a: f"{a[0]} <= {' + '.join(a[1]) or '0'};")
+# a dangling `if` without `else` takes the chain's next `else` in both parsers
+_BRANCH = st.one_of(
+    _ASSIGN, st.just(";"),
+    st.lists(_ASSIGN, max_size=3).map(lambda b: "begin " + " ".join(b) + " end"),
+    st.tuples(_COND, _ASSIGN).map(lambda c: f"if ({c[0]}) {c[1]}"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(branches=st.lists(st.tuples(_COND, _BRANCH), min_size=1, max_size=30),
+       final=st.one_of(st.none(), _BRANCH), outer=_COND)
+def test_else_if_chain_matches_recursive_oracle(branches, final, outer):
+    chain = "\n  else ".join(f"if ({cond}) {body}" for cond, body in branches)
+    if final is not None:
+        chain += f"\n  else {final}"
+    src = ("module m (input clk, input s, input t, input u, output reg x,"
+           " output reg y);\nalways @(posedge clk)\n"
+           f"if ({outer}) begin\n  {chain}\nend\nendmodule\n")
+    unit = parse_source(src)
+    original = _Parser._parse_if
+    try:
+        _Parser._parse_if = recursive_parse_if
+        expected = parse_source(src)
+    finally:
+        _Parser._parse_if = original
+    assert unit.modules[0].statements == expected.modules[0].statements
+    assert unit.diagnostics == expected.diagnostics
+
+
+def _else_if_chain(n):
+    arms = "\n".join(f"  else if (addr == {k}) q <= {k % 256};" for k in range(1, n))
+    return ("module dec (input clk, input [11:0] addr, output reg [7:0] q);\n"
+            f"always @(posedge clk)\n  if (addr == 0) q <= 0;\n{arms}\n"
+            "  else q <= 0;\nendmodule\n")
+
+
+def test_long_else_if_chain_parses(tmp_path):
+    src = _else_if_chain(3000)
+    heads = [s for s in parse_source(src).modules[0].statements
+             if s.kind == IF_STMT]
+    assert len(heads) == 3000
+    assert heads[0].body_statement_count == 2 * 3000 - 1  # every later record
+    assert heads[-1].branch_count == 2
+    (tmp_path / "dec.v").write_text(src)
+    assert main(["--rtl-dir", str(tmp_path), "--out",
+                 str(tmp_path / "report.json")]) == EXIT_OK

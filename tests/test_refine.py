@@ -1,7 +1,7 @@
 """Root tracing, deduplication, and status-to-control linkage."""
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from assetscout.design import (
@@ -12,8 +12,11 @@ from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
 from assetscout.parser import parse_tree
 from assetscout.patterns import classify_design
+import assetscout.refine
 from assetscout.refine import (
-    MAX_BFS_DEPTH, PrimaryAsset, _bfs_paths, link_status_to_control, refine,
+    _NET_EXPANSION_VIAS, _PORT_SEARCH_VIAS, MAX_BFS_DEPTH, PrimaryAsset,
+    _bfs_paths, _is_clock_reset, _traversal_adjacency, link_status_to_control,
+    refine,
 )
 from assetscout.report import run_pipeline
 from assetscout.rules import CandidateAsset, apply_family_rules
@@ -246,3 +249,164 @@ def test_parent_pointer_bfs_matches_path_copying_oracle(edges, accepted, start,
     adj = adjacency(edges)
     assert _bfs_paths(start, adj, accepted.__contains__, max_depth) == \
         copying_bfs_paths(start, adj, accepted.__contains__, max_depth)
+
+
+def unpruned_refine(candidates, db, edges, tops):
+    """Oracle: `refine` with a port search for every start under every top."""
+    for top in tops:
+        if top not in db.modules_by_name:
+            raise DesignError(f"top module '{top}' not found")
+    port_adj = _traversal_adjacency(edges, _PORT_SEARCH_VIAS)
+    net_adj = _traversal_adjacency(edges, _NET_EXPANSION_VIAS)
+
+    def is_port(ref):
+        decl = db.signal_index.get(ref)
+        return decl is not None and decl.is_port and not _is_clock_reset(ref)
+
+    starts = []
+    for candidate in candidates:
+        ref = (candidate.module, candidate.signal.name)
+        ports = ([(ref, [])] if candidate.signal.is_port
+                 else _bfs_paths(ref, net_adj, is_port))
+        starts.append((candidate, ref, ports))
+
+    out = []
+    for top in tops:
+        top_tree = db.modules_under(top)
+        merged = {}
+
+        def is_top_io(ref):
+            return ref[0] == top and is_port(ref)
+
+        def emit(root, candidate, path, outside=False):
+            decl = db.signal_index[root]
+            asset = merged.get(root)
+            if asset is None:
+                asset = PrimaryAsset(
+                    module=root[0], name=root[1],
+                    direction=decl.direction, width_bits=decl.width_bits,
+                    trace_path=list(path), outside_top_tree=outside, top=top)
+                merged[root] = asset
+            if candidate not in asset.contributors:
+                asset.contributors.append(candidate)
+            for p in candidate.patterns:
+                if p not in asset.patterns:
+                    asset.patterns.append(p)
+            for o in candidate.objectives:
+                if o not in asset.objectives:
+                    asset.objectives.append(o)
+            if path and (not asset.trace_path or len(path) < len(asset.trace_path)):
+                asset.trace_path = list(path)
+
+        for candidate, ref, ports in starts:
+            if not ports and ref[0] not in top_tree:
+                emit(ref, candidate, [], outside=True)
+            for port, prefix in ports:
+                hits = _bfs_paths(port, port_adj, is_top_io)
+                for root, path in hits:
+                    emit(root, candidate, prefix + path)
+                if not hits and port[0] not in top_tree:
+                    emit(port, candidate, prefix, outside=True)
+
+        out.extend(sorted(merged.values(), key=lambda a: a.ref))
+    for asset in out:
+        asset.patterns.sort()
+        asset.objectives.sort()
+        asset.contributors.sort(key=lambda c: c.ref)
+    return out
+
+
+_PORT_NAMES = ["key", "data", "cfg", "done", "clk", "rst_n"]
+_NET_NAMES = ["key_q", "data_q", "clk_g"]
+
+
+@st.composite
+def _forests(draw):
+    """Verilog for 2-4 instantiation trees of 2-3 modules each."""
+    text = []
+    for t in range(draw(st.integers(min_value=2, max_value=4))):
+        size = draw(st.integers(min_value=2, max_value=3))
+        signals = {}
+        for k in range(size):
+            ports = draw(st.lists(st.sampled_from(_PORT_NAMES), min_size=1,
+                                  max_size=4, unique=True))
+            nets = draw(st.lists(st.sampled_from(_NET_NAMES), max_size=2,
+                                 unique=True))
+            signals[k] = (ports, nets)
+        for k in range(size):
+            ports, nets = signals[k]
+            own = ports + nets
+            dirs = draw(st.lists(st.sampled_from(["input", "output"]),
+                                 min_size=len(ports), max_size=len(ports)))
+            body = [f"module t{t}_m{k} ("
+                    + ", ".join(f"{d} [7:0] {p}" for d, p in zip(dirs, ports))
+                    + ");"]
+            body += [f"  wire [7:0] {n};" for n in nets]
+            for lhs, rhs, kind in draw(st.lists(st.tuples(
+                    st.sampled_from(own), st.sampled_from(own),
+                    st.sampled_from(["assign", "always @(*)"])), max_size=3)):
+                body.append(f"  {kind} {lhs} = {rhs};")
+            for child in range(k + 1, size):
+                if child == k + 1 or draw(st.booleans()):
+                    conns = [f".{p}({draw(st.sampled_from(own))})"
+                             for p in signals[child][0] if draw(st.booleans())]
+                    body.append(f"  t{t}_m{child} u{child} ({', '.join(conns)});")
+            text.append("\n".join(body + ["endmodule", ""]))
+    return "\n".join(text)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(source=_forests(), data=st.data())
+def test_component_pruned_refine_matches_unpruned_oracle(source, data):
+    db = build_db(source)
+    edges = build_connectivity(db)
+    refs = data.draw(st.lists(st.sampled_from(sorted(db.signal_index)),
+                              unique=True, max_size=8))
+    candidates = [candidate_for(db, module, name, data.draw(st.lists(
+        st.sampled_from(["Data", "Control", "Status"]), max_size=2, unique=True)))
+        for module, name in refs]
+    assert len(db.top_modules) >= 2
+    for tops in [db.top_modules] + [[top] for top in db.top_modules]:
+        assert refine(candidates, db, edges, tops) == \
+            unpruned_refine(candidates, db, edges, tops)
+
+
+def test_port_search_skips_components_without_top_ports(monkeypatch):
+    db = build_database(parse_tree(MINI_CORPUS))
+    tops = find_top_modules(db, None)
+    config = load_family_config("crypto")
+    edges = build_connectivity(db)
+    candidates = apply_family_rules(match_elements(db, config),
+                                    classify_design(db), config)
+    # undirected flood fill over the edges a port search may follow
+    usable = [e for e in edges if e.via in _PORT_SEARCH_VIAS
+              and not _is_clock_reset(e.src) and not _is_clock_reset(e.dst)]
+
+    def component(start):
+        seen, stack = {start}, [start]
+        while stack:
+            node = stack.pop()
+            for e in usable:
+                for a, b in ((e.src, e.dst), (e.dst, e.src)):
+                    if a == node and b not in seen:
+                        seen.add(b)
+                        stack.append(b)
+        return seen
+
+    top_ports = {t: [(t, s.name) for s in db.module(t).ports] for t in tops}
+    searches = []
+    original = assetscout.refine._bfs_paths
+
+    def counting(start, adj, accept, *args):
+        # a port search accepts the ports of exactly one top
+        under = [t for t in tops if any(map(accept, top_ports[t]))]
+        if len(under) == 1:
+            searches.append((under[0], start))
+        return original(start, adj, accept, *args)
+    monkeypatch.setattr(assetscout.refine, "_bfs_paths", counting)
+    assert refine(candidates, db, edges, tops) == \
+        unpruned_refine(candidates, db, edges, tops)
+    assert searches
+    for top, start in searches:
+        assert component(start) & set(top_ports[top]), (top, start)

@@ -166,6 +166,21 @@ def test_pipeline_refines_and_links_once_for_many_tops(monkeypatch):
     assert {a.top for a in report.assets} <= set(report.top_modules)
 
 
+def test_pipeline_renders_once_per_report(tmp_path, monkeypatch):
+    # the benchmark's `report.render` span times serialisation through this call
+    original = assetscout.report.AssetReport.render
+    calls = []
+
+    def counting(self, fmt):
+        calls.append(fmt)
+        return original(self, fmt)
+    monkeypatch.setattr(assetscout.report.AssetReport, "render", counting)
+    out = tmp_path / "r.json"
+    run_pipeline(MINI_CORPUS, family="crypto", out_path=str(out))
+    assert calls == ["json"]
+    assert out.stat().st_size > 0
+
+
 def test_cli_unknown_top_exit_3(capsys):
     code = main(["--rtl-dir", SPLITTER_DIR, "--top", "missing"])
     assert code == EXIT_BAD_TOP

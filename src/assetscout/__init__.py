@@ -4,10 +4,9 @@ __version__ = "0.1.0"
 
 from .syntax import (  # noqa: F401
     Diagnostic, Instantiation, ModuleDef, SignalDecl, SourceUnit, Statement,
-    width_class,
 )
 from .tokenizer import Token, tokenize  # noqa: F401
-from .parser import parse_file, parse_source, parse_tree, discover_rtl_files  # noqa: F401
+from .parser import parse_file, parse_source, discover_rtl_files  # noqa: F401
 from .design import (  # noqa: F401
     ConnEdge, DesignDatabase, DesignError,
     build_connectivity, build_database, find_top_modules,

@@ -49,6 +49,8 @@ def fragment_matches(lower_name: str, group: PartialKeywordGroup) -> List[Tuple[
     """All (fragment, offset) hits of a group in a lowercased signal name."""
     hits = []
     for frag in group.fragments:
+        if frag not in lower_name:
+            continue
         for off in _occurrences(lower_name, frag):
             if not _suppressed(off, len(frag), lower_name, group.exclude_fragments):
                 hits.append((frag, off))

@@ -230,78 +230,68 @@ def eval_const_expr(tokens: Sequence[Token],
     Identifiers are looked up in `params`; anything else makes the result
     unresolved (None).
     """
-    pos = [0]
+    value, pos = _eval_sum(tokens, 0, params)
+    return value if pos == len(tokens) else None
 
-    def peek() -> Optional[Token]:
-        return tokens[pos[0]] if pos[0] < len(tokens) else None
 
-    def advance() -> Token:
-        t = tokens[pos[0]]
-        pos[0] += 1
-        return t
+# The evaluator's levels are module-level functions that pass the position
+# along, so a call leaves no closures behind to form reference cycles. Each
+# returns (value, position after it); a None value is final, whatever the
+# position.
 
-    def parse_primary() -> Optional[int]:
-        t = peek()
-        if t is None:
-            return None
-        if t.kind == "number":
-            advance()
-            return _number_value(t.value)
-        if t.kind == "id":
-            advance()
-            return params.get(t.value)
-        if t.kind == "punct" and t.value == "(":
-            advance()
-            v = parse_add()
-            t2 = peek()
-            if t2 is not None and t2.kind == "punct" and t2.value == ")":
-                advance()
-                return v
-            return None
-        if t.kind == "punct" and t.value == "-":
-            advance()
-            v = parse_primary()
-            return -v if v is not None else None
-        if t.kind == "punct" and t.value == "+":
-            advance()
-            return parse_primary()
-        return None
+def _eval_sum(tokens: Sequence[Token], pos: int,
+              params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
+    value, pos = _eval_product(tokens, pos, params)
+    while value is not None and pos < len(tokens):
+        op = tokens[pos]
+        if op.kind != "punct" or op.value not in ("+", "-"):
+            break
+        rhs, pos = _eval_product(tokens, pos + 1, params)
+        if rhs is None:
+            return None, pos
+        value = value + rhs if op.value == "+" else value - rhs
+    return value, pos
 
-    def parse_mul() -> Optional[int]:
-        v = parse_primary()
-        while v is not None:
-            t = peek()
-            if t is not None and t.kind == "punct" and t.value in ("*", "/"):
-                advance()
-                rhs = parse_primary()
-                if rhs is None:
-                    return None
-                if t.value == "*":
-                    v = v * rhs
-                else:
-                    v = v // rhs if rhs != 0 else None
-            else:
-                break
-        return v
 
-    def parse_add() -> Optional[int]:
-        v = parse_mul()
-        while v is not None:
-            t = peek()
-            if t is not None and t.kind == "punct" and t.value in ("+", "-"):
-                advance()
-                rhs = parse_mul()
-                if rhs is None:
-                    return None
-                v = v + rhs if t.value == "+" else v - rhs
-            else:
-                break
-        return v
+def _eval_product(tokens: Sequence[Token], pos: int,
+                  params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
+    value, pos = _eval_primary(tokens, pos, params)
+    while value is not None and pos < len(tokens):
+        op = tokens[pos]
+        if op.kind != "punct" or op.value not in ("*", "/"):
+            break
+        rhs, pos = _eval_primary(tokens, pos + 1, params)
+        if rhs is None:
+            return None, pos
+        if op.value == "*":
+            value = value * rhs
+        else:
+            value = value // rhs if rhs != 0 else None
+    return value, pos
 
-    result = parse_add()
-    if result is None or pos[0] != len(tokens):
-        return None
-    return result
+
+def _eval_primary(tokens: Sequence[Token], pos: int,
+                  params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
+    if pos >= len(tokens):
+        return None, pos
+    t = tokens[pos]
+    if t.kind == "number":
+        return _number_value(t.value), pos + 1
+    if t.kind == "id":
+        return params.get(t.value), pos + 1
+    if t.kind == "punct":
+        if t.value == "(":
+            value, pos = _eval_sum(tokens, pos + 1, params)
+            if pos < len(tokens) and tokens[pos].kind == "punct" \
+                    and tokens[pos].value == ")":
+                return value, pos + 1
+            return None, pos
+        if t.value == "-":
+            value, pos = _eval_primary(tokens, pos + 1, params)
+            return (-value if value is not None else None), pos
+        if t.value == "+":
+            return _eval_primary(tokens, pos + 1, params)
+    return None, pos
 
 
 def _number_value(text: str) -> Optional[int]:
@@ -380,21 +370,22 @@ class _Parser:
 
     def collect_until(self, *values: str, consume: bool = True) -> List[Token]:
         """Tokens up to (not including) a top-level occurrence of `values`."""
-        out: List[Token] = []
+        tokens = self.tokens
+        start = i = self.pos
         depth = 0
-        while not self.at_end():
-            t = self.peek()
-            if depth == 0 and t.value in values and t.kind == "punct":
-                if consume:
-                    self.advance()
-                return out
+        while i < len(tokens):
+            t = tokens[i]
             if t.kind == "punct":
+                if depth == 0 and t.value in values:
+                    self.pos = i + 1 if consume else i
+                    return tokens[start:i]
                 if t.value in "([{":
                     depth += 1
                 elif t.value in ")]}":
                     depth -= 1
-            out.append(self.advance())
-        return out
+            i += 1
+        self.pos = i
+        return tokens[start:i]
 
     # -- top level ------------------------------------------------------------
     def parse_unit(self) -> SourceUnit:
@@ -405,14 +396,18 @@ class _Parser:
                 start = self.pos
                 try:
                     unit.modules.append(self.parse_module())
+                    continue
                 except ParseError as err:
-                    self.diagnostics.append(
-                        Diagnostic(f"malformed module: {err.message}", "error", err.line))
-                    # recover: resume at the next `module` keyword
-                    self.pos = start + 1
-                    while not self.at_end() and not self.peek().is_keyword(
-                            "module", "macromodule"):
-                        self.advance()
+                    message, line = err.message, err.line
+                except RecursionError:  # statements nested past the stack
+                    message, line = "nesting too deep", t.line
+                self.diagnostics.append(
+                    Diagnostic(f"malformed module: {message}", "error", line))
+                # recover: resume at the next `module` keyword
+                self.pos = start + 1
+                while not self.at_end() and not self.peek().is_keyword(
+                        "module", "macromodule"):
+                    self.advance()
             else:
                 self.advance()
         return unit
@@ -420,6 +415,8 @@ class _Parser:
     def parse_module(self) -> ModuleDef:
         kw = self.expect("module") if self.peek().value == "module" \
             else self.expect("macromodule")
+        if self.at_end():
+            raise ParseError("expected module name, got end of file", kw.line)
         name_tok = self.advance()
         if name_tok.kind != "id" or name_tok.value in RESERVED_WORDS:
             raise ParseError(f"bad module name {name_tok.value!r}", name_tok.line)
@@ -458,60 +455,52 @@ class _Parser:
                                             decl_line=toks[0].line if toks else 0))
 
     def _parse_ansi_ports(self, mod: ModuleDef) -> None:
+        tokens = self.tokens
         direction = INPUT
         rng: Optional[Tuple[List[Token], List[Token]]] = None
-        while not self.at_end():
-            t = self.peek()
-            if t.value == ")" and t.kind == "punct":
-                self.advance()
-                return
-            if t.value == "," and t.kind == "punct":
-                self.advance()
-                continue
-            if t.value in _DIRECTIONS:
-                direction = _DIRECTIONS[self.advance().value]
-                rng = None
-                continue
-            if t.value in _NET_TYPES or t.value in ("signed", "unsigned", "var"):
-                self.advance()
-                continue
+        while self.pos < len(tokens):
+            t = tokens[self.pos]
             if t.kind == "punct" and t.value == "[":
                 rng = self._parse_range()
-                continue
-            if t.kind == "id" and t.value not in RESERVED_WORDS:
-                name = self.advance().value
-                # default value `= expr` allowed in SV headers
-                if self.peek() is not None and self.peek().value == "=":
-                    self.advance()
-                    self.collect_until(",", ")", consume=False)
-                mod.add_port(SignalDecl(name, direction, None if rng else 1,
-                                        decl_line=t.line, range_expr=rng))
                 continue
             if t.value == ";" or t.is_keyword("module", "macromodule", "endmodule"):
                 # a port list cannot contain these: the header is malformed
                 raise ParseError("unterminated port list", t.line)
-            # anything else (e.g. stray tokens): skip
-            self.advance()
+            self.pos += 1
+            if t.kind == "punct" and t.value == ")":
+                return
+            if t.value in _DIRECTIONS:
+                direction, rng = _DIRECTIONS[t.value], None
+            elif t.kind == "id" and t.value not in RESERVED_WORDS:
+                # default value `= expr` allowed in SV headers
+                if self.pos < len(tokens) and tokens[self.pos].value == "=":
+                    self.pos += 1
+                    self.collect_until(",", ")", consume=False)
+                mod.add_port(SignalDecl(t.value, direction, None if rng else 1,
+                                        decl_line=t.line, range_expr=rng))
+            # anything else (",", net types, signing, stray tokens): skip
 
     def _parse_range(self) -> Tuple[List[Token], List[Token]]:
         open_tok = self.expect("[")
-        msb: List[Token] = []
+        tokens = self.tokens
+        start = i = self.pos
         depth = 0
-        while not self.at_end():
-            t = self.peek()
-            if depth == 0 and t.value == ":" and t.kind == "punct":
-                self.advance()
-                break
-            if depth == 0 and t.value == "]" and t.kind == "punct":
-                self.advance()
-                return (msb, [Token("number", "0", open_tok.line)])
+        while i < len(tokens):
+            t = tokens[i]
             if t.kind == "punct":
+                if depth == 0 and t.value == ":":
+                    self.pos = i + 1
+                    return (tokens[start:i], self.collect_until("]"))
+                if depth == 0 and t.value == "]":
+                    self.pos = i + 1
+                    return (tokens[start:i], [Token("number", "0", open_tok.line)])
                 if t.value in "([{":
                     depth += 1
                 elif t.value in ")]}":
                     depth -= 1
-            msb.append(self.advance())
-        return (msb, self.collect_until("]"))
+            i += 1
+        self.pos = i
+        return (tokens[start:i], [])
 
     # -- parameters -----------------------------------------------------------
     def _parse_parameter_list(self, mod: ModuleDef, terminator: str) -> None:
@@ -930,9 +919,16 @@ class _Parser:
     def _resolve_widths(self, mod: ModuleDef) -> None:
         params = _evaluate_parameters(mod)
         mod.parameters = params
+        # the parameters are fixed, so each distinct range is evaluated once
+        widths: Dict[tuple, Optional[int]] = {}
         for decl in mod.all_signals():
-            if decl.range_expr is not None:
-                decl.width_bits = _range_width(decl.range_expr, params)
+            rng = decl.range_expr
+            if rng is not None:
+                key = (tuple([(t.kind, t.value) for t in rng[0]]),
+                       tuple([(t.kind, t.value) for t in rng[1]]))
+                if key not in widths:
+                    widths[key] = _range_width(rng, params)
+                decl.width_bits = widths[key]
 
 
 class _ParamExpr:
@@ -943,33 +939,36 @@ class _ParamExpr:
 
 
 def _evaluate_parameters(mod: ModuleDef) -> Dict[str, Optional[int]]:
-    raw = mod.parameters
     resolved: Dict[str, Optional[int]] = {}
     in_progress = set()
-
-    def resolve(name: str) -> Optional[int]:
-        if name in resolved:
-            return resolved[name]
-        if name not in raw or name in in_progress:
-            return None
-        in_progress.add(name)
-        expr = raw[name]
-        if isinstance(expr, _ParamExpr):
-            needed = {t.value for t in expr.tokens
-                      if t.kind == "id" and t.value not in RESERVED_WORDS}
-            env = {dep: resolve(dep) for dep in needed}
-            value = eval_const_expr(expr.tokens, env) if expr.tokens else None
-        elif isinstance(expr, int):
-            value = expr
-        else:
-            value = None
-        in_progress.discard(name)
-        resolved[name] = value
-        return value
-
-    for name in list(raw):
-        resolve(name)
+    for name in list(mod.parameters):
+        _resolve_parameter(name, mod.parameters, resolved, in_progress)
     return resolved
+
+
+def _resolve_parameter(name: str, raw: dict, resolved: Dict[str, Optional[int]],
+                       in_progress: set) -> Optional[int]:
+    """Value of parameter `name`, its dependencies resolved first; a name
+    already on `in_progress` is a dependency cycle and resolves to None."""
+    if name in resolved:
+        return resolved[name]
+    if name not in raw or name in in_progress:
+        return None
+    in_progress.add(name)
+    expr = raw[name]
+    if isinstance(expr, _ParamExpr):
+        needed = {t.value for t in expr.tokens
+                  if t.kind == "id" and t.value not in RESERVED_WORDS}
+        env = {dep: _resolve_parameter(dep, raw, resolved, in_progress)
+               for dep in needed}
+        value = eval_const_expr(expr.tokens, env) if expr.tokens else None
+    elif isinstance(expr, int):
+        value = expr
+    else:
+        value = None
+    in_progress.discard(name)
+    resolved[name] = value
+    return value
 
 
 def _range_width(range_expr: Tuple[List[Token], List[Token]],
@@ -1015,9 +1014,3 @@ def discover_rtl_files(root: str) -> List[str]:
             if fn.lower().endswith(RTL_EXTENSIONS):
                 found.append(os.path.join(dirpath, fn))
     return found
-
-
-def parse_tree(root: str) -> List[SourceUnit]:
-    """Parse every RTL file under a directory root."""
-    include_dirs = [root]
-    return [parse_file(p, include_dirs) for p in discover_rtl_files(root)]

@@ -11,7 +11,7 @@ port signals, once for all tops, then Cases 1-2 run on each discovered port.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .design import (
     VIA_CONTINUOUS, VIA_INSTANTIATION, VIA_PROCEDURAL,
@@ -31,16 +31,17 @@ def _is_clock_reset(ref: SignalRef) -> bool:
     return ref[1].lower() in CLOCK_RESET_NAMES
 
 
-def _traversal_adjacency(edges: Sequence[ConnEdge], vias: Set[str]):
-    """Adjacency for refinement searches.
+def traversal_edges(edges: Sequence[ConnEdge]) -> List[ConnEdge]:
+    """The edges refinement searches follow, from `build_connectivity(db)`.
 
     Clock/reset signals are excluded both as endpoints and as hops: reset
     guards touch nearly every register, so paths through them carry no
-    dataflow meaning.
+    dataflow meaning. Each signal name is tested once.
     """
-    usable = [e for e in edges
-              if not _is_clock_reset(e.src) and not _is_clock_reset(e.dst)]
-    return adjacency(usable, vias)
+    names = {e.src[1] for e in edges} | {e.dst[1] for e in edges}
+    excluded = {name for name in names if name.lower() in CLOCK_RESET_NAMES}
+    return [e for e in edges
+            if e.src[1] not in excluded and e.dst[1] not in excluded]
 
 
 @dataclass
@@ -128,14 +129,15 @@ def refine(candidates: Sequence[CandidateAsset],
 
     The assets come top by top in the order of `tops`, each top's sorted by
     signal. Net candidates are expanded to ports once, for all tops.
-    `edges` is `build_connectivity(db)`: every edge in both directions.
+    `edges` is `traversal_edges(build_connectivity(db))`, which holds every
+    edge in both directions.
     """
     for top in tops:
         if top not in db.modules_by_name:
             raise DesignError(f"top module '{top}' not found")
-    port_adj = _traversal_adjacency(edges, _PORT_SEARCH_VIAS)
+    port_adj = adjacency(edges, _PORT_SEARCH_VIAS)
     component = _components(port_adj)
-    net_adj = _traversal_adjacency(edges, _NET_EXPANSION_VIAS)
+    net_adj = adjacency(edges, _NET_EXPANSION_VIAS)
 
     def is_port(ref: SignalRef) -> bool:
         decl = db.signal_index.get(ref)
@@ -214,9 +216,10 @@ def link_status_to_control(assets: Sequence[PrimaryAsset],
 
     Reachability through instantiation connections to a Control-classified
     signal of a different module adds Availability; otherwise Integrity is
-    guaranteed present. `behaviors` is `classify_design(db)`.
+    guaranteed present. `edges` is `traversal_edges(build_connectivity(db))`
+    and `behaviors` is `classify_design(db)`.
     """
-    inst_adj = _traversal_adjacency(edges, {VIA_INSTANTIATION})
+    inst_adj = adjacency(edges, {VIA_INSTANTIATION})
     for asset in assets:
         if STATUS not in asset.patterns:
             continue

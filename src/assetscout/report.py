@@ -17,7 +17,7 @@ from .keywords import load_family_config
 from .matcher import ImportantElement, count_keyword_occurrences, match_elements
 from .parser import discover_rtl_files, parse_file
 from .patterns import classify_design
-from .refine import PrimaryAsset, link_status_to_control, refine
+from .refine import PrimaryAsset, link_status_to_control, refine, traversal_edges
 from .rules import apply_family_rules
 from .syntax import Diagnostic
 
@@ -191,7 +191,7 @@ def run_pipeline(rtl_dir: str,
     config = load_family_config(family)
     files, db, line_count = _load_design(rtl_dir)
     tops = find_top_modules(db, top)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
 
     important = match_elements(db, config)
     behaviors = classify_design(db)

@@ -15,11 +15,6 @@ OUTPUT = "Output"
 INOUT = "Inout"
 NET = "Net"
 
-# Width classes
-SINGLE = "Single"
-NARROW = "Narrow"   # 2..8 bits (also the default for unresolved widths)
-WIDE = "Wide"       # >= 9 bits
-
 # Statement kinds
 CONTINUOUS_ASSIGN = "ContinuousAssign"
 BLOCKING_ASSIGN = "BlockingAssign"
@@ -30,17 +25,6 @@ TERNARY_STMT = "Ternary"
 
 ASSIGN_KINDS = (CONTINUOUS_ASSIGN, BLOCKING_ASSIGN, NONBLOCKING_ASSIGN)
 CONDITIONAL_KINDS = (IF_STMT, CASE_STMT, TERNARY_STMT)
-
-
-def width_class(width_bits: Optional[int]) -> str:
-    """Map a bit width to its class; unresolved widths default to Narrow."""
-    if width_bits is None:
-        return NARROW
-    if width_bits == 1:
-        return SINGLE
-    if width_bits <= 8:
-        return NARROW
-    return WIDE
 
 
 @dataclass
@@ -61,10 +45,6 @@ class SignalDecl:
     width_bits: Optional[int] = 1   # None when unresolved
     decl_line: int = 0
     range_expr: Optional[Tuple[List[Token], List[Token]]] = None  # (msb, lsb) tokens
-
-    @property
-    def width_class(self) -> str:
-        return width_class(self.width_bits)
 
     @property
     def is_port(self) -> bool:

@@ -5,7 +5,7 @@ import os
 import pytest
 
 from assetscout.design import build_database
-from assetscout.parser import parse_file, parse_source
+from assetscout.parser import discover_rtl_files, parse_file, parse_source
 
 TESTS_DIR = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(TESTS_DIR, "fixtures")
@@ -21,6 +21,11 @@ CORPUS_FAMILIES = {
     "gpio_block": "gpio",
     "uart_lite": "peripheral",
 }
+
+
+def parse_tree(root):
+    """Parse every RTL file under a directory root, as the CLI does."""
+    return [parse_file(p, [root]) for p in discover_rtl_files(root)]
 
 
 def build_db(text, path="<test>"):

@@ -6,9 +6,9 @@ from assetscout.design import (
     VIA_CONTINUOUS, VIA_INSTANTIATION, DesignError, adjacency,
     build_connectivity, build_database, find_top_modules,
 )
-from assetscout.parser import parse_source, parse_tree
+from assetscout.parser import parse_source
 
-from conftest import MINI_CORPUS, build_db
+from conftest import MINI_CORPUS, build_db, parse_tree
 from fixtures_rtl import AB_SOURCE
 
 

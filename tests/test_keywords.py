@@ -9,10 +9,9 @@ from assetscout.keywords import (
     FamilyConfig, PartialKeywordGroup, clock_reset_closure, load_family_config,
 )
 from assetscout.matcher import count_keyword_occurrences
-from assetscout.parser import parse_tree
 from assetscout.design import build_database
 
-from conftest import MINI_CORPUS, build_db
+from conftest import MINI_CORPUS, build_db, parse_tree
 
 
 def test_builtin_families_load_and_validate():

@@ -8,9 +8,8 @@ from hypothesis import strategies as st
 from assetscout.design import build_database
 from assetscout.keywords import CLOCK_RESET_NAMES, FamilyConfig, load_family_config
 from assetscout.matcher import match_elements
-from assetscout.parser import parse_tree
 
-from conftest import MINI_CORPUS, build_db
+from conftest import MINI_CORPUS, build_db, parse_tree
 
 CONFIGS = {name: load_family_config(name)
            for name in ("crypto", "gpio", "peripheral")}

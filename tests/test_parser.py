@@ -1,5 +1,6 @@
 """Parser behavior: the splitter fixture, port styles, widths, recovery."""
 
+import json
 import os
 import time
 
@@ -7,18 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import assetscout.parser
 from assetscout.cli import EXIT_OK, main
 from assetscout.parser import (
-    MAX_INCLUDE_DEPTH, _Parser, collect_identifiers, eval_const_expr,
-    parse_file, parse_source, parse_tree, preprocess,
+    MAX_INCLUDE_DEPTH, _number_value, _Parser, collect_identifiers,
+    eval_const_expr, parse_file, parse_source, preprocess,
 )
 from assetscout.syntax import (
-    CASE_STMT, IF_STMT, NARROW, NONBLOCKING_ASSIGN, SINGLE, TERNARY_STMT, WIDE,
-    Statement,
+    CASE_STMT, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT, Statement,
 )
-from assetscout.tokenizer import RESERVED_WORDS, tokenize
+from assetscout.tokenizer import RESERVED_WORDS, Token, tokenize
 
-from conftest import MINI_CORPUS, SPLITTER_FILE
+from conftest import MINI_CORPUS, SPLITTER_FILE, parse_tree
 from fixtures_rtl import AB_SOURCE
 
 
@@ -37,19 +38,10 @@ def test_splitter_module_shape(splitter_unit):
 
 def test_splitter_widths(splitter_unit):
     mod = splitter_unit.modules[0]
-    expect = {
-        "load": (1, SINGLE),
-        "bank_selector": (2, NARROW),
-        "data": (128, WIDE),
-        "bank0": (32, WIDE),
-        "done": (1, SINGLE),
-        "data_in_reg": (128, WIDE),
-        "done0": (1, SINGLE),
-    }
-    for name, (bits, cls) in expect.items():
-        decl = mod.signal(name)
-        assert decl.width_bits == bits, name
-        assert decl.width_class == cls, name
+    expect = {"load": 1, "bank_selector": 2, "data": 128, "bank0": 32,
+              "done": 1, "data_in_reg": 128, "done0": 1}
+    for name, bits in expect.items():
+        assert mod.signal(name).width_bits == bits, name
 
 
 def test_splitter_statements(splitter_unit):
@@ -141,7 +133,6 @@ def test_parameter_width_resolution():
         endmodule
     """).modules[0]
     assert mod.signal("q").width_bits == 8
-    assert mod.signal("q").width_class == NARROW
     assert mod.signal("mirror").width_bits == 8
     assert mod.parameters["W"] == 8
     assert mod.parameters["HALF"] == 4
@@ -153,9 +144,7 @@ def test_unresolved_width_defaults_narrow():
           assign q = d[0];
         endmodule
     """).modules[0]
-    decl = mod.signal("d")
-    assert decl.width_bits is None
-    assert decl.width_class == NARROW
+    assert mod.signal("d").width_bits is None
 
 
 def test_ternary_statement_kind():
@@ -496,3 +485,168 @@ def test_long_else_if_chain_parses(tmp_path):
     (tmp_path / "dec.v").write_text(src)
     assert main(["--rtl-dir", str(tmp_path), "--out",
                  str(tmp_path / "report.json")]) == EXIT_OK
+
+
+def closure_eval_const_expr(tokens, params):
+    """Oracle: the evaluator built from closures over a shared position."""
+    pos = [0]
+
+    def peek():
+        return tokens[pos[0]] if pos[0] < len(tokens) else None
+
+    def advance():
+        t = tokens[pos[0]]
+        pos[0] += 1
+        return t
+
+    def parse_primary():
+        t = peek()
+        if t is None:
+            return None
+        if t.kind == "number":
+            advance()
+            return _number_value(t.value)
+        if t.kind == "id":
+            advance()
+            return params.get(t.value)
+        if t.kind == "punct" and t.value == "(":
+            advance()
+            v = parse_add()
+            t2 = peek()
+            if t2 is not None and t2.kind == "punct" and t2.value == ")":
+                advance()
+                return v
+            return None
+        if t.kind == "punct" and t.value == "-":
+            advance()
+            v = parse_primary()
+            return -v if v is not None else None
+        if t.kind == "punct" and t.value == "+":
+            advance()
+            return parse_primary()
+        return None
+
+    def parse_mul():
+        v = parse_primary()
+        while v is not None:
+            t = peek()
+            if t is not None and t.kind == "punct" and t.value in ("*", "/"):
+                advance()
+                rhs = parse_primary()
+                if rhs is None:
+                    return None
+                if t.value == "*":
+                    v = v * rhs
+                else:
+                    v = v // rhs if rhs != 0 else None
+            else:
+                break
+        return v
+
+    def parse_add():
+        v = parse_mul()
+        while v is not None:
+            t = peek()
+            if t is not None and t.kind == "punct" and t.value in ("+", "-"):
+                advance()
+                rhs = parse_mul()
+                if rhs is None:
+                    return None
+                v = v + rhs if t.value == "+" else v - rhs
+            else:
+                break
+        return v
+
+    result = parse_add()
+    if result is None or pos[0] != len(tokens):
+        return None
+    return result
+
+
+# known, unresolved (None) and unknown identifiers
+_PARAMS = {"P": 6, "Q": 11, "Z": 0, "NONE": None}
+_RAW_TOKEN = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(lambda n: Token("number", str(n), 1)),
+    st.sampled_from(["8'd12", "4'hF", "'b101", "4'bx1", "8'sd3", "1.5", "'h",
+                     "3'o7", "12_000"]).map(lambda v: Token("number", v, 1)),
+    st.sampled_from(list(_PARAMS) + ["UNDEF"]).map(lambda v: Token("id", v, 1)),
+    st.sampled_from(["+", "-", "*", "/", "(", ")", ":", "?", "["]).map(
+        lambda v: Token("punct", v, 1)),
+    st.just(Token("string", '"s"', 1)))
+
+
+def _drop_one(expr, at):
+    """The tokens of `expr` with one of them left out, e.g. a `)`."""
+    tokens = tokenize(expr)
+    del tokens[at % len(tokens)]
+    return tokens
+
+
+@settings(max_examples=500, deadline=None)
+@given(tokens=st.one_of(_EXPR.map(tokenize),
+                        st.builds(_drop_one, _EXPR, st.integers(0, 40)),
+                        st.lists(_RAW_TOKEN, max_size=12)))
+def test_eval_const_expr_matches_closure_oracle(tokens):
+    assert eval_const_expr(tokens, _PARAMS) == closure_eval_const_expr(tokens, _PARAMS)
+
+
+def test_each_distinct_range_is_evaluated_once_per_module(monkeypatch):
+    calls = []
+    original = assetscout.parser._range_width
+
+    def counting(range_expr, params):
+        key = tuple(tuple(t.value for t in toks) for toks in range_expr)
+        calls.append((params["W"], key))
+        return original(range_expr, params)
+    monkeypatch.setattr(assetscout.parser, "_range_width", counting)
+    ports = ("input [W-1:0] a, input [W-1:0] b, input [7:0] c,"
+             " output [W - 1 : 0] d, output [7:0] e")
+    unit = parse_source(
+        f"module m8 #(parameter W = 8) ({ports});\n  wire [W-1:0] n;\nendmodule\n"
+        f"module m16 #(parameter W = 16) ({ports});\nendmodule\n")
+    wide = (("W", "-", "1"), ("0",))
+    assert sorted(calls) == sorted([(8, wide), (8, (("7",), ("0",))),
+                                    (16, wide), (16, (("7",), ("0",)))])
+    for mod, w in zip(unit.modules, (8, 16)):
+        assert [s.width_bits for s in mod.all_signals()] == \
+            [w, w, 8, w, 8] + ([w] if w == 8 else [])
+
+
+def _deep_nest(n):
+    return ("module deep (input clk, input d, output reg q);\n"
+            "always @(posedge clk)\n" + "begin " * n + "q <= d;" + " end" * n +
+            "\nendmodule\n"
+            "module sib (input [127:0] key_in, output [127:0] data_out);\n"
+            "  assign data_out = key_in;\nendmodule\n")
+
+
+def test_nesting_past_the_stack_is_a_diagnostic(tmp_path):
+    unit = parse_source(_deep_nest(1200))
+    assert [m.name for m in unit.modules] == ["sib"]
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == \
+        [("malformed module: nesting too deep", "error", 1)]
+    (tmp_path / "deep.v").write_text(_deep_nest(1200))
+    out = tmp_path / "report.json"
+    assert main(["--rtl-dir", str(tmp_path), "--out", str(out)]) == EXIT_OK
+    report = json.loads(out.read_text())
+    assert {a["module"] for a in report["assets"]} == {"sib"}
+    assert report["top_modules"] == ["sib"]
+
+
+def test_module_keyword_at_end_of_file_is_a_diagnostic():
+    unit = parse_source("module a (input x);\nendmodule\nmodule")
+    assert [m.name for m in unit.modules] == ["a"]
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == \
+        [("malformed module: expected module name, got end of file", "error", 3)]
+
+
+_SOUP = ["module", "macromodule", "endmodule", "m", "(", ")", "[", "]", ":", ",",
+         ";", "=", "<=", "#", "@", "*", "?", "input", "output", "wire", "reg",
+         "parameter", "begin", "end", "if", "else", "case", "endcase", "default",
+         "always", "assign", "generate", "W", "-", "1", "8'hFF", "a", "q", "u0"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.sampled_from(_SOUP), max_size=40))
+def test_token_soup_never_raises(words):
+    parse_source(" ".join(words))

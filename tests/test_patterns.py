@@ -1,10 +1,10 @@
 """Behavioral classification: Control / Configuration / Status / Data."""
 
-from assetscout.parser import parse_source, parse_tree
+from assetscout.parser import parse_source
 from assetscout.design import build_database
 from assetscout.patterns import PATTERNS, classify_behaviors, classify_design
 
-from conftest import MINI_CORPUS
+from conftest import MINI_CORPUS, parse_tree
 from fixtures_rtl import AB_SOURCE, BEHAVIOR_CASES
 
 

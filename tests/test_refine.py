@@ -10,18 +10,17 @@ from assetscout.design import (
 )
 from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
-from assetscout.parser import parse_tree
 from assetscout.patterns import classify_design
 import assetscout.refine
 from assetscout.refine import (
     _NET_EXPANSION_VIAS, _PORT_SEARCH_VIAS, MAX_BFS_DEPTH, PrimaryAsset,
-    _bfs_paths, _is_clock_reset, _traversal_adjacency, link_status_to_control,
-    refine,
+    _bfs_paths, _is_clock_reset, link_status_to_control, refine,
+    traversal_edges,
 )
 from assetscout.report import run_pipeline
 from assetscout.rules import CandidateAsset, apply_family_rules
 
-from conftest import CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, build_db
+from conftest import CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, build_db, parse_tree
 from fixtures_rtl import (
     AB_SOURCE, NET_EXPANSION_SOURCE, SECONDARY_NET_SOURCE, STATUS_LINK_SOURCE,
 )
@@ -29,7 +28,7 @@ from fixtures_rtl import (
 
 def stage_outputs(db, family, top):
     config = load_family_config(family)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     important = match_elements(db, config)
     behaviors = classify_design(db)
     candidates = apply_family_rules(important, behaviors, config)
@@ -52,7 +51,7 @@ def test_case1_top_port_roots_at_itself():
 
 def test_case2_child_port_traced_one_hop():
     db = build_db(AB_SOURCE)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     cand = candidate_for(db, "child_a", "din", ["Data"])
     assets = refine([cand], db, edges, ["top_b"])
     assert [(a.module, a.name) for a in assets] == [("top_b", "top_in")]
@@ -61,7 +60,7 @@ def test_case2_child_port_traced_one_hop():
 
 def test_case3_net_expands_then_traces():
     db = build_db(NET_EXPANSION_SOURCE)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     cand = candidate_for(db, "leaf", "key_mix", ["Data"])
     assets = refine([cand], db, edges, ["wrap"])
     roots = {(a.module, a.name) for a in assets}
@@ -72,7 +71,7 @@ def test_case3_net_expands_then_traces():
 
 def test_secondary_net_is_dropped():
     db = build_db(SECONDARY_NET_SOURCE)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     cand = candidate_for(db, "deep", "key_buf", ["Data"])
     assert refine([cand], db, edges, ["roof"]) == []
 
@@ -87,7 +86,7 @@ module stray (
 endmodule
 """
     db = build_db(source)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     cand = candidate_for(db, "stray", "key_word", ["Data"])
     assets = refine([cand], db, edges, ["roof"])
     assert [(a.module, a.name) for a in assets] == [("stray", "key_word")]
@@ -149,7 +148,7 @@ def test_clock_reset_never_roots():
 
 def test_status_linked_to_foreign_control_gains_availability():
     db = build_db(STATUS_LINK_SOURCE)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     decl = db.signal_index[("worker", "done")]
     asset = PrimaryAsset(module="worker", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
@@ -166,7 +165,7 @@ def test_status_without_consumer_keeps_integrity_only():
           end
         endmodule
     """)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     decl = db.signal_index[("solo", "done")]
     asset = PrimaryAsset(module="solo", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
@@ -178,7 +177,7 @@ def test_status_without_consumer_keeps_integrity_only():
 
 def test_link_ignores_non_status_assets():
     db = build_db(STATUS_LINK_SOURCE)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     asset = PrimaryAsset(module="boss", name="go_in", direction="Input",
                          width_bits=1, patterns=["Control"],
                          objectives=["Availability"])
@@ -191,7 +190,7 @@ def test_refine_all_tops_equals_one_top_at_a_time():
     tops = find_top_modules(db, None)
     assert len(tops) == 3
     config = load_family_config("crypto")
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     candidates = apply_family_rules(match_elements(db, config),
                                     classify_design(db), config)
     per_top = []
@@ -251,13 +250,26 @@ def test_parent_pointer_bfs_matches_path_copying_oracle(edges, accepted, start,
         copying_bfs_paths(start, adj, accepted.__contains__, max_depth)
 
 
+_NAMED_NODE = st.tuples(st.sampled_from("ab"),
+                        st.sampled_from(["clk", "CLK", "rst_n", "Reset", "d",
+                                         "clk_en", "q"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edges=st.lists(st.builds(ConnEdge, _NAMED_NODE, _NAMED_NODE,
+                                st.sampled_from("xy")), max_size=16))
+def test_traversal_edges_drop_every_clock_reset_end(edges):
+    assert traversal_edges(edges) == [
+        e for e in edges if not _is_clock_reset(e.src) and not _is_clock_reset(e.dst)]
+
+
 def unpruned_refine(candidates, db, edges, tops):
     """Oracle: `refine` with a port search for every start under every top."""
     for top in tops:
         if top not in db.modules_by_name:
             raise DesignError(f"top module '{top}' not found")
-    port_adj = _traversal_adjacency(edges, _PORT_SEARCH_VIAS)
-    net_adj = _traversal_adjacency(edges, _NET_EXPANSION_VIAS)
+    port_adj = adjacency(edges, _PORT_SEARCH_VIAS)
+    net_adj = adjacency(edges, _NET_EXPANSION_VIAS)
 
     def is_port(ref):
         decl = db.signal_index.get(ref)
@@ -360,7 +372,7 @@ def _forests(draw):
 @given(source=_forests(), data=st.data())
 def test_component_pruned_refine_matches_unpruned_oracle(source, data):
     db = build_db(source)
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     refs = data.draw(st.lists(st.sampled_from(sorted(db.signal_index)),
                               unique=True, max_size=8))
     candidates = [candidate_for(db, module, name, data.draw(st.lists(
@@ -376,7 +388,7 @@ def test_port_search_skips_components_without_top_ports(monkeypatch):
     db = build_database(parse_tree(MINI_CORPUS))
     tops = find_top_modules(db, None)
     config = load_family_config("crypto")
-    edges = build_connectivity(db)
+    edges = traversal_edges(build_connectivity(db))
     candidates = apply_family_rules(match_elements(db, config),
                                     classify_design(db), config)
     # undirected flood fill over the edges a port search may follow

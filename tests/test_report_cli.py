@@ -1,15 +1,18 @@
 """End-to-end pipeline runs, report formats, and CLI exit codes."""
 
 import ast
+import gc
 import hashlib
 import json
 import os
 import sys
+import types
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import assetscout.cli
 import assetscout.patterns
 import assetscout.report
 from assetscout.cli import (
@@ -18,6 +21,8 @@ from assetscout.cli import (
 from assetscout.report import (
     FORMATS, SCHEMA_VERSION, NoRtlFilesError, emit_keyword_stats, run_pipeline,
 )
+from assetscout.syntax import SignalDecl, Statement
+from assetscout.tokenizer import Token
 
 from conftest import (
     CORPUS_FAMILIES, FIXTURES, MINI_CORPUS, SPLITTER_DIR, SPLITTER_TRUTH, TESTS_DIR,
@@ -302,3 +307,62 @@ def test_fixture_reports_match_pinned_digests(tmp_path):
         out = tmp_path / f"{name}.json"
         assert main(["--rtl-dir", rtl_dir, "--out", str(out)] + args) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned[name], name
+
+
+def _cyclic_garbage_of_ours():
+    """What a full collection finds unreachable: the package's functions
+    (closures left in a reference cycle) and its parse objects."""
+    gc.collect()
+    return [o for o in gc.garbage
+            if isinstance(o, (Token, SignalDecl, Statement))
+            or (isinstance(o, types.FunctionType)
+                and o.__module__.startswith("assetscout"))]
+
+
+def test_cli_run_leaves_no_cyclic_garbage(tmp_path):
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        for name, (rtl_dir, args) in _bench_fixtures().items():
+            del gc.garbage[:]
+            out = tmp_path / f"{name}.json"
+            assert main(["--rtl-dir", rtl_dir, "--out", str(out)] + args) == EXIT_OK
+            assert _cyclic_garbage_of_ours() == [], name
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[:]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cli_runs_without_cyclic_gc_and_restores_its_state(tmp_path, capsys,
+                                                           monkeypatch, enabled):
+    during = []
+
+    def recording(*args, **kwargs):
+        during.append(gc.isenabled())
+        return run_pipeline(*args, **kwargs)
+    monkeypatch.setattr(assetscout.cli, "run_pipeline", recording)
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"version": 99}')
+    (tmp_path / "empty").mkdir()
+    runs = [
+        (["--rtl-dir", SPLITTER_DIR, "--out", str(tmp_path / "r.json")], EXIT_OK),
+        (["--rtl-dir", str(tmp_path / "empty")], EXIT_NO_RTL),
+        (["--rtl-dir", SPLITTER_DIR, "--top", "missing"], EXIT_BAD_TOP),
+        (["--rtl-dir", SPLITTER_DIR, "--config", str(bad)], EXIT_BAD_CONFIG),
+        (["--version"], SystemExit),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for argv, code in runs:
+            (gc.enable if enabled else gc.disable)()
+            if code is SystemExit:
+                with pytest.raises(SystemExit):
+                    main(argv)
+            else:
+                assert main(argv) == code, argv
+            assert gc.isenabled() == enabled, argv
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False] * 4  # every run that reaches the pipeline

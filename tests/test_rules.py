@@ -5,11 +5,10 @@ import pytest
 from assetscout.design import build_database
 from assetscout.keywords import ClassificationRule, ConfigError, load_family_config
 from assetscout.matcher import match_elements
-from assetscout.parser import parse_tree
 from assetscout.patterns import classify_design
 from assetscout.rules import RuleError, apply_family_rules, default_rules, rule_applies
 
-from conftest import MINI_CORPUS, build_db
+from conftest import MINI_CORPUS, build_db, parse_tree
 
 
 def pipeline_to_candidates(source, family):

@@ -10,7 +10,7 @@ modules: recovery happens at the next `module` keyword.
 
 import os
 import re
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .tokenizer import RESERVED_WORDS, Token, strip_comments, tokenize
 from .syntax import (
@@ -25,6 +25,7 @@ MAX_INCLUDE_DEPTH = 17  # files on an include chain, the parsed file included
 _NET_TYPES = {"wire", "reg", "logic", "integer", "tri", "tri0", "tri1",
               "wand", "wor", "triand", "trior", "trireg", "supply0",
               "supply1", "uwire", "bit", "time", "real", "realtime"}
+_Range = Tuple[List[Token], List[Token]]  # the (msb, lsb) tokens of `[msb:lsb]`
 _DIRECTIONS = {"input": INPUT, "output": OUTPUT, "inout": INOUT}
 _SKIP_BLOCKS = {
     "generate": "endgenerate",
@@ -421,20 +422,21 @@ class _Parser:
         if name_tok.kind != "id" or name_tok.value in RESERVED_WORDS:
             raise ParseError(f"bad module name {name_tok.value!r}", name_tok.line)
         mod = ModuleDef(name=name_tok.value, path=self.path, line=kw.line)
+        params: Dict[str, List[Token]] = {}  # raw value tokens, in first-seen order
 
         t = self.peek()
         if t is not None and t.value == "#":
             self.advance()
             self.expect("(")
-            self._parse_parameter_list(mod, terminator=")")
+            self._parse_param_decl(params, ")")
         t = self.peek()
         if t is not None and t.value == "(":
             self.advance()
             self._parse_port_list(mod)
         self.expect(";")
-        self._parse_body(mod)
+        self._parse_body(mod, params)
         mod.end_line = self.tokens[self.pos - 1].line if self.pos else kw.line
-        self._resolve_widths(mod)
+        self._resolve_widths(mod, params)
         return mod
 
     # -- ports ----------------------------------------------------------------
@@ -457,7 +459,7 @@ class _Parser:
     def _parse_ansi_ports(self, mod: ModuleDef) -> None:
         tokens = self.tokens
         direction = INPUT
-        rng: Optional[Tuple[List[Token], List[Token]]] = None
+        rng: Optional[_Range] = None
         while self.pos < len(tokens):
             t = tokens[self.pos]
             if t.kind == "punct" and t.value == "[":
@@ -480,7 +482,7 @@ class _Parser:
                                         decl_line=t.line, range_expr=rng))
             # anything else (",", net types, signing, stray tokens): skip
 
-    def _parse_range(self) -> Tuple[List[Token], List[Token]]:
+    def _parse_range(self) -> _Range:
         open_tok = self.expect("[")
         tokens = self.tokens
         start = i = self.pos
@@ -502,58 +504,48 @@ class _Parser:
         self.pos = i
         return (tokens[start:i], [])
 
-    # -- parameters -----------------------------------------------------------
-    def _parse_parameter_list(self, mod: ModuleDef, terminator: str) -> None:
-        while not self.at_end():
-            t = self.peek()
-            if t.value == terminator and t.kind == "punct":
-                self.advance()
-                return
-            if t.value in ("parameter", "localparam", ",", "integer", "real",
-                           "signed", "unsigned", "logic", "wire", "reg",
-                           "int", "bit", "string", "time"):
-                self.advance()
-                continue
-            if t.kind == "punct" and t.value == "[":
-                self._parse_range()
-                continue
-            if t.kind == "id" and t.value not in RESERVED_WORDS:
-                name = self.advance().value
-                value_toks: List[Token] = []
-                if self.peek() is not None and self.peek().value == "=":
-                    self.advance()
-                    value_toks = self.collect_until(",", terminator, consume=False)
-                mod.parameters[name] = _ParamExpr(value_toks)  # type: ignore[assignment]
-                continue
-            self.advance()
+    # -- declarations ---------------------------------------------------------
+    def _declarators(self, end: str, unterminated: str = "",
+                     line: int = 0) -> Iterator[Tuple[Token, Optional[_Range]]]:
+        """Each declared name up to the punctuation `end`, as (name token, the
+        last packed range before it); the caller may consume what follows a
+        name (`= value`, unpacked dimensions) before it takes the next.
 
-    def _parse_param_decl(self, mod: ModuleDef) -> None:
-        """`parameter W = 8, D = 4;` inside the body."""
-        self.advance()  # parameter / localparam
-        while not self.at_end():
-            t = self.peek()
-            if t.value == ";":
-                self.advance()
-                return
-            if t.value in (",", "integer", "real", "signed", "unsigned",
-                           "logic", "int", "bit", "string", "time", "reg", "wire"):
-                self.advance()
+        Keywords (direction, net type, signing), commas and stray tokens are
+        passed over. Running out of tokens before `end`, a range included,
+        raises ParseError(`unterminated`) when that message is given.
+        """
+        tokens = self.tokens
+        rng: Optional[_Range] = None
+        while self.pos < len(tokens):
+            t = tokens[self.pos]
+            if t.kind == "punct":
+                if t.value == end:
+                    self.pos += 1
+                    return
+                if t.value == "[":
+                    rng = self._parse_range()
+                    continue
+            elif t.kind == "id" and t.value not in RESERVED_WORDS:
+                self.pos += 1
+                yield t, rng
                 continue
-            if t.kind == "punct" and t.value == "[":
-                self._parse_range()
-                continue
-            if t.kind == "id" and t.value not in RESERVED_WORDS:
-                name = self.advance().value
-                value_toks = []
-                if self.peek() is not None and self.peek().value == "=":
-                    self.advance()
-                    value_toks = self.collect_until(",", ";", consume=False)
-                mod.parameters[name] = _ParamExpr(value_toks)  # type: ignore[assignment]
-                continue
-            self.advance()
+            self.pos += 1
+        if unterminated:
+            raise ParseError(unterminated, line)
+
+    def _parse_param_decl(self, params: Dict[str, List[Token]], end: str) -> None:
+        """`#(parameter W = 8, ...)` in the header, or `parameter W = 8, D = 4;`
+        in the body: the raw value tokens of each name."""
+        for name_tok, _rng in self._declarators(end):
+            value: List[Token] = []
+            if self.pos < len(self.tokens) and self.tokens[self.pos].value == "=":
+                self.pos += 1
+                value = self.collect_until(",", end, consume=False)
+            params[name_tok.value] = value
 
     # -- module body ----------------------------------------------------------
-    def _parse_body(self, mod: ModuleDef) -> None:
+    def _parse_body(self, mod: ModuleDef, params: Dict[str, List[Token]]) -> None:
         while not self.at_end():
             t = self.peek()
             if t.is_keyword("endmodule"):
@@ -562,7 +554,7 @@ class _Parser:
             if t.is_keyword("module", "macromodule"):
                 raise ParseError("missing endmodule", t.line)
             if t.is_keyword("parameter", "localparam"):
-                self._parse_param_decl(mod)
+                self._parse_param_decl(params, ";")
             elif t.value in _DIRECTIONS:
                 self._parse_body_port_decl(mod)
             elif t.value in _NET_TYPES:
@@ -574,7 +566,7 @@ class _Parser:
             elif t.is_keyword("always", "always_ff", "always_comb", "always_latch",
                               "initial", "final"):
                 self.advance()
-                self._skip_event_control()
+                self._skip_timing_control()
                 stmts = self._parse_statement(mod, guards=[])
                 mod.statements.extend(stmts)
             elif t.value in _SKIP_BLOCKS:
@@ -604,91 +596,45 @@ class _Parser:
                 return
 
     def _parse_body_port_decl(self, mod: ModuleDef) -> None:
-        direction = _DIRECTIONS[self.advance().value]
-        rng: Optional[Tuple[List[Token], List[Token]]] = None
-        is_reg = False
-        line = self.tokens[self.pos - 1].line
-        while not self.at_end():
-            t = self.peek()
-            if t.value == ";":
-                self.advance()
-                return
-            if t.value in _NET_TYPES:
-                is_reg = True
-                self.advance()
-                continue
-            if t.value in ("signed", "unsigned", "var", ","):
-                self.advance()
-                continue
-            if t.kind == "punct" and t.value == "[":
-                rng = self._parse_range()
-                continue
-            if t.kind == "id" and t.value not in RESERVED_WORDS:
-                name = self.advance().value
-                width = None if rng else 1
-                existing = mod.signal(name)
-                if existing is not None and existing.is_port:
-                    # non-ANSI merge: direction/width from the body declaration,
-                    # in the header's slot
-                    existing.direction, existing.width_bits = direction, width
-                    existing.decl_line, existing.range_expr = t.line, rng
-                else:
-                    mod.add_port(SignalDecl(name, direction, width,
-                                            decl_line=t.line, range_expr=rng))
-                continue
-            self.advance()
-        raise ParseError("unterminated port declaration", line)
+        kw = self.tokens[self.pos]
+        direction = _DIRECTIONS[kw.value]
+        for t, rng in self._declarators(";", "unterminated port declaration", kw.line):
+            width = None if rng else 1
+            existing = mod.signal(t.value)
+            if existing is not None and existing.is_port:
+                # non-ANSI merge: direction/width from the body declaration,
+                # in the header's slot
+                existing.direction, existing.width_bits = direction, width
+                existing.decl_line, existing.range_expr = t.line, rng
+            else:
+                mod.add_port(SignalDecl(t.value, direction, width,
+                                        decl_line=t.line, range_expr=rng))
 
     def _parse_net_decl(self, mod: ModuleDef) -> None:
-        kw = self.advance()
-        rng: Optional[Tuple[List[Token], List[Token]]] = None
+        kw = self.tokens[self.pos]
         default_width = 32 if kw.value in ("integer", "int", "time") else 1
-        while not self.at_end():
-            t = self.peek()
-            if t.value == ";":
+        for t, rng in self._declarators(";", "unterminated net declaration", kw.line):
+            name = t.value
+            # skip unpacked array dimensions after the name
+            while self.peek() is not None and self.peek().value == "[":
+                self._parse_range()
+            if mod.signal(name) is None:
+                mod.add_net(SignalDecl(name, NET, None if rng else default_width,
+                                       decl_line=t.line, range_expr=rng))
+            if self.peek() is not None and self.peek().value == "=":
+                # net declaration assignment doubles as a continuous assign
                 self.advance()
-                return
-            if t.value in ("signed", "unsigned", ",") or t.value in _NET_TYPES:
-                self.advance()
-                continue
-            if t.kind == "punct" and t.value == "[":
-                rng = self._parse_range()
-                continue
-            if t.kind == "id" and t.value not in RESERVED_WORDS:
-                name = self.advance().value
-                # skip unpacked array dimensions after the name
-                while self.peek() is not None and self.peek().value == "[":
-                    self._parse_range()
-                if mod.signal(name) is None:
-                    mod.add_net(SignalDecl(
-                        name, NET,
-                        None if rng else default_width,
-                        decl_line=t.line, range_expr=rng))
-                if self.peek() is not None and self.peek().value == "=":
-                    # net declaration assignment doubles as a continuous assign
-                    self.advance()
-                    rhs = self.collect_until(",", ";", consume=False)
-                    mod.statements.append(self._make_assign(
-                        CONTINUOUS_ASSIGN, [name], rhs, [], t.line, continuous=True))
-                continue
-            self.advance()
-        raise ParseError("unterminated net declaration", kw.line)
+                rhs = self.collect_until(",", ";", consume=False)
+                mod.statements.append(self._make_assign(
+                    CONTINUOUS_ASSIGN, [name], rhs, [], t.line, continuous=True))
 
     # -- statements -----------------------------------------------------------
-    def _skip_event_control(self) -> None:
+    def _skip_timing_control(self) -> None:
+        """An `@` or `#` and what it controls by (IEEE 1364-2005 §9.7): one
+        parenthesised group or one token, as in `@(posedge clk)`, `@*`,
+        `@clk`, `#(1, 2)` and `#5`."""
         t = self.peek()
-        if t is not None and t.value == "@":
-            self.advance()
-            t = self.peek()
-            if t is not None and t.value == "(":
-                self.advance()
-                self.collect_until(")")
-            elif t is not None and t.value == "*":
-                self.advance()
-
-    def _skip_delay(self) -> None:
-        t = self.peek()
-        if t is not None and t.value == "#":
+        if t is not None and t.kind == "punct" and t.value in ("@", "#"):
             self.advance()
             t = self.peek()
             if t is not None and t.value == "(":
@@ -714,7 +660,7 @@ class _Parser:
 
     def _parse_continuous_assign(self, mod: ModuleDef) -> None:
         self.advance()  # assign
-        self._skip_delay()
+        self._skip_timing_control()
         while True:
             lhs_toks = self.collect_until("=")
             rhs_toks = self.collect_until(",", ";", consume=False)
@@ -738,11 +684,8 @@ class _Parser:
         if t.value == ";":
             self.advance()
             return []
-        if t.value == "#":
-            self._skip_delay()
-            return self._parse_statement(mod, guards)
-        if t.value == "@":
-            self._skip_event_control()
+        if t.value in ("@", "#"):
+            self._skip_timing_control()
             return self._parse_statement(mod, guards)
         if t.is_keyword("begin"):
             self.advance()
@@ -790,7 +733,7 @@ class _Parser:
             self.skip_until(";")
             return []
         self.advance()
-        self._skip_delay()
+        self._skip_timing_control()
         rhs_toks = self.collect_until(";", consume=False)
         if self.peek() is not None:
             self.advance()
@@ -900,7 +843,9 @@ class _Parser:
             if t.value == "." and t.kind == "punct":
                 self.advance()
                 nxt = self.peek()
-                if nxt is not None and nxt.value == "*":
+                if nxt is None:
+                    raise ParseError("expected port name, got end of file", t.line)
+                if nxt.value == "*":
                     self.advance()
                     continue
                 formal = self.advance().value
@@ -916,8 +861,10 @@ class _Parser:
                 positional_index += 1
 
     # -- width resolution -----------------------------------------------------
-    def _resolve_widths(self, mod: ModuleDef) -> None:
-        params = _evaluate_parameters(mod)
+    def _resolve_widths(self, mod: ModuleDef, raw: Dict[str, List[Token]]) -> None:
+        params: Dict[str, Optional[int]] = {}
+        for name in raw:
+            _resolve_parameter(name, raw, params, set())
         mod.parameters = params
         # the parameters are fixed, so each distinct range is evaluated once
         widths: Dict[tuple, Optional[int]] = {}
@@ -931,22 +878,8 @@ class _Parser:
                 decl.width_bits = widths[key]
 
 
-class _ParamExpr:
-    """Unevaluated parameter value (raw token list)."""
-
-    def __init__(self, tokens: List[Token]):
-        self.tokens = tokens
-
-
-def _evaluate_parameters(mod: ModuleDef) -> Dict[str, Optional[int]]:
-    resolved: Dict[str, Optional[int]] = {}
-    in_progress = set()
-    for name in list(mod.parameters):
-        _resolve_parameter(name, mod.parameters, resolved, in_progress)
-    return resolved
-
-
-def _resolve_parameter(name: str, raw: dict, resolved: Dict[str, Optional[int]],
+def _resolve_parameter(name: str, raw: Dict[str, List[Token]],
+                       resolved: Dict[str, Optional[int]],
                        in_progress: set) -> Optional[int]:
     """Value of parameter `name`, its dependencies resolved first; a name
     already on `in_progress` is a dependency cycle and resolves to None."""
@@ -956,22 +889,15 @@ def _resolve_parameter(name: str, raw: dict, resolved: Dict[str, Optional[int]],
         return None
     in_progress.add(name)
     expr = raw[name]
-    if isinstance(expr, _ParamExpr):
-        needed = {t.value for t in expr.tokens
-                  if t.kind == "id" and t.value not in RESERVED_WORDS}
-        env = {dep: _resolve_parameter(dep, raw, resolved, in_progress)
-               for dep in needed}
-        value = eval_const_expr(expr.tokens, env) if expr.tokens else None
-    elif isinstance(expr, int):
-        value = expr
-    else:
-        value = None
+    needed = {t.value for t in expr if t.kind == "id" and t.value not in RESERVED_WORDS}
+    env = {dep: _resolve_parameter(dep, raw, resolved, in_progress) for dep in needed}
+    value = eval_const_expr(expr, env)
     in_progress.discard(name)
     resolved[name] = value
     return value
 
 
-def _range_width(range_expr: Tuple[List[Token], List[Token]],
+def _range_width(range_expr: _Range,
                  params: Dict[str, Optional[int]]) -> Optional[int]:
     msb_toks, lsb_toks = range_expr
     msb = eval_const_expr(msb_toks, params)

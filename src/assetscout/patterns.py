@@ -38,7 +38,6 @@ class BehaviorClassification:
     status: List[str] = field(default_factory=list)
     data: List[str] = field(default_factory=list)
     evidence: Dict[str, List[Evidence]] = field(default_factory=dict)
-    unresolved_count: int = 0
     _members: Dict[str, Set[str]] = field(
         default_factory=lambda: {p: set() for p in PATTERNS}, repr=False, compare=False)
 
@@ -70,11 +69,7 @@ def classify_behaviors(module: ModuleDef) -> BehaviorClassification:
         if stmt.kind in CONDITIONAL_KINDS:
             for name in stmt.cond_idents:
                 decl = module.signal(name)
-                if decl is None:
-                    result.unresolved_count += 1
-                    continue
-                readable = decl.direction in (INPUT, NET, INOUT)
-                if not readable:
+                if decl is None or decl.direction not in (INPUT, NET, INOUT):
                     continue
                 ev = (stmt.line, stmt.kind, "condition")
                 if decl.width_bits == 1:
@@ -85,10 +80,7 @@ def classify_behaviors(module: ModuleDef) -> BehaviorClassification:
         elif stmt.kind in ASSIGN_KINDS:
             for name in stmt.lhs_idents:
                 decl = module.signal(name)
-                if decl is None:
-                    result.unresolved_count += 1
-                    continue
-                if decl.direction not in (OUTPUT, INOUT):
+                if decl is None or decl.direction not in (OUTPUT, INOUT):
                     continue
                 ev = (stmt.line, stmt.kind, "lhs")
                 if decl.width_bits == 1:
@@ -97,10 +89,7 @@ def classify_behaviors(module: ModuleDef) -> BehaviorClassification:
                     result._add(DATA, name, ev)
             for name in stmt.rhs_idents:
                 decl = module.signal(name)
-                if decl is None:
-                    result.unresolved_count += 1
-                    continue
-                if decl.direction not in (INPUT, INOUT):
+                if decl is None or decl.direction not in (INPUT, INOUT):
                     continue
                 if decl.width_bits is None or decl.width_bits >= 2:
                     result._add(DATA, name, (stmt.line, stmt.kind, "rhs"))

@@ -1,6 +1,6 @@
 """Stage 4: family-specific classification rules over matched elements."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from .keywords import (
@@ -24,7 +24,6 @@ class CandidateAsset:
     patterns: List[str]
     objectives: List[str]
     matched_groups: List[str]
-    evidence: Dict[str, list] = field(default_factory=dict)
 
     @property
     def ref(self):
@@ -91,11 +90,6 @@ def apply_family_rules(important: Sequence[ImportantElement],
                 for obj in group.objectives:
                     if obj not in objectives:
                         objectives.append(obj)
-            evidence = {
-                "matches": [list(m) for m in element.matched_groups],
-                "behavior": behavior.evidence.get(element.signal.name, [])
-                if behavior else [],
-            }
             out.append(CandidateAsset(
                 module=element.module,
                 signal=element.signal,
@@ -103,7 +97,6 @@ def apply_family_rules(important: Sequence[ImportantElement],
                 patterns=patterns,
                 objectives=sorted(objectives),
                 matched_groups=element.group_names,
-                evidence=evidence,
             ))
             break
     return out

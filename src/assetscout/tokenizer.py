@@ -62,9 +62,9 @@ _SHARED = [
 ]
 
 
-def _compile(groups: List[Tuple[str, str]]) -> "re.Pattern[str]":
-    return re.compile("|".join(f"(?P<{name}>{pattern})" for name, pattern in groups),
-                      re.DOTALL)
+def _compile(groups: List[Tuple[str, str]], lookahead: str = "") -> "re.Pattern[str]":
+    alternatives = "|".join(f"(?P<{name}>{pattern})" for name, pattern in groups)
+    return re.compile(f"{lookahead}(?:{alternatives})", re.DOTALL)
 
 
 _TOKEN_RE = _compile([
@@ -79,7 +79,9 @@ _TOKEN_RE = _compile([
     ("punct", "|".join(map(re.escape, _PUNCTUATION))),
     ("other", r"."),
 ])
-_COMMENT_RE = _compile(_SHARED)
+# only these characters start a comment, attribute, string or escaped
+# identifier, so the lookahead spares the alternatives everywhere else
+_COMMENT_RE = _compile(_SHARED, lookahead=r'(?=[/("\\])')
 
 _TOKEN_KINDS = {"id": "id", "escaped": "id", "number": "number", "string": "string",
                 "punct": "punct", "sysid": "sysid", "directive": "directive"}

@@ -15,7 +15,8 @@ from assetscout.parser import (
     eval_const_expr, parse_file, parse_source, preprocess,
 )
 from assetscout.syntax import (
-    CASE_STMT, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT, Statement,
+    CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT,
+    Statement,
 )
 from assetscout.tokenizer import RESERVED_WORDS, Token, tokenize
 
@@ -643,10 +644,104 @@ def test_module_keyword_at_end_of_file_is_a_diagnostic():
 _SOUP = ["module", "macromodule", "endmodule", "m", "(", ")", "[", "]", ":", ",",
          ";", "=", "<=", "#", "@", "*", "?", "input", "output", "wire", "reg",
          "parameter", "begin", "end", "if", "else", "case", "endcase", "default",
-         "always", "assign", "generate", "W", "-", "1", "8'hFF", "a", "q", "u0"]
+         "always", "assign", "generate", "W", "-", "1", "8'hFF", "a", "q", "u0",
+         ".", ".*", "localparam", "inout", "integer", "signed"]
 
 
 @settings(max_examples=300, deadline=None)
 @given(words=st.lists(st.sampled_from(_SOUP), max_size=40))
 def test_token_soup_never_raises(words):
     parse_source(" ".join(words))
+
+
+def test_timing_controls_name_no_signal():
+    # IEEE 1364-2005 9.7: `@` or `#` controls by one token or one group
+    mod = parse_source("""
+        module m (input clk, input d, output reg q, output reg r);
+          always @clk q = d;
+          always @* r = @(posedge clk) d;
+        endmodule
+    """).modules[0]
+    assert [(s.lhs_idents, s.rhs_idents) for s in mod.statements] == [
+        (["q"], ["d"]), (["r"], ["d"])]
+
+
+@pytest.mark.parametrize("keyword, what", [("input", "port"), ("wire", "net")])
+def test_range_running_to_end_of_file_is_unterminated(keyword, what):
+    # the range takes the `;`, so the declaration never reaches its end
+    unit = parse_source(f"module m;\n{keyword} [ ;")
+    assert [(d.message, d.line) for d in unit.diagnostics] == [
+        (f"malformed module: unterminated {what} declaration", 2)]
+
+
+# Declaration lists for the walker: each choice carries what it declares.
+# Ranges and parameter values may use the header's `parameter P = 6`.
+_DECL_RANGE = st.sampled_from([("", None), ("[7:0] ", 8), ("[0:0] ", 1),
+                               ("[P-1:0] ", 6), ("[P*2:1] ", 12)])
+_PARAM_VALUE = st.sampled_from([("", None), (" = 5", 5), (" = P + 1", 7),
+                                (" = (P * 2)", 12), (" = {P, 2}", None)])
+_PARAM_TYPE = st.sampled_from(["", "integer ", "signed ", "[7:0] "])
+_HEADER_PARAM = st.tuples(st.sampled_from(["", "parameter ", "localparam "]),
+                          _PARAM_TYPE, _PARAM_VALUE)
+_BODY_PARAM = st.tuples(st.sampled_from(["parameter", "localparam"]), _PARAM_TYPE,
+                        st.lists(_PARAM_VALUE, min_size=1, max_size=3))
+_PORT_DECL = st.tuples(st.sampled_from(["input", "output", "inout"]),
+                       st.sampled_from(["", "wire ", "reg ", "signed ", "reg signed "]),
+                       _DECL_RANGE, st.integers(min_value=1, max_value=3))
+_NET_DECL = st.tuples(
+    st.sampled_from(["wire", "reg", "integer"]), st.sampled_from(["", "signed "]),
+    _DECL_RANGE,
+    st.lists(st.tuples(st.sampled_from(["", " [0:3]", " [0:1][0:7]"]),
+                       st.sampled_from([("", None), (" = {x, y}", ["x", "y"]),
+                                        (" = (x + 1)", ["x"])])),
+             min_size=1, max_size=3))
+_DIRECTION = {"input": "Input", "output": "Output", "inout": "Inout"}
+
+
+@settings(max_examples=300, deadline=None)
+@given(header_params=st.lists(_HEADER_PARAM, max_size=3),
+       body=st.lists(st.one_of(_BODY_PARAM, _PORT_DECL, _NET_DECL), max_size=8),
+       header_ports=st.booleans())
+def test_declaration_lists_parse_as_declared(header_params, body, header_ports):
+    params = {"P": 6}
+    ports, nets, assigns, lines = [], [], [], []
+
+    def param(value):
+        name = f"Q{len(params)}"
+        params[name] = value[1]
+        return name + value[0]
+    header = ", ".join(["parameter P = 6"] + [kw + typ + param(value)
+                                              for kw, typ, value in header_params])
+    for item in body:
+        if item[0] in ("parameter", "localparam"):
+            kw, typ, values = item
+            lines.append(f"{kw} {typ}" + ", ".join(map(param, values)))
+        elif item[0] in _DIRECTION:
+            direction, typ, (rng, width), count = item
+            names = [f"a{len(ports) + k}" for k in range(count)]
+            ports += [(name, _DIRECTION[direction], width or 1) for name in names]
+            lines.append(f"{direction} {typ}{rng}" + ", ".join(names))
+        else:
+            kw, sign, (rng, width), declarators = item
+            default = 32 if kw == "integer" else 1
+            names = []
+            for dims, (init, rhs) in declarators:
+                name = f"n{len(nets)}"
+                nets.append((name, width if rng else default))
+                if rhs is not None:
+                    assigns.append((CONTINUOUS_ASSIGN, [name], rhs))
+                names.append(name + dims + init)
+            lines.append(f"{kw} {sign}{rng}" + ", ".join(names))
+    if header_ports and ports:  # non-ANSI: the header fixes the port order
+        ports.reverse()
+        head = "(" + ", ".join(name for name, _d, _w in ports) + ")"
+    else:
+        head = ""
+    unit = parse_source(f"module m #({header}) {head};\n"
+                        + "".join(f"  {line};\n" for line in lines) + "endmodule\n")
+    assert unit.diagnostics == []
+    mod = unit.modules[0]
+    assert [(p.name, p.direction, p.width_bits) for p in mod.ports] == ports
+    assert [(n.name, n.width_bits) for n in mod.nets] == nets
+    assert mod.parameters == params
+    assert [(s.kind, s.lhs_idents, s.rhs_idents) for s in mod.statements] == assigns

@@ -140,6 +140,17 @@ def test_cli_tree_without_modules_exit_2(tmp_path, capsys, mode):
     assert main(["--rtl-dir", str(tmp_path)] + mode) == EXIT_NO_RTL
 
 
+def test_cli_named_connection_dot_at_end_of_file_is_a_diagnostic(tmp_path, capsys):
+    (tmp_path / "cut.v").write_text(
+        "module sub (input a, output y);\n  assign y = a;\nendmodule\n"
+        "module top (input a);\n  sub u (.")
+    out = tmp_path / "report.json"
+    assert main(["--rtl-dir", str(tmp_path), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text())["diagnostics"] == [
+        {"message": "malformed module: expected port name, got end of file",
+         "severity": "error", "line": 5}]
+
+
 def test_pipeline_classifies_once_for_many_tops(monkeypatch):
     original = assetscout.patterns.classify_design
     calls = []

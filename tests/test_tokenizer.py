@@ -1,8 +1,11 @@
 """Lexer behavior: comment stripping, literals, keyword tables."""
 
+import re
+
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import assetscout.tokenizer
 from assetscout.tokenizer import (
     RESERVED_WORDS, SYSTEMVERILOG_KEYWORDS, VERILOG_2005_KEYWORDS,
     strip_comments, tokenize,
@@ -135,3 +138,25 @@ def test_tokenize_matches_oracle_on_comment_free_text(fragments):
     # the oracle does not count newlines inside tokens
     if not any("\n" in value for _kind, value, _line in old):
         assert new == old
+
+
+# Oracle: the comment pattern without the lookahead, which tries every
+# alternative at every character.
+_UNGUARDED_COMMENT_RE = re.compile(
+    "|".join(f"(?P<{name}>{pattern})" for name, pattern in assetscout.tokenizer._SHARED),
+    re.DOTALL)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS),
+                          st.text(alphabet='/*()"\\\n \tax', max_size=6)),
+                max_size=40))
+def test_strip_comments_matches_unguarded_pattern(fragments):
+    text = "".join(fragments)
+    guarded = strip_comments(text)
+    original = assetscout.tokenizer._COMMENT_RE
+    try:
+        assetscout.tokenizer._COMMENT_RE = _UNGUARDED_COMMENT_RE
+        assert guarded == strip_comments(text)
+    finally:
+        assetscout.tokenizer._COMMENT_RE = original

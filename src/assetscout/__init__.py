@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .syntax import (  # noqa: F401
     Diagnostic, Instantiation, ModuleDef, SignalDecl, SourceUnit, Statement,
 )
-from .tokenizer import Token, tokenize  # noqa: F401
+from .tokenizer import tokenize  # noqa: F401
 from .parser import parse_file, parse_source, discover_rtl_files  # noqa: F401
 from .design import (  # noqa: F401
     ConnEdge, DesignDatabase, DesignError,

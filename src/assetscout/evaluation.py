@@ -82,34 +82,37 @@ _FALSE_VALUES = {"0", "false", "no"}
 def load_ground_truth(path: str) -> GroundTruth:
     """Read a `module,signal,is_asset` CSV into a GroundTruth table."""
     truth = GroundTruth(source=path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise GroundTruthError(f"{path}: empty file, expected a header row")
-        expected = ["module", "signal", "is_asset"]
-        if [h.strip().lower() for h in header] != expected:
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as err:
+        raise GroundTruthError(f"cannot read ground-truth file {path!r}: {err}") from err
+    except (UnicodeDecodeError, csv.Error) as err:
+        raise GroundTruthError(f"malformed ground-truth file {path!r}: {err}") from err
+    if not rows:
+        raise GroundTruthError(f"{path}: empty file, expected a header row")
+    expected = ["module", "signal", "is_asset"]
+    if [h.strip().lower() for h in rows[0]] != expected:
+        raise GroundTruthError(
+            f"{path}: bad header {rows[0]!r}, expected {','.join(expected)}")
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise GroundTruthError(f"{path}:{lineno}: expected 3 columns")
+        module, signal, flag = (cell.strip() for cell in row)
+        key = (module, signal)
+        if key in truth.entries:
             raise GroundTruthError(
-                f"{path}: bad header {header!r}, expected {','.join(expected)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise GroundTruthError(f"{path}:{lineno}: expected 3 columns")
-            module, signal, flag = (cell.strip() for cell in row)
-            key = (module, signal)
-            if key in truth.entries:
-                raise GroundTruthError(
-                    f"{path}:{lineno}: duplicate entry for {module}.{signal}")
-            low = flag.lower()
-            if low in _TRUE_VALUES:
-                truth.entries[key] = True
-            elif low in _FALSE_VALUES:
-                truth.entries[key] = False
-            else:
-                raise GroundTruthError(
-                    f"{path}:{lineno}: bad is_asset value {flag!r}")
+                f"{path}:{lineno}: duplicate entry for {module}.{signal}")
+        low = flag.lower()
+        if low in _TRUE_VALUES:
+            truth.entries[key] = True
+        elif low in _FALSE_VALUES:
+            truth.entries[key] = False
+        else:
+            raise GroundTruthError(
+                f"{path}:{lineno}: bad is_asset value {flag!r}")
     return truth
 
 

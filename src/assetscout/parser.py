@@ -12,7 +12,9 @@ import os
 import re
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .tokenizer import RESERVED_WORDS, Token, strip_comments, tokenize
+from .tokenizer import (
+    ID_START, RESERVED_WORDS, Tokens, is_number, strip_comments, tokenize,
+)
 from .syntax import (
     BLOCKING_ASSIGN, CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, INOUT, INPUT, NET,
     NONBLOCKING_ASSIGN, OUTPUT, TERNARY_STMT,
@@ -22,11 +24,19 @@ from .syntax import (
 RTL_EXTENSIONS = (".v", ".sv", ".vh", ".svh")
 MAX_INCLUDE_DEPTH = 17  # files on an include chain, the parsed file included
 
-_NET_TYPES = {"wire", "reg", "logic", "integer", "tri", "tri0", "tri1",
-              "wand", "wor", "triand", "trior", "trireg", "supply0",
-              "supply1", "uwire", "bit", "time", "real", "realtime"}
-_Range = Tuple[List[Token], List[Token]]  # the (msb, lsb) tokens of `[msb:lsb]`
+# net type -> width of a net declared without a range; the SystemVerilog
+# integer types as in IEEE 1800-2017 §6.11
+_NET_TYPES = dict.fromkeys(
+    ["wire", "reg", "logic", "tri", "tri0", "tri1", "wand", "wor", "triand",
+     "trior", "trireg", "supply0", "supply1", "uwire", "bit", "real", "realtime"], 1)
+_NET_TYPES.update(integer=32, time=32, int=32, byte=8, shortint=16, longint=64)
+_Range = Tuple[List[str], List[str]]  # the (msb, lsb) texts of `[msb:lsb]`
 _DIRECTIONS = {"input": INPUT, "output": OUTPUT, "inout": INOUT}
+_MODULE_KEYWORDS = frozenset(["module", "macromodule"])
+_PROCESSES = frozenset(["always", "always_ff", "always_comb", "always_latch",
+                        "initial", "final"])
+_CASE_STARTS = frozenset(["case", "casez", "casex", "unique", "priority"])
+_PROCEDURAL_ASSIGN_KEYWORDS = frozenset(["force", "release", "deassign", "assign"])
 _SKIP_BLOCKS = {
     "generate": "endgenerate",
     "function": "endfunction",
@@ -189,50 +199,54 @@ def _substitute_macros(line: str, defines: Dict[str, str]) -> str:
 # ---------------------------------------------------------------------------
 # Expression helpers
 # ---------------------------------------------------------------------------
+# Tokens are texts (see `tokenizer.ID_START`): keywords and punctuation are
+# tested by equality with the text.
+_OPEN = frozenset("([{")
+_CLOSE = frozenset(")]}")
 
-def collect_identifiers(tokens: Sequence[Token]) -> List[str]:
+
+def _is_name(text: str) -> bool:
+    """An identifier that is not a keyword: a declared or used name."""
+    return text[:1] in ID_START and text not in RESERVED_WORDS
+
+
+def collect_identifiers(texts: Sequence[str]) -> List[str]:
     """Identifiers referenced in an expression, in order, without duplicates.
 
     Skips system ids, based-literal tokens and named-connection dots.
     """
     seen = []
-    for idx, tok in enumerate(tokens):
-        if tok.kind != "id" or tok.value in RESERVED_WORDS:
-            continue
-        if idx > 0 and tokens[idx - 1].kind == "punct" and tokens[idx - 1].value == ".":
-            continue
-        if tok.value not in seen:
-            seen.append(tok.value)
+    prev = ""
+    for t in texts:
+        if t[0] in ID_START and t not in RESERVED_WORDS and prev != "." \
+                and t not in seen:
+            seen.append(t)
+        prev = t
     return seen
 
 
-def _contains_ternary(tokens: Sequence[Token]) -> bool:
-    return any(t.kind == "punct" and t.value == "?" for t in tokens)
-
-
-def _split_ternary(tokens: Sequence[Token]) -> Tuple[List[Token], List[Token]]:
+def _split_ternary(texts: Sequence[str]) -> Tuple[List[str], List[str]]:
     """Split an expression at its top-level '?' into (condition, rest)."""
     depth = 0
-    for idx, t in enumerate(tokens):
-        if t.kind == "punct":
-            if t.value in "([{":
-                depth += 1
-            elif t.value in ")]}":
-                depth -= 1
-            elif t.value == "?" and depth == 0:
-                return list(tokens[:idx]), list(tokens[idx + 1:])
-    return [], list(tokens)
+    for idx, t in enumerate(texts):
+        if t in _OPEN:
+            depth += 1
+        elif t in _CLOSE:
+            depth -= 1
+        elif t == "?" and depth == 0:
+            return list(texts[:idx]), list(texts[idx + 1:])
+    return [], list(texts)
 
 
-def eval_const_expr(tokens: Sequence[Token],
+def eval_const_expr(texts: Sequence[str],
                     params: Dict[str, Optional[int]]) -> Optional[int]:
     """Evaluate +,-,*,/ and parenthesised constant expressions.
 
     Identifiers are looked up in `params`; anything else makes the result
     unresolved (None).
     """
-    value, pos = _eval_sum(tokens, 0, params)
-    return value if pos == len(tokens) else None
+    value, pos = _eval_sum(texts, 0, params)
+    return value if pos == len(texts) else None
 
 
 # The evaluator's levels are module-level functions that pass the position
@@ -240,58 +254,56 @@ def eval_const_expr(tokens: Sequence[Token],
 # returns (value, position after it); a None value is final, whatever the
 # position.
 
-def _eval_sum(tokens: Sequence[Token], pos: int,
+def _eval_sum(texts: Sequence[str], pos: int,
               params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
-    value, pos = _eval_product(tokens, pos, params)
-    while value is not None and pos < len(tokens):
-        op = tokens[pos]
-        if op.kind != "punct" or op.value not in ("+", "-"):
+    value, pos = _eval_product(texts, pos, params)
+    while value is not None and pos < len(texts):
+        op = texts[pos]
+        if op != "+" and op != "-":
             break
-        rhs, pos = _eval_product(tokens, pos + 1, params)
+        rhs, pos = _eval_product(texts, pos + 1, params)
         if rhs is None:
             return None, pos
-        value = value + rhs if op.value == "+" else value - rhs
+        value = value + rhs if op == "+" else value - rhs
     return value, pos
 
 
-def _eval_product(tokens: Sequence[Token], pos: int,
+def _eval_product(texts: Sequence[str], pos: int,
                   params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
-    value, pos = _eval_primary(tokens, pos, params)
-    while value is not None and pos < len(tokens):
-        op = tokens[pos]
-        if op.kind != "punct" or op.value not in ("*", "/"):
+    value, pos = _eval_primary(texts, pos, params)
+    while value is not None and pos < len(texts):
+        op = texts[pos]
+        if op != "*" and op != "/":
             break
-        rhs, pos = _eval_primary(tokens, pos + 1, params)
+        rhs, pos = _eval_primary(texts, pos + 1, params)
         if rhs is None:
             return None, pos
-        if op.value == "*":
+        if op == "*":
             value = value * rhs
         else:
             value = value // rhs if rhs != 0 else None
     return value, pos
 
 
-def _eval_primary(tokens: Sequence[Token], pos: int,
+def _eval_primary(texts: Sequence[str], pos: int,
                   params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
-    if pos >= len(tokens):
+    if pos >= len(texts):
         return None, pos
-    t = tokens[pos]
-    if t.kind == "number":
-        return _number_value(t.value), pos + 1
-    if t.kind == "id":
-        return params.get(t.value), pos + 1
-    if t.kind == "punct":
-        if t.value == "(":
-            value, pos = _eval_sum(tokens, pos + 1, params)
-            if pos < len(tokens) and tokens[pos].kind == "punct" \
-                    and tokens[pos].value == ")":
-                return value, pos + 1
-            return None, pos
-        if t.value == "-":
-            value, pos = _eval_primary(tokens, pos + 1, params)
-            return (-value if value is not None else None), pos
-        if t.value == "+":
-            return _eval_primary(tokens, pos + 1, params)
+    t = texts[pos]
+    if is_number(t):
+        return _number_value(t), pos + 1
+    if t[0] in ID_START:
+        return params.get(t), pos + 1
+    if t == "(":
+        value, pos = _eval_sum(texts, pos + 1, params)
+        if pos < len(texts) and texts[pos] == ")":
+            return value, pos + 1
+        return None, pos
+    if t == "-":
+        value, pos = _eval_primary(texts, pos + 1, params)
+        return (-value if value is not None else None), pos
+    if t == "+":
+        return _eval_primary(texts, pos + 1, params)
     return None, pos
 
 
@@ -324,445 +336,434 @@ def _number_value(text: str) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 class _Parser:
-    def __init__(self, tokens: List[Token], path: str):
-        self.tokens = [t for t in tokens if t.kind != "diag"]
-        self.diag_tokens = [t for t in tokens if t.kind == "diag"]
+    """Walks the token texts by index. `texts` ends in an extra "" that
+    stands for end of file: it equals no word or punctuation, so a look at
+    `texts[pos]` needs no bounds check. Loops run while `pos < end`."""
+
+    def __init__(self, tokens: Tokens, path: str):
+        self.texts = tokens.texts + [""]
+        # the end of file reports the last token's line
+        self.lines = tokens.lines + (tokens.lines[-1:] or [0])
+        self.end = len(tokens.texts)
         self.path = path
         self.pos = 0
         self.diagnostics: List[Diagnostic] = [
-            Diagnostic(t.value, "warning", t.line) for t in self.diag_tokens
+            Diagnostic(message, "warning", line) for message, line in tokens.diagnostics
         ]
 
     # -- token stream helpers -------------------------------------------------
-    def peek(self, ahead: int = 0) -> Optional[Token]:
-        idx = self.pos + ahead
-        return self.tokens[idx] if idx < len(self.tokens) else None
+    def expect(self, value: str) -> int:
+        """Consume `value`; returns its line."""
+        pos = self.pos
+        if self.texts[pos] != value:
+            got = "end of file" if pos == self.end else repr(self.texts[pos])
+            raise ParseError(f"expected {value!r}, got {got}", self.lines[pos])
+        self.pos = pos + 1
+        return self.lines[pos]
 
-    def advance(self) -> Token:
-        t = self.tokens[self.pos]
-        self.pos += 1
-        return t
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def expect(self, value: str) -> Token:
-        t = self.peek()
-        if t is None:
-            raise ParseError(f"expected {value!r}, got end of file",
-                             self.tokens[-1].line if self.tokens else 0)
-        if t.value != value:
-            raise ParseError(f"expected {value!r}, got {t.value!r}", t.line)
-        return self.advance()
-
-    def skip_until(self, *values: str) -> Optional[Token]:
-        """Advance past tokens until one of `values`; consumes and returns it."""
+    def skip_until(self, value: str) -> None:
+        """Advance past the next `value` outside brackets, or to the end."""
+        texts = self.texts
+        i, end = self.pos, self.end
         depth = 0
-        while not self.at_end():
-            t = self.advance()
-            if t.kind == "punct":
-                if t.value in "([{":
-                    depth += 1
-                elif t.value in ")]}":
-                    depth -= 1
-            if depth <= 0 and t.value in values:
-                return t
-        return None
+        while i < end:
+            t = texts[i]
+            i += 1
+            if t in _OPEN:
+                depth += 1
+            elif t in _CLOSE:
+                depth -= 1
+            elif depth <= 0 and t == value:
+                break
+        self.pos = i
 
-    def collect_until(self, *values: str, consume: bool = True) -> List[Token]:
-        """Tokens up to (not including) a top-level occurrence of `values`."""
-        tokens = self.tokens
+    def collect_until(self, *values: str, consume: bool = True) -> List[str]:
+        """Texts up to (not including) a top-level occurrence of `values`."""
+        texts = self.texts
         start = i = self.pos
+        end = self.end
         depth = 0
-        while i < len(tokens):
-            t = tokens[i]
-            if t.kind == "punct":
-                if depth == 0 and t.value in values:
-                    self.pos = i + 1 if consume else i
-                    return tokens[start:i]
-                if t.value in "([{":
-                    depth += 1
-                elif t.value in ")]}":
-                    depth -= 1
+        while i < end:
+            t = texts[i]
+            if depth == 0 and t in values:
+                self.pos = i + 1 if consume else i
+                return texts[start:i]
+            if t in _OPEN:
+                depth += 1
+            elif t in _CLOSE:
+                depth -= 1
             i += 1
         self.pos = i
-        return tokens[start:i]
+        return texts[start:i]
 
     # -- top level ------------------------------------------------------------
     def parse_unit(self) -> SourceUnit:
         unit = SourceUnit(path=self.path, diagnostics=self.diagnostics)
-        while not self.at_end():
-            t = self.peek()
-            if t.is_keyword("module", "macromodule"):
-                start = self.pos
-                try:
-                    unit.modules.append(self.parse_module())
-                    continue
-                except ParseError as err:
-                    message, line = err.message, err.line
-                except RecursionError:  # statements nested past the stack
-                    message, line = "nesting too deep", t.line
-                self.diagnostics.append(
-                    Diagnostic(f"malformed module: {message}", "error", line))
-                # recover: resume at the next `module` keyword
-                self.pos = start + 1
-                while not self.at_end() and not self.peek().is_keyword(
-                        "module", "macromodule"):
-                    self.advance()
-            else:
-                self.advance()
+        texts, end = self.texts, self.end
+        while self.pos < end:
+            if texts[self.pos] not in _MODULE_KEYWORDS:
+                self.pos += 1
+                continue
+            start = self.pos
+            try:
+                unit.modules.append(self.parse_module())
+                continue
+            except ParseError as err:
+                message, line = err.message, err.line
+            except RecursionError:  # statements nested past the stack
+                message, line = "nesting too deep", self.lines[start]
+            self.diagnostics.append(
+                Diagnostic(f"malformed module: {message}", "error", line))
+            # recover: resume at the next `module` keyword
+            self.pos = start + 1
         return unit
 
     def parse_module(self) -> ModuleDef:
-        kw = self.expect("module") if self.peek().value == "module" \
-            else self.expect("macromodule")
-        if self.at_end():
-            raise ParseError("expected module name, got end of file", kw.line)
-        name_tok = self.advance()
-        if name_tok.kind != "id" or name_tok.value in RESERVED_WORDS:
-            raise ParseError(f"bad module name {name_tok.value!r}", name_tok.line)
-        mod = ModuleDef(name=name_tok.value, path=self.path, line=kw.line)
-        params: Dict[str, List[Token]] = {}  # raw value tokens, in first-seen order
+        texts, lines = self.texts, self.lines
+        kw_line = lines[self.pos]
+        self.pos += 1  # module or macromodule
+        if self.pos == self.end:
+            raise ParseError("expected module name, got end of file", kw_line)
+        name = texts[self.pos]
+        if not _is_name(name):
+            raise ParseError(f"bad module name {name!r}", lines[self.pos])
+        self.pos += 1
+        mod = ModuleDef(name=name, path=self.path, line=kw_line)
+        params: Dict[str, List[str]] = {}  # raw value texts, in first-seen order
 
-        t = self.peek()
-        if t is not None and t.value == "#":
-            self.advance()
+        if texts[self.pos] == "#":
+            self.pos += 1
             self.expect("(")
             self._parse_param_decl(params, ")")
-        t = self.peek()
-        if t is not None and t.value == "(":
-            self.advance()
+        if texts[self.pos] == "(":
+            self.pos += 1
             self._parse_port_list(mod)
         self.expect(";")
         self._parse_body(mod, params)
-        mod.end_line = self.tokens[self.pos - 1].line if self.pos else kw.line
+        mod.end_line = lines[self.pos - 1]
         self._resolve_widths(mod, params)
         return mod
 
     # -- ports ----------------------------------------------------------------
     def _parse_port_list(self, mod: ModuleDef) -> None:
-        t = self.peek()
-        if t is not None and t.kind == "punct" and t.value == ")":
-            self.advance()
-            return
-        ansi = t is not None and t.value in _DIRECTIONS
-        if ansi:
+        t = self.texts[self.pos]
+        if t == ")":
+            self.pos += 1
+        elif t in _DIRECTIONS:
             self._parse_ansi_ports(mod)
         else:
             # non-ANSI: plain name list; body declarations fill in direction
-            toks = self.collect_until(")")
-            for name in collect_identifiers(toks):
+            line = self.lines[self.pos]
+            texts = self.collect_until(")")
+            for name in collect_identifiers(texts):
                 if mod.signal(name) is None:
                     mod.add_port(SignalDecl(name, INPUT, 1,
-                                            decl_line=toks[0].line if toks else 0))
+                                            decl_line=line if texts else 0))
 
     def _parse_ansi_ports(self, mod: ModuleDef) -> None:
-        tokens = self.tokens
+        texts, lines = self.texts, self.lines
         direction = INPUT
         rng: Optional[_Range] = None
-        while self.pos < len(tokens):
-            t = tokens[self.pos]
-            if t.kind == "punct" and t.value == "[":
+        while self.pos < self.end:
+            t = texts[self.pos]
+            if t == "[":
                 rng = self._parse_range()
                 continue
-            if t.value == ";" or t.is_keyword("module", "macromodule", "endmodule"):
+            if t == ";" or t in _MODULE_KEYWORDS or t == "endmodule":
                 # a port list cannot contain these: the header is malformed
-                raise ParseError("unterminated port list", t.line)
+                raise ParseError("unterminated port list", lines[self.pos])
+            line = lines[self.pos]
             self.pos += 1
-            if t.kind == "punct" and t.value == ")":
+            if t == ")":
                 return
-            if t.value in _DIRECTIONS:
-                direction, rng = _DIRECTIONS[t.value], None
-            elif t.kind == "id" and t.value not in RESERVED_WORDS:
+            if t in _DIRECTIONS:
+                direction, rng = _DIRECTIONS[t], None
+            elif _is_name(t):
                 # default value `= expr` allowed in SV headers
-                if self.pos < len(tokens) and tokens[self.pos].value == "=":
+                if texts[self.pos] == "=":
                     self.pos += 1
                     self.collect_until(",", ")", consume=False)
-                mod.add_port(SignalDecl(t.value, direction, None if rng else 1,
-                                        decl_line=t.line, range_expr=rng))
+                mod.add_port(SignalDecl(t, direction, None if rng else 1,
+                                        decl_line=line, range_expr=rng))
             # anything else (",", net types, signing, stray tokens): skip
 
     def _parse_range(self) -> _Range:
-        open_tok = self.expect("[")
-        tokens = self.tokens
+        self.expect("[")
+        texts = self.texts
         start = i = self.pos
         depth = 0
-        while i < len(tokens):
-            t = tokens[i]
-            if t.kind == "punct":
-                if depth == 0 and t.value == ":":
-                    self.pos = i + 1
-                    return (tokens[start:i], self.collect_until("]"))
-                if depth == 0 and t.value == "]":
-                    self.pos = i + 1
-                    return (tokens[start:i], [Token("number", "0", open_tok.line)])
-                if t.value in "([{":
-                    depth += 1
-                elif t.value in ")]}":
-                    depth -= 1
+        while i < self.end:
+            t = texts[i]
+            if depth == 0 and t == ":":
+                self.pos = i + 1
+                return (texts[start:i], self.collect_until("]"))
+            if depth == 0 and t == "]":
+                self.pos = i + 1
+                return (texts[start:i], ["0"])
+            if t in _OPEN:
+                depth += 1
+            elif t in _CLOSE:
+                depth -= 1
             i += 1
         self.pos = i
-        return (tokens[start:i], [])
+        return (texts[start:i], [])
 
     # -- declarations ---------------------------------------------------------
     def _declarators(self, end: str, unterminated: str = "",
-                     line: int = 0) -> Iterator[Tuple[Token, Optional[_Range]]]:
-        """Each declared name up to the punctuation `end`, as (name token, the
-        last packed range before it); the caller may consume what follows a
-        name (`= value`, unpacked dimensions) before it takes the next.
+                     line: int = 0) -> Iterator[Tuple[str, int, Optional[_Range]]]:
+        """Each declared name up to the punctuation `end`, as (name, its
+        line, the last packed range before it); the caller may consume what
+        follows a name (`= value`, unpacked dimensions) before it takes the
+        next.
 
         Keywords (direction, net type, signing), commas and stray tokens are
         passed over. Running out of tokens before `end`, a range included,
         raises ParseError(`unterminated`) when that message is given.
         """
-        tokens = self.tokens
+        texts = self.texts
         rng: Optional[_Range] = None
-        while self.pos < len(tokens):
-            t = tokens[self.pos]
-            if t.kind == "punct":
-                if t.value == end:
-                    self.pos += 1
-                    return
-                if t.value == "[":
-                    rng = self._parse_range()
-                    continue
-            elif t.kind == "id" and t.value not in RESERVED_WORDS:
+        while self.pos < self.end:
+            t = texts[self.pos]
+            if t == end:
                 self.pos += 1
-                yield t, rng
+                return
+            if t == "[":
+                rng = self._parse_range()
                 continue
             self.pos += 1
+            if _is_name(t):
+                yield t, self.lines[self.pos - 1], rng
         if unterminated:
             raise ParseError(unterminated, line)
 
-    def _parse_param_decl(self, params: Dict[str, List[Token]], end: str) -> None:
+    def _parse_param_decl(self, params: Dict[str, List[str]], end: str) -> None:
         """`#(parameter W = 8, ...)` in the header, or `parameter W = 8, D = 4;`
-        in the body: the raw value tokens of each name."""
-        for name_tok, _rng in self._declarators(end):
-            value: List[Token] = []
-            if self.pos < len(self.tokens) and self.tokens[self.pos].value == "=":
+        in the body: the raw value texts of each name."""
+        for name, _line, _rng in self._declarators(end):
+            value: List[str] = []
+            if self.texts[self.pos] == "=":
                 self.pos += 1
                 value = self.collect_until(",", end, consume=False)
-            params[name_tok.value] = value
+            params[name] = value
 
     # -- module body ----------------------------------------------------------
-    def _parse_body(self, mod: ModuleDef, params: Dict[str, List[Token]]) -> None:
-        while not self.at_end():
-            t = self.peek()
-            if t.is_keyword("endmodule"):
-                self.advance()
+    def _parse_body(self, mod: ModuleDef, params: Dict[str, List[str]]) -> None:
+        texts = self.texts
+        while self.pos < self.end:
+            t = texts[self.pos]
+            if t == "endmodule":
+                self.pos += 1
                 return
-            if t.is_keyword("module", "macromodule"):
-                raise ParseError("missing endmodule", t.line)
-            if t.is_keyword("parameter", "localparam"):
+            if t in _MODULE_KEYWORDS:
+                raise ParseError("missing endmodule", self.lines[self.pos])
+            if t == "parameter" or t == "localparam":
                 self._parse_param_decl(params, ";")
-            elif t.value in _DIRECTIONS:
+            elif t in _DIRECTIONS:
                 self._parse_body_port_decl(mod)
-            elif t.value in _NET_TYPES:
+            elif t in _NET_TYPES:
                 self._parse_net_decl(mod)
-            elif t.is_keyword("genvar"):
+            elif t == "genvar" or t == "defparam":
                 self.skip_until(";")
-            elif t.is_keyword("assign"):
+            elif t == "assign":
                 self._parse_continuous_assign(mod)
-            elif t.is_keyword("always", "always_ff", "always_comb", "always_latch",
-                              "initial", "final"):
-                self.advance()
+            elif t in _PROCESSES:
+                self.pos += 1
                 self._skip_timing_control()
                 stmts = self._parse_statement(mod, guards=[])
                 mod.statements.extend(stmts)
-            elif t.value in _SKIP_BLOCKS:
-                end_kw = _SKIP_BLOCKS[t.value]
+            elif t in _SKIP_BLOCKS:
                 self.diagnostics.append(Diagnostic(
-                    f"unsupported construct '{t.value}' skipped", "warning", t.line))
-                self.advance()
-                self._skip_to_keyword(end_kw)
-            elif t.is_keyword("defparam"):
-                self.skip_until(";")
-            elif t.kind == "id" and t.value not in RESERVED_WORDS:
+                    f"unsupported construct '{t}' skipped", "warning", self.lines[self.pos]))
+                self.pos += 1
+                self._skip_to_keyword(_SKIP_BLOCKS[t])
+            elif _is_name(t):
                 self._parse_instantiation(mod)
-            elif t.kind == "directive" or t.kind == "sysid":
-                self.advance()
-            else:
-                self.advance()
+            else:  # directives, system ids, stray tokens
+                self.pos += 1
         raise ParseError("unexpected end of file inside module", mod.line)
 
     def _skip_to_keyword(self, end_kw: str) -> None:
-        while not self.at_end():
-            t = self.advance()
-            if t.is_keyword(end_kw):
-                return
-            if t.is_keyword("endmodule"):
-                # put it back so _parse_body terminates normally
-                self.pos -= 1
-                return
+        """Past the next `end_kw`, or up to (not past) the next `endmodule`
+        so that _parse_body terminates normally."""
+        texts = self.texts
+        i = self.pos
+        while i < self.end:
+            t = texts[i]
+            if t == "endmodule":
+                break
+            i += 1
+            if t == end_kw:
+                break
+        self.pos = i
 
     def _parse_body_port_decl(self, mod: ModuleDef) -> None:
-        kw = self.tokens[self.pos]
-        direction = _DIRECTIONS[kw.value]
-        for t, rng in self._declarators(";", "unterminated port declaration", kw.line):
+        direction = _DIRECTIONS[self.texts[self.pos]]
+        for name, line, rng in self._declarators(
+                ";", "unterminated port declaration", self.lines[self.pos]):
             width = None if rng else 1
-            existing = mod.signal(t.value)
+            existing = mod.signal(name)
             if existing is not None and existing.is_port:
                 # non-ANSI merge: direction/width from the body declaration,
                 # in the header's slot
                 existing.direction, existing.width_bits = direction, width
-                existing.decl_line, existing.range_expr = t.line, rng
+                existing.decl_line, existing.range_expr = line, rng
             else:
-                mod.add_port(SignalDecl(t.value, direction, width,
-                                        decl_line=t.line, range_expr=rng))
+                mod.add_port(SignalDecl(name, direction, width,
+                                        decl_line=line, range_expr=rng))
 
     def _parse_net_decl(self, mod: ModuleDef) -> None:
-        kw = self.tokens[self.pos]
-        default_width = 32 if kw.value in ("integer", "int", "time") else 1
-        for t, rng in self._declarators(";", "unterminated net declaration", kw.line):
-            name = t.value
+        texts = self.texts
+        default_width = _NET_TYPES[texts[self.pos]]
+        for name, line, rng in self._declarators(
+                ";", "unterminated net declaration", self.lines[self.pos]):
             # skip unpacked array dimensions after the name
-            while self.peek() is not None and self.peek().value == "[":
+            while texts[self.pos] == "[":
                 self._parse_range()
             if mod.signal(name) is None:
                 mod.add_net(SignalDecl(name, NET, None if rng else default_width,
-                                       decl_line=t.line, range_expr=rng))
-            if self.peek() is not None and self.peek().value == "=":
+                                       decl_line=line, range_expr=rng))
+            if texts[self.pos] == "=":
                 # net declaration assignment doubles as a continuous assign
-                self.advance()
+                self.pos += 1
                 rhs = self.collect_until(",", ";", consume=False)
                 mod.statements.append(self._make_assign(
-                    CONTINUOUS_ASSIGN, [name], rhs, [], t.line, continuous=True))
+                    CONTINUOUS_ASSIGN, [name], rhs, [], line, continuous=True))
 
     # -- statements -----------------------------------------------------------
     def _skip_timing_control(self) -> None:
         """An `@` or `#` and what it controls by (IEEE 1364-2005 §9.7): one
         parenthesised group or one token, as in `@(posedge clk)`, `@*`,
         `@clk`, `#(1, 2)` and `#5`."""
-        t = self.peek()
-        if t is not None and t.kind == "punct" and t.value in ("@", "#"):
-            self.advance()
-            t = self.peek()
-            if t is not None and t.value == "(":
-                self.advance()
+        texts = self.texts
+        if texts[self.pos] == "@" or texts[self.pos] == "#":
+            self.pos += 1
+            if texts[self.pos] == "(":
+                self.pos += 1
                 self.collect_until(")")
-            elif t is not None:
-                self.advance()
+            elif self.pos < self.end:
+                self.pos += 1
 
-    def _make_assign(self, kind: str, lhs: List[str], rhs_toks: List[Token],
+    def _make_assign(self, kind: str, lhs: List[str], rhs: List[str],
                      guards: List[str], line: int, continuous: bool = False) -> Statement:
-        rhs_ids = collect_identifiers(rhs_toks)
-        if _contains_ternary(rhs_toks):
-            cond_toks, rest = _split_ternary(rhs_toks)
+        if "?" in rhs:
+            cond, rest = _split_ternary(rhs)
             return Statement(TERNARY_STMT, line,
-                             cond_idents=collect_identifiers(cond_toks),
+                             cond_idents=collect_identifiers(cond),
                              lhs_idents=lhs,
                              rhs_idents=collect_identifiers(rest),
                              body_statement_count=1, branch_count=2,
                              continuous=continuous)
         return Statement(kind, line, cond_idents=list(guards),
-                         lhs_idents=lhs, rhs_idents=rhs_ids,
+                         lhs_idents=lhs, rhs_idents=collect_identifiers(rhs),
                          continuous=continuous)
 
     def _parse_continuous_assign(self, mod: ModuleDef) -> None:
-        self.advance()  # assign
+        texts, lines = self.texts, self.lines
+        self.pos += 1  # assign
         self._skip_timing_control()
         while True:
-            lhs_toks = self.collect_until("=")
-            rhs_toks = self.collect_until(",", ";", consume=False)
-            sep = self.peek()
-            line = lhs_toks[0].line if lhs_toks else (sep.line if sep else 0)
+            start = self.pos
+            lhs = self.collect_until("=")
+            rhs = self.collect_until(",", ";", consume=False)
+            if lhs:
+                line = lines[start]
+            else:
+                line = lines[self.pos] if self.pos < self.end else 0
             mod.statements.append(self._make_assign(
-                CONTINUOUS_ASSIGN, collect_identifiers(lhs_toks), rhs_toks,
+                CONTINUOUS_ASSIGN, collect_identifiers(lhs), rhs,
                 [], line, continuous=True))
-            if sep is not None and sep.value == ",":
-                self.advance()
+            sep = texts[self.pos]
+            if sep == ",":
+                self.pos += 1
                 continue
-            if sep is not None and sep.value == ";":
-                self.advance()
+            if sep == ";":
+                self.pos += 1
             return
 
     def _parse_statement(self, mod: ModuleDef, guards: List[str]) -> List[Statement]:
         """Parse one procedural statement; returns the flattened records."""
-        t = self.peek()
-        if t is None:
+        texts, lines = self.texts, self.lines
+        if self.pos >= self.end:
             return []
-        if t.value == ";":
-            self.advance()
+        t = texts[self.pos]
+        if t == ";":
+            self.pos += 1
             return []
-        if t.value in ("@", "#"):
+        if t == "@" or t == "#":
             self._skip_timing_control()
             return self._parse_statement(mod, guards)
-        if t.is_keyword("begin"):
-            self.advance()
-            if self.peek() is not None and self.peek().value == ":":
-                self.advance()
-                if self.peek() is not None and self.peek().kind == "id":
-                    self.advance()
+        if t == "begin":
+            self.pos += 1
+            if texts[self.pos] == ":":
+                self.pos += 1
+                if texts[self.pos][:1] in ID_START:
+                    self.pos += 1
             out: List[Statement] = []
-            while not self.at_end() and not self.peek().is_keyword("end"):
-                if self.peek().is_keyword("endmodule"):
-                    raise ParseError("missing 'end'", self.peek().line)
+            while self.pos < self.end:
+                t = texts[self.pos]
+                if t == "end":
+                    self.pos += 1
+                    break
+                if t == "endmodule":
+                    raise ParseError("missing 'end'", lines[self.pos])
                 out.extend(self._parse_statement(mod, guards))
-            if not self.at_end():
-                self.advance()  # end
             return out
-        if t.is_keyword("if"):
+        if t == "if":
             return self._parse_if(mod, guards)
-        if t.is_keyword("case", "casez", "casex", "unique", "priority"):
-            if t.value in ("unique", "priority"):
-                self.advance()
+        if t in _CASE_STARTS:
+            if t == "unique" or t == "priority":
+                self.pos += 1
             return self._parse_case(mod, guards)
-        if t.is_keyword("for", "while", "repeat"):
-            self.advance()
-            if self.peek() is not None and self.peek().value == "(":
-                self.advance()
+        if t == "for" or t == "while" or t == "repeat":
+            self.pos += 1
+            if texts[self.pos] == "(":
+                self.pos += 1
                 self.collect_until(")")
             return self._parse_statement(mod, guards)
-        if t.is_keyword("forever"):
-            self.advance()
+        if t == "forever":
+            self.pos += 1
             return self._parse_statement(mod, guards)
-        if t.is_keyword("disable", "wait"):
+        if t == "disable" or t == "wait" or t[0] == "$":
             self.skip_until(";")
             return []
-        if t.kind == "sysid":
-            self.skip_until(";")
-            return []
-        if t.is_keyword("force", "release", "deassign", "assign"):
-            self.advance()
-            t = self.peek()
+        if t in _PROCEDURAL_ASSIGN_KEYWORDS:
+            self.pos += 1
         # fall through: an assignment statement
-        lhs_toks = self.collect_until("=", "<=", consume=False)
-        op = self.peek()
-        if op is None or op.value not in ("=", "<="):
+        start = self.pos
+        lhs = self.collect_until("=", "<=", consume=False)
+        op = texts[self.pos]
+        if op != "=" and op != "<=":
             # not an assignment we understand; skip to ';'
             self.skip_until(";")
             return []
-        self.advance()
+        line = lines[start] if lhs else lines[self.pos]
+        self.pos += 1
         self._skip_timing_control()
-        rhs_toks = self.collect_until(";", consume=False)
-        if self.peek() is not None:
-            self.advance()
-        kind = NONBLOCKING_ASSIGN if op.value == "<=" else BLOCKING_ASSIGN
-        line = lhs_toks[0].line if lhs_toks else op.line
-        stmt = self._make_assign(kind, collect_identifiers(lhs_toks),
-                                 rhs_toks, guards, line)
-        return [stmt]
+        rhs = self.collect_until(";")
+        kind = NONBLOCKING_ASSIGN if op == "<=" else BLOCKING_ASSIGN
+        return [self._make_assign(kind, collect_identifiers(lhs), rhs, guards, line)]
 
     def _parse_if(self, mod: ModuleDef, guards: List[str]) -> List[Statement]:
         """An `if` and its `else if` chain, walked in a loop: the records are
         those of each `else if` nested in the branch before it."""
+        texts = self.texts
         out: List[Statement] = []
         heads = []  # (head, its index in out, its then-statement count)
         while True:
-            kw = self.expect("if")
+            line = self.expect("if")
             self.expect("(")
             cond_ids = collect_identifiers(self.collect_until(")"))
             guards = guards + cond_ids
-            head = Statement(IF_STMT, kw.line, cond_idents=cond_ids, branch_count=1)
+            head = Statement(IF_STMT, line, cond_idents=cond_ids, branch_count=1)
             then_stmts = self._parse_statement(mod, guards)
             heads.append((head, len(out), len(then_stmts)))
             out.append(head)
             out.extend(then_stmts)
-            if self.peek() is None or not self.peek().is_keyword("else"):
+            if texts[self.pos] != "else":
                 break
-            self.advance()
+            self.pos += 1
             head.branch_count = 2
-            if self.peek() is None or not self.peek().is_keyword("if"):
+            if texts[self.pos] != "if":
                 out.extend(self._parse_statement(mod, guards))
                 break
         # a head's else branch holds every record after its own statements
@@ -771,86 +772,92 @@ class _Parser:
         return out
 
     def _parse_case(self, mod: ModuleDef, guards: List[str]) -> List[Statement]:
-        kw = self.advance()  # case/casez/casex
+        texts = self.texts
+        line = self.lines[self.pos]
+        if self.pos < self.end:
+            self.pos += 1  # case/casez/casex
         self.expect("(")
         cond_ids = collect_identifiers(self.collect_until(")"))
         items: List[List[Statement]] = []
         body: List[Statement] = []
-        while not self.at_end():
-            t = self.peek()
-            if t.is_keyword("endcase"):
-                self.advance()
+        while self.pos < self.end:
+            t = texts[self.pos]
+            if t == "endcase":
+                self.pos += 1
                 break
-            if t.is_keyword("endmodule"):
-                raise ParseError("missing 'endcase'", t.line)
-            if t.is_keyword("default"):
-                self.advance()
-                if self.peek() is not None and self.peek().value == ":":
-                    self.advance()
+            if t == "endmodule":
+                raise ParseError("missing 'endcase'", self.lines[self.pos])
+            if t == "default":
+                self.pos += 1
+                if texts[self.pos] == ":":
+                    self.pos += 1
             else:
                 self.collect_until(":")
             stmts = self._parse_statement(mod, guards + cond_ids)
             items.append(stmts)
             body.extend(stmts)
-        head = Statement(CASE_STMT, kw.line, cond_idents=cond_ids,
+        head = Statement(CASE_STMT, line, cond_idents=cond_ids,
                          body_statement_count=max((len(s) for s in items), default=0),
                          branch_count=len(items))
         return [head] + body
 
     # -- instantiations -------------------------------------------------------
     def _parse_instantiation(self, mod: ModuleDef) -> None:
-        target = self.advance().value
-        t = self.peek()
-        if t is not None and t.value == "#":
-            self.advance()
-            if self.peek() is not None and self.peek().value == "(":
-                self.advance()
+        texts = self.texts
+        target = texts[self.pos]
+        self.pos += 1
+        if texts[self.pos] == "#":
+            self.pos += 1
+            if texts[self.pos] == "(":
+                self.pos += 1
                 self.collect_until(")")
         while True:
-            t = self.peek()
-            if t is None or t.kind != "id" or t.value in RESERVED_WORDS:
+            inst_name = texts[self.pos]
+            if not _is_name(inst_name):
                 # not an instantiation after all (e.g. user-defined type decl)
                 self.skip_until(";")
                 return
-            inst_name = self.advance().value
-            while self.peek() is not None and self.peek().value == "[":
+            line = self.lines[self.pos]
+            self.pos += 1
+            while texts[self.pos] == "[":
                 self._parse_range()
-            if self.peek() is None or self.peek().value != "(":
+            if texts[self.pos] != "(":
                 self.skip_until(";")
                 return
-            self.advance()  # (
-            inst = Instantiation(inst_name, target, line=t.line)
+            self.pos += 1
+            inst = Instantiation(inst_name, target, line=line)
             self._parse_connections(inst)
             mod.instantiations.append(inst)
-            t = self.peek()
-            if t is not None and t.value == ",":
-                self.advance()
+            if texts[self.pos] == ",":
+                self.pos += 1
                 continue
-            if t is not None and t.value == ";":
-                self.advance()
+            if texts[self.pos] == ";":
+                self.pos += 1
             return
 
     def _parse_connections(self, inst: Instantiation) -> None:
+        texts = self.texts
         positional_index = 0
-        while not self.at_end():
-            t = self.peek()
-            if t.value == ")" and t.kind == "punct":
-                self.advance()
+        while self.pos < self.end:
+            t = texts[self.pos]
+            if t == ")":
+                self.pos += 1
                 return
-            if t.value == "," and t.kind == "punct":
-                self.advance()
-                continue
-            if t.value == "." and t.kind == "punct":
-                self.advance()
-                nxt = self.peek()
-                if nxt is None:
-                    raise ParseError("expected port name, got end of file", t.line)
-                if nxt.value == "*":
-                    self.advance()
+            if t == ",":
+                self.pos += 1
+            elif t == ".":
+                line = self.lines[self.pos]
+                self.pos += 1
+                formal = texts[self.pos]
+                if formal == "*":
+                    self.pos += 1
                     continue
-                formal = self.advance().value
-                if self.peek() is not None and self.peek().value == "(":
-                    self.advance()
+                if not _is_name(formal):
+                    got = "end of file" if self.pos == self.end else repr(formal)
+                    raise ParseError(f"expected port name, got {got}", line)
+                self.pos += 1
+                if texts[self.pos] == "(":
+                    self.pos += 1
                     actual = collect_identifiers(self.collect_until(")"))
                 else:
                     actual = [formal]  # SV `.name` shorthand
@@ -861,7 +868,7 @@ class _Parser:
                 positional_index += 1
 
     # -- width resolution -----------------------------------------------------
-    def _resolve_widths(self, mod: ModuleDef, raw: Dict[str, List[Token]]) -> None:
+    def _resolve_widths(self, mod: ModuleDef, raw: Dict[str, List[str]]) -> None:
         params: Dict[str, Optional[int]] = {}
         for name in raw:
             _resolve_parameter(name, raw, params, set())
@@ -871,14 +878,13 @@ class _Parser:
         for decl in mod.all_signals():
             rng = decl.range_expr
             if rng is not None:
-                key = (tuple([(t.kind, t.value) for t in rng[0]]),
-                       tuple([(t.kind, t.value) for t in rng[1]]))
+                key = (tuple(rng[0]), tuple(rng[1]))
                 if key not in widths:
                     widths[key] = _range_width(rng, params)
                 decl.width_bits = widths[key]
 
 
-def _resolve_parameter(name: str, raw: Dict[str, List[Token]],
+def _resolve_parameter(name: str, raw: Dict[str, List[str]],
                        resolved: Dict[str, Optional[int]],
                        in_progress: set) -> Optional[int]:
     """Value of parameter `name`, its dependencies resolved first; a name
@@ -889,7 +895,7 @@ def _resolve_parameter(name: str, raw: Dict[str, List[Token]],
         return None
     in_progress.add(name)
     expr = raw[name]
-    needed = {t.value for t in expr if t.kind == "id" and t.value not in RESERVED_WORDS}
+    needed = {t for t in expr if _is_name(t)}
     env = {dep: _resolve_parameter(dep, raw, resolved, in_progress) for dep in needed}
     value = eval_const_expr(expr, env)
     in_progress.discard(name)
@@ -899,9 +905,9 @@ def _resolve_parameter(name: str, raw: Dict[str, List[Token]],
 
 def _range_width(range_expr: _Range,
                  params: Dict[str, Optional[int]]) -> Optional[int]:
-    msb_toks, lsb_toks = range_expr
-    msb = eval_const_expr(msb_toks, params)
-    lsb = eval_const_expr(lsb_toks, params)
+    msb_texts, lsb_texts = range_expr
+    msb = eval_const_expr(msb_texts, params)
+    lsb = eval_const_expr(lsb_texts, params)
     if msb is None or lsb is None:
         return None
     return abs(msb - lsb) + 1

@@ -7,8 +7,6 @@ treated as immutable and safe to share across threads.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from .tokenizer import Token
-
 # Signal directions
 INPUT = "Input"
 OUTPUT = "Output"
@@ -44,7 +42,7 @@ class SignalDecl:
     direction: str          # Input / Output / Inout / Net
     width_bits: Optional[int] = 1   # None when unresolved
     decl_line: int = 0
-    range_expr: Optional[Tuple[List[Token], List[Token]]] = None  # (msb, lsb) tokens
+    range_expr: Optional[Tuple[List[str], List[str]]] = None  # (msb, lsb) token texts
 
     @property
     def is_port(self) -> bool:

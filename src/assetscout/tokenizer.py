@@ -1,9 +1,11 @@
 """Lexer for the supported Verilog/SystemVerilog subset.
 
-The lexical grammar is one master regex with a named group per token class,
-tried in order at each position (the "Writing a Tokenizer" idiom of the
-``re`` docs). ``tokenize`` turns its matches into tokens with source line
-numbers; whitespace, comments and ``(* ... *)`` attributes yield none.
+The lexical grammar is one list of (token class, pattern) pairs, tried in
+order at each position (the "Writing a Tokenizer" idiom of the ``re``
+docs). A token is its text: ``tokenize`` returns the token texts and their
+source lines from one ``findall`` over the grammar, and classifies again
+only the rare texts that may be a comment, string or stray character;
+whitespace, comments and ``(* ... *)`` attributes yield no token.
 ``strip_comments`` blanks comments with one ``re.sub`` over the grammar's
 comment, string and escaped-identifier groups, so in both a string or an
 escaped identifier (which runs to whitespace, IEEE 1364-2005 §3.7.1) hides
@@ -40,6 +42,8 @@ endproperty endsequence final var string
 
 RESERVED_WORDS = VERILOG_2005_KEYWORDS | SYSTEMVERILOG_KEYWORDS
 
+_LETTERS = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz"
+
 # Longest first so e.g. "<=" wins over "<".
 _PUNCTUATION = [
     "<<<=", ">>>=",
@@ -62,13 +66,15 @@ _SHARED = [
 ]
 
 
-def _compile(groups: List[Tuple[str, str]], lookahead: str = "") -> "re.Pattern[str]":
-    alternatives = "|".join(f"(?P<{name}>{pattern})" for name, pattern in groups)
-    return re.compile(f"{lookahead}(?:{alternatives})", re.DOTALL)
+def _named(groups: List[Tuple[str, str]]) -> str:
+    return "(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in groups) + ")"
 
 
-_TOKEN_RE = _compile([
-    ("space", r"[ \t\r\f\v\n]+"),  # tokenize counts the newlines of every match
+# The token grammar, tried in order at each position. "other" takes any one
+# character nothing else does, but never a blank: `tokenize` skips blanks
+# before each token, and a blank that reached "other" would become a stray
+# diagnostic at the end of the text.
+_GRAMMAR = [
     ("id", r"[A-Za-z_][A-Za-z0-9_$]*"),
     # a bare ' is punctuation ({'0}); only a based literal makes it a number
     ("number", r"(?:\d[\d_]*\s*)?'\s*[sS]?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+"
@@ -77,26 +83,56 @@ _TOKEN_RE = _compile([
     ("sysid", r"\$[A-Za-z_][A-Za-z0-9_$]*"),
     ("directive", r"`[A-Za-z_][A-Za-z0-9_$]*"),
     ("punct", "|".join(map(re.escape, _PUNCTUATION))),
-    ("other", r"."),
-])
+    ("other", r"[^ \t\r\f\v]"),
+]
+# Classifies the few texts the scan alone cannot. `re` compiles it on first
+# use and caches it, so a source without such texts does not pay for it.
+_TOKEN_PATTERN = _named(_GRAMMAR)
 # only these characters start a comment, attribute, string or escaped
 # identifier, so the lookahead spares the alternatives everywhere else
-_COMMENT_RE = _compile(_SHARED, lookahead=r'(?=[/("\\])')
+_COMMENT_RE = re.compile(r'(?=[/("\\])' + _named(_SHARED), re.DOTALL)
+# One capture per token, for `findall`: blanks without a newline are skipped
+# in front of it, and a blank run holding newlines is captured, so the line
+# count can follow. The grammar's own groups become non-capturing.
+_SCAN_RE = re.compile(
+    r"[ \t\r\f\v]*(\n[ \t\r\f\v\n]*|"
+    + "|".join(re.sub(r"\(\?P<\w+>", "(?:", pattern) for _name, pattern in _GRAMMAR)
+    + ")", re.DOTALL)
 
-_TOKEN_KINDS = {"id": "id", "escaped": "id", "number": "number", "string": "string",
-                "punct": "punct", "sysid": "sysid", "directive": "directive"}
+# What a text starting with one of these is, the scan alone decides: an
+# identifier, a number or punctuation. Any other text is matched again
+# against the named grammar.
+_PLAIN_START = frozenset(_LETTERS + "0123456789_'" + "".join(
+    p[0] for p in _PUNCTUATION if p[0] not in "/("))
+# the punctuation among texts starting with "/" or "("
+_PLAIN_TEXTS = frozenset(p for p in _PUNCTUATION if p[0] in "/(")
+_KEPT = frozenset(["id", "escaped", "number", "string", "punct", "sysid", "directive"])
 _UNTERMINATED = {"/": "unterminated block comment", "(": "unterminated attribute block"}
 
 
-# slots: range bounds keep their tokens for as long as the design lives
-@dataclass(slots=True)
-class Token:
-    kind: str  # 'id', 'number', 'string', 'punct', 'sysid', 'directive', 'diag'
-    value: str
-    line: int
+# A token is its text, and each text `tokenize` keeps tells its kind by
+# itself: an identifier starts with a letter, "_" or (escaped) "\", a number
+# with a digit or with a "'" that has more after it, a system id with "$", a
+# directive with "`" and a string with '"'. The rest is punctuation, so a
+# keyword or punctuation is told by equality with its text.
+ID_START = frozenset(_LETTERS + "_\\")
 
-    def is_keyword(self, *words: str) -> bool:
-        return self.kind == "id" and self.value in words
+
+def is_number(text: str) -> bool:
+    first = text[0]
+    return first.isdecimal() or (first == "'" and len(text) > 1)
+
+
+@dataclass(slots=True)
+class Tokens:
+    """A tokenized text: each token's text and line, in order, plus the
+    (message, line) pairs of what could not be a token."""
+    texts: List[str]
+    lines: List[int]
+    diagnostics: List[Tuple[str, int]]
+
+    def __len__(self) -> int:
+        return len(self.texts)
 
 
 def strip_comments(text: str) -> Tuple[str, List[Tuple[str, int]]]:
@@ -122,26 +158,40 @@ def strip_comments(text: str) -> Tuple[str, List[Tuple[str, int]]]:
     return _COMMENT_RE.sub(blank, text), diags
 
 
-def tokenize(source: str) -> List[Token]:
+def tokenize(source: str) -> Tokens:
     """Tokenize Verilog source text.
 
     Comments and attribute blocks produce no token; strings, escaped
     identifiers and based literals each form one token. Unterminated
-    constructs and stray characters yield a 'diag' token instead of failing.
+    constructs and stray characters add a diagnostic instead of failing.
     """
-    tokens: List[Token] = []
+    texts: List[str] = []
+    lines: List[int] = []
+    diagnostics: List[Tuple[str, int]] = []
     line = 1
-    for m in _TOKEN_RE.finditer(source):
-        group, value = m.lastgroup, m.group()
-        kind = _TOKEN_KINDS.get(group)
-        if kind is not None:
-            if group == "string" and m.group("closed") is None:
-                tokens.append(Token("diag", "unterminated string literal", line))
-            tokens.append(Token(kind, value, line))
-        elif group == "unterminated":
-            tokens.append(Token("diag", _UNTERMINATED[value[0]], line))
-        elif group == "other":
-            tokens.append(Token("diag", f"unexpected character {value!r}", line))
-        if "\n" in value:  # else keep the line's int: range bounds keep their tokens
-            line += value.count("\n")
-    return tokens
+    for text in _SCAN_RE.findall(source):
+        first = text[0]
+        if first in _PLAIN_START:
+            texts.append(text)
+            lines.append(line)
+            if "\n" in text:  # a based literal with its size a line above
+                line += text.count("\n")
+        elif first == "\n":
+            line += text.count("\n")
+        elif text in _PLAIN_TEXTS:
+            texts.append(text)
+            lines.append(line)
+        else:
+            m = re.match(_TOKEN_PATTERN, text, re.DOTALL)
+            group = m.lastgroup
+            if group in _KEPT:
+                if group == "string" and m.group("closed") is None:
+                    diagnostics.append(("unterminated string literal", line))
+                texts.append(text)
+                lines.append(line)
+            elif group == "unterminated":
+                diagnostics.append((_UNTERMINATED[first], line))
+            elif group == "other":
+                diagnostics.append((f"unexpected character {text!r}", line))
+            line += text.count("\n")
+    return Tokens(texts, lines, diagnostics)

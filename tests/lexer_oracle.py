@@ -1,12 +1,23 @@
-"""The character-loop lexer that `assetscout.tokenizer` replaced, kept as a
-test oracle: on comment-free text the master-regex `tokenize` must give the
-same tokens, except for the corrected lines after multi-line tokens.
+"""Two lexers that `assetscout.tokenizer` replaced, kept as test oracles.
+
+- `tokenize`, the character loop: on comment-free text the current lexer
+  must give the same tokens, except for the corrected lines after
+  multi-line tokens.
+- `master_regex_tokenize`, one match object and one `Token` per token: the
+  current lexer must give its non-diag values and lines, and its diag
+  (message, line) pairs, in order.
 """
 
 import re
+from dataclasses import dataclass
 from typing import List, Tuple
 
-from assetscout.tokenizer import Token
+
+@dataclass
+class Token:
+    kind: str  # 'id', 'number', 'string', 'punct', 'sysid', 'directive', 'diag'
+    value: str
+    line: int
 
 # Longest first so e.g. "<=" wins over "<".
 _PUNCTUATION = [
@@ -164,4 +175,48 @@ def tokenize(source: str) -> List[Token]:
         else:
             tokens.append(Token("diag", f"unexpected character {c!r}", line))
             i += 1
+    return tokens
+
+
+_SHARED = [
+    ("line_comment", r"//[^\n]*"),
+    ("block_comment", r"/\*.*?\*/"),
+    ("attribute", r"\(\*(?!\)).*?\*\)"),
+    ("unterminated", r"(?:/\*|\(\*(?!\))).*"),
+    ("string", r'"(?:[^"\\\n]|\\.?)*(?P<closed>")?'),
+    ("escaped", r"\\[^ \t\r\n]*"),
+]
+_TOKEN_RE = re.compile("(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in [
+    ("space", r"[ \t\r\f\v\n]+"),
+    ("id", r"[A-Za-z_][A-Za-z0-9_$]*"),
+    ("number", r"(?:\d[\d_]*\s*)?'\s*[sS]?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+"
+               r"|\d[\d_]*\.\d[\d_]*|\d[\d_]*"),
+    *_SHARED,
+    ("sysid", r"\$[A-Za-z_][A-Za-z0-9_$]*"),
+    ("directive", r"`[A-Za-z_][A-Za-z0-9_$]*"),
+    ("punct", "|".join(map(re.escape, _PUNCTUATION))),
+    ("other", r"."),
+]) + ")", re.DOTALL)
+_TOKEN_KINDS = {"id": "id", "escaped": "id", "number": "number", "string": "string",
+                "punct": "punct", "sysid": "sysid", "directive": "directive"}
+_UNTERMINATED = {"/": "unterminated block comment", "(": "unterminated attribute block"}
+
+
+def master_regex_tokenize(source: str) -> List[Token]:
+    """One `Token` per match of the master regex, diags in stream order."""
+    tokens: List[Token] = []
+    line = 1
+    for m in _TOKEN_RE.finditer(source):
+        group, value = m.lastgroup, m.group()
+        kind = _TOKEN_KINDS.get(group)
+        if kind is not None:
+            if group == "string" and m.group("closed") is None:
+                tokens.append(Token("diag", "unterminated string literal", line))
+            tokens.append(Token(kind, value, line))
+        elif group == "unterminated":
+            tokens.append(Token("diag", _UNTERMINATED[value[0]], line))
+        elif group == "other":
+            tokens.append(Token("diag", f"unexpected character {value!r}", line))
+        if "\n" in value:
+            line += value.count("\n")
     return tokens

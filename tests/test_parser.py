@@ -18,7 +18,7 @@ from assetscout.syntax import (
     CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT,
     Statement,
 )
-from assetscout.tokenizer import RESERVED_WORDS, Token, tokenize
+from assetscout.tokenizer import RESERVED_WORDS, tokenize
 
 from conftest import MINI_CORPUS, SPLITTER_FILE, parse_tree
 from fixtures_rtl import AB_SOURCE
@@ -385,8 +385,8 @@ _EXPR = st.recursive(_OPERAND, _combine, max_leaves=8)
 
 def _retokenized_width(range_expr, params):
     """Width by joining the bound tokens to text and tokenizing it again."""
-    msb, lsb = (eval_const_expr(tokenize(" ".join(t.value for t in toks)), params)
-                for toks in range_expr)
+    msb, lsb = (eval_const_expr(tokenize(" ".join(texts)).texts, params)
+                for texts in range_expr)
     if msb is None or lsb is None:
         return None
     return abs(msb - lsb) + 1
@@ -421,17 +421,17 @@ def test_preprocess_keeps_line_count(lines):
 
 def recursive_parse_if(self, mod, guards):
     """Oracle: the `if` parser that recurses into each `else if`."""
-    kw = self.expect("if")
+    line = self.expect("if")
     self.expect("(")
     cond_ids = collect_identifiers(self.collect_until(")"))
     then_stmts = self._parse_statement(mod, guards + cond_ids)
     else_stmts = []
     branches = 1
-    if self.peek() is not None and self.peek().is_keyword("else"):
-        self.advance()
+    if self.texts[self.pos] == "else":
+        self.pos += 1
         branches = 2
         else_stmts = self._parse_statement(mod, guards + cond_ids)
-    head = Statement(IF_STMT, kw.line, cond_idents=cond_ids,
+    head = Statement(IF_STMT, line, cond_idents=cond_ids,
                      body_statement_count=max(len(then_stmts), len(else_stmts)),
                      branch_count=branches)
     return [head] + then_stmts + else_stmts
@@ -488,8 +488,25 @@ def test_long_else_if_chain_parses(tmp_path):
                  str(tmp_path / "report.json")]) == EXIT_OK
 
 
-def closure_eval_const_expr(tokens, params):
+def _kind(text):
+    """A token's kind, as the lexer that made tokens with kinds named it."""
+    if text[0].isdecimal() or (text[0] == "'" and len(text) > 1):
+        return "number"
+    if text[0].isalpha() or text[0] in "_\\":
+        return "id"
+    return "string" if text[0] == '"' else "punct"
+
+
+class _Tok:
+    """A token with a kind, built from its text."""
+
+    def __init__(self, text):
+        self.kind, self.value = _kind(text), text
+
+
+def closure_eval_const_expr(texts, params):
     """Oracle: the evaluator built from closures over a shared position."""
+    tokens = [_Tok(t) for t in texts]
     pos = [0]
 
     def peek():
@@ -567,24 +584,23 @@ def closure_eval_const_expr(tokens, params):
 # known, unresolved (None) and unknown identifiers
 _PARAMS = {"P": 6, "Q": 11, "Z": 0, "NONE": None}
 _RAW_TOKEN = st.one_of(
-    st.integers(min_value=0, max_value=10**6).map(lambda n: Token("number", str(n), 1)),
+    st.integers(min_value=0, max_value=10**6).map(str),
     st.sampled_from(["8'd12", "4'hF", "'b101", "4'bx1", "8'sd3", "1.5", "'h",
-                     "3'o7", "12_000"]).map(lambda v: Token("number", v, 1)),
-    st.sampled_from(list(_PARAMS) + ["UNDEF"]).map(lambda v: Token("id", v, 1)),
-    st.sampled_from(["+", "-", "*", "/", "(", ")", ":", "?", "["]).map(
-        lambda v: Token("punct", v, 1)),
-    st.just(Token("string", '"s"', 1)))
+                     "3'o7", "12_000"]),
+    st.sampled_from(list(_PARAMS) + ["UNDEF"]),
+    st.sampled_from(["+", "-", "*", "/", "(", ")", ":", "?", "["]),
+    st.just('"s"'))
 
 
 def _drop_one(expr, at):
-    """The tokens of `expr` with one of them left out, e.g. a `)`."""
-    tokens = tokenize(expr)
-    del tokens[at % len(tokens)]
-    return tokens
+    """The token texts of `expr` with one of them left out, e.g. a `)`."""
+    texts = tokenize(expr).texts
+    del texts[at % len(texts)]
+    return texts
 
 
 @settings(max_examples=500, deadline=None)
-@given(tokens=st.one_of(_EXPR.map(tokenize),
+@given(tokens=st.one_of(_EXPR.map(lambda expr: tokenize(expr).texts),
                         st.builds(_drop_one, _EXPR, st.integers(0, 40)),
                         st.lists(_RAW_TOKEN, max_size=12)))
 def test_eval_const_expr_matches_closure_oracle(tokens):
@@ -596,7 +612,7 @@ def test_each_distinct_range_is_evaluated_once_per_module(monkeypatch):
     original = assetscout.parser._range_width
 
     def counting(range_expr, params):
-        key = tuple(tuple(t.value for t in toks) for toks in range_expr)
+        key = tuple(tuple(texts) for texts in range_expr)
         calls.append((params["W"], key))
         return original(range_expr, params)
     monkeypatch.setattr(assetscout.parser, "_range_width", counting)
@@ -641,11 +657,43 @@ def test_module_keyword_at_end_of_file_is_a_diagnostic():
         [("malformed module: expected module name, got end of file", "error", 3)]
 
 
+@pytest.mark.parametrize("connections", [".", ".a(x), ."])
+def test_named_connection_dot_without_port_name_is_a_diagnostic(connections):
+    unit = parse_source(f"module t (input a);\n sub u({connections});\nendmodule\n"
+                        "module s (input b);\nendmodule\n")
+    assert [m.name for m in unit.modules] == ["s"]
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        ("malformed module: expected port name, got ')'", "error", 2)]
+
+
+def test_case_keyword_cut_at_end_of_file_is_a_diagnostic():
+    unit = parse_source("module a (input x);\nendmodule\nmodule m;\nalways unique")
+    assert [m.name for m in unit.modules] == ["a"]
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        ("malformed module: expected '(', got end of file", "error", 4)]
+
+
+def test_systemverilog_integer_types_declare_nets():
+    # IEEE 1800-2017 6.11: int 32, byte 8, shortint 16 and longint 64 bits
+    mod = parse_source("""
+        module t (input clk);
+          int count;
+          byte b, c;
+          shortint s = 3;
+          longint unsigned l;
+        endmodule
+    """).modules[0]
+    assert [(n.name, n.width_bits) for n in mod.nets] == [
+        ("count", 32), ("b", 8), ("c", 8), ("s", 16), ("l", 64)]
+    assert [(s.lhs_idents, s.continuous) for s in mod.statements] == [(["s"], True)]
+
+
 _SOUP = ["module", "macromodule", "endmodule", "m", "(", ")", "[", "]", ":", ",",
          ";", "=", "<=", "#", "@", "*", "?", "input", "output", "wire", "reg",
          "parameter", "begin", "end", "if", "else", "case", "endcase", "default",
          "always", "assign", "generate", "W", "-", "1", "8'hFF", "a", "q", "u0",
-         ".", ".*", "localparam", "inout", "integer", "signed"]
+         ".", ".*", "localparam", "inout", "integer", "signed", "unique", "int",
+         "byte"]
 
 
 @settings(max_examples=300, deadline=None)

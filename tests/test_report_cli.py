@@ -3,6 +3,7 @@
 import ast
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import sys
@@ -22,7 +23,7 @@ from assetscout.report import (
     FORMATS, SCHEMA_VERSION, NoRtlFilesError, emit_keyword_stats, run_pipeline,
 )
 from assetscout.syntax import SignalDecl, Statement
-from assetscout.tokenizer import Token
+from assetscout.tokenizer import Tokens
 
 from conftest import (
     CORPUS_FAMILIES, FIXTURES, MINI_CORPUS, SPLITTER_DIR, SPLITTER_TRUTH, TESTS_DIR,
@@ -272,6 +273,34 @@ def test_cli_bad_ground_truth_exit_4(tmp_path, capsys):
     assert code == EXIT_BAD_CONFIG
 
 
+def test_cli_unreadable_ground_truth_exit_4(tmp_path, capsys):
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes("module,signal,is_asset\nm,cl\xe9,1\n".encode("latin-1"))
+    oversized = tmp_path / "oversized.csv"  # past the csv module's field limit
+    oversized.write_text("module,signal,is_asset\nm," + "s" * 200_000 + ",1\n")
+    for path in (tmp_path / "missing.csv", tmp_path, undecodable, oversized):
+        code = main(["--rtl-dir", SPLITTER_DIR, "--ground-truth", str(path)])
+        assert code == EXIT_BAD_CONFIG, path
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, err
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.one_of(
+    st.binary(max_size=64),
+    st.lists(st.sampled_from([b"module,signal,is_asset\n", b"m,s,1\n", b"m,s,0\n",
+                              b'"', b",", b"\n", b"\r", b"\x00", b"\xff", b"\xc3\xa9",
+                              b"yes", b"data_splitter,load,true\n"]),
+             max_size=12).map(b"".join)))
+def test_cli_any_ground_truth_bytes_exit_0_or_4(tmp_path, capsys, data):
+    path = tmp_path / "truth.csv"
+    path.write_bytes(data)
+    out = tmp_path / "report.json"
+    assert main(["--rtl-dir", SPLITTER_DIR, "--ground-truth", str(path),
+                 "--out", str(out)]) in (EXIT_OK, EXIT_BAD_CONFIG)
+
+
 def test_cli_ground_truth_evaluation(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["--rtl-dir", SPLITTER_DIR, "--ground-truth", SPLITTER_TRUTH,
@@ -320,12 +349,33 @@ def test_fixture_reports_match_pinned_digests(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned[name], name
 
 
+def _bench_gen():
+    """bench/gen.py, loaded by its path: the benchmark's corpus generator."""
+    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(BENCH_DIR, "gen.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_workload_reports_match_pinned_digests(tmp_path, capsys):
+    with open(os.path.join(BENCH_DIR, "pinned.json"), encoding="utf-8") as fh:
+        pinned = json.load(fh)["workloads"]
+    gen = _bench_gen()
+    assert sorted(gen.WORKLOADS) == sorted(pinned)
+    for name in sorted(pinned):
+        manifest = gen.generate(name, 1, str(tmp_path / name))
+        out = tmp_path / f"{name}.json"
+        assert main(["--rtl-dir", manifest["rtl_dir"], "--out", str(out)]
+                    + manifest["args"]) == EXIT_OK
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned[name], name
+
+
 def _cyclic_garbage_of_ours():
     """What a full collection finds unreachable: the package's functions
     (closures left in a reference cycle) and its parse objects."""
     gc.collect()
     return [o for o in gc.garbage
-            if isinstance(o, (Token, SignalDecl, Statement))
+            if isinstance(o, (Tokens, SignalDecl, Statement))
             or (isinstance(o, types.FunctionType)
                 and o.__module__.startswith("assetscout"))]
 

@@ -7,15 +7,33 @@ from hypothesis import strategies as st
 
 import assetscout.tokenizer
 from assetscout.tokenizer import (
-    RESERVED_WORDS, SYSTEMVERILOG_KEYWORDS, VERILOG_2005_KEYWORDS,
-    strip_comments, tokenize,
+    ID_START, RESERVED_WORDS, SYSTEMVERILOG_KEYWORDS, VERILOG_2005_KEYWORDS, Tokens,
+    is_number, strip_comments, tokenize,
 )
 
 import lexer_oracle
 
 
 def values(source):
-    return [t.value for t in tokenize(source) if t.kind != "diag"]
+    return tokenize(source).texts
+
+
+_KINDS_BY_FIRST = {"$": "sysid", "`": "directive", '"': "string", "_": "id", "\\": "id"}
+
+
+def kind(text):
+    """The kind a token's text tells, as the parser reads it."""
+    first = text[0]
+    if first.isdecimal() or (first == "'" and len(text) > 1):
+        return "number"
+    if first.isalpha():
+        return "id"
+    return _KINDS_BY_FIRST.get(first, "punct")
+
+
+def triples(tokens):
+    """(kind, text, line) of each token."""
+    return [(kind(t), t, line) for t, line in zip(tokens.texts, tokens.lines)]
 
 
 def test_conditional_assignment_line():
@@ -25,7 +43,7 @@ def test_conditional_assignment_line():
 
 
 def test_empty_input():
-    assert tokenize("") == []
+    assert tokenize("") == Tokens([], [], [])
 
 
 def test_comments_are_stripped():
@@ -34,13 +52,13 @@ def test_comments_are_stripped():
 
 def test_block_comment_keeps_line_numbers():
     toks = tokenize("/* one\ntwo */ wire w;")
-    assert [t.value for t in toks] == ["wire", "w", ";"]
-    assert toks[0].line == 2
+    assert toks.texts == ["wire", "w", ";"]
+    assert toks.lines[0] == 2
     # an escaped newline in a string and a size on the line above its base
     # make multi-line tokens too
     for source in ('"a\\\nb"\nx', "8\n'hFF\nx"):
-        last = tokenize(source)[-1]
-        assert (last.value, last.line) == ("x", 3)
+        last = triples(tokenize(source))[-1]
+        assert (last[1], last[2]) == ("x", 3)
 
 
 def test_attribute_block_is_stripped():
@@ -49,29 +67,28 @@ def test_attribute_block_is_stripped():
 
 def test_based_literals_are_single_tokens():
     toks = tokenize("2'b00 128'hFF 8'd15")
-    assert [t.kind for t in toks] == ["number"] * 3
-    assert toks[1].value == "128'hFF"
+    assert [kind(t) for t in toks.texts] == ["number"] * 3
+    assert toks.texts[1] == "128'hFF"
 
 
 def test_string_literal_is_single_token():
     toks = tokenize('$display("wire // not a comment");')
-    strings = [t for t in toks if t.kind == "string"]
+    strings = [t for t in toks.texts if kind(t) == "string"]
     assert len(strings) == 1
-    assert strings[0].value == '"wire // not a comment"'
+    assert strings[0] == '"wire // not a comment"'
 
 
 def test_escaped_identifier_is_single_token():
     toks = tokenize("wire \\foo!bar ;")
-    assert [t.value for t in toks] == ["wire", "\\foo!bar", ";"]
-    assert toks[1].kind == "id"
+    assert toks.texts == ["wire", "\\foo!bar", ";"]
+    assert kind(toks.texts[1]) == "id"
 
 
 def test_escaped_identifier_hides_quotes_and_comment_openers():
     # IEEE 1364-2005 3.7.1: an escaped identifier runs to whitespace
     source = 'wire \\a"b ;\nwire \\c//d ;\nwire \\e/*f ;\nwire \\g(*h ;'
     assert strip_comments(source) == (source, [])
-    toks = [(t.kind, t.value, t.line) for t in tokenize(source)
-            if t.value.startswith("\\")]
+    toks = [t for t in triples(tokenize(source)) if t[1].startswith("\\")]
     assert toks == [("id", '\\a"b', 1), ("id", "\\c//d", 2),
                     ("id", "\\e/*f", 3), ("id", "\\g(*h", 4)]
 
@@ -80,13 +97,13 @@ def test_unterminated_block_comment_yields_diagnostic():
     _text, diags = strip_comments("wire w; /* never closed")
     assert any("unterminated block comment" in msg for msg, _line in diags)
     toks = tokenize("wire w; /* never closed")
-    assert any(t.kind == "diag" for t in toks)
+    assert toks.diagnostics
     assert values("wire w; /* never closed") == ["wire", "w", ";"]
 
 
 def test_unterminated_string_yields_diagnostic():
     toks = tokenize('x = "open')
-    assert any(t.kind == "diag" for t in toks)
+    assert toks.diagnostics
 
 
 def test_compound_operators_win_over_prefixes():
@@ -126,18 +143,54 @@ _FRAGMENTS = lexer_oracle._PUNCTUATION + [
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40))
 def test_tokenize_matches_oracle_on_comment_free_text(fragments):
     text, _diags = strip_comments("".join(fragments))
-    new = [(t.kind, t.value, t.line) for t in tokenize(text)]
+    tokens = tokenize(text)
+    new = triples(tokens)
     # a quote closing a string early can leave a backslash outside it
     assume(not any(v.startswith("\\") and any(s in v for s in ('"', "//", "/*", "(*"))
                    for _k, v, _l in new))
     # the oracle's own comment strip reports each unterminated string again,
     # ahead of all tokens
     repeated = len(lexer_oracle.strip_comments(text)[1])
-    old = [(t.kind, t.value, t.line) for t in lexer_oracle.tokenize(text)[repeated:]]
+    oracle = lexer_oracle.tokenize(text)[repeated:]
+    # diagnostics are not tokens any more: compare them on their own
+    old = [(t.kind, t.value, t.line) for t in oracle if t.kind != "diag"]
+    old_diags = [(t.value, t.line) for t in oracle if t.kind == "diag"]
     assert [t[:2] for t in new] == [t[:2] for t in old]
+    assert [d[0] for d in tokens.diagnostics] == [d[0] for d in old_diags]
     # the oracle does not count newlines inside tokens
-    if not any("\n" in value for _kind, value, _line in old):
+    if not any("\n" in t.value for t in oracle):
         assert new == old
+        assert tokens.diagnostics == old_diags
+
+
+# Raw text for the lexer: comments and attributes (closed, unterminated and
+# the event control `(*)`), strings with escaped newlines or left open, lone
+# `$` and `` ` ``, blanks other than newline, non-ASCII characters and sized
+# literals with their size a line above the base
+_RAW_FRAGMENTS = _FRAGMENTS + [
+    "*)", "*/", "(* a\nb *)", "/* a\nb", "(* a\n", '"a\\\n\\\nb"', '"open\n',
+    "8\n'hFF", "4'b\n10", "16 '\nsd 7", "'\nh1", "\f\n", "\v\n", "\u2028",
+    "\x85", "\x1f", "\ufeff",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_RAW_FRAGMENTS),
+                          st.text(alphabet="/*()\"\\$`'8hbs_ \t\n\f\v\xe9", max_size=5)),
+                max_size=40))
+def test_tokenize_matches_master_regex_oracle(fragments):
+    text = "".join(fragments)
+    oracle = lexer_oracle.master_regex_tokenize(text)
+    tokens = tokenize(text)
+    kept = [t for t in oracle if t.kind != "diag"]
+    assert tokens.texts == [t.value for t in kept]
+    assert tokens.lines == [t.line for t in kept]
+    assert tokens.diagnostics == [(t.value, t.line) for t in oracle if t.kind == "diag"]
+    assert len(tokens) == len(kept)
+    # the parser reads each kind from the text alone
+    assert [kind(t) for t in tokens.texts] == [t.kind for t in kept]
+    assert [is_number(t) for t in tokens.texts] == [t.kind == "number" for t in kept]
+    assert [t[0] in ID_START for t in tokens.texts] == [t.kind == "id" for t in kept]
 
 
 # Oracle: the comment pattern without the lookahead, which tries every

@@ -19,7 +19,7 @@ from .matcher import ImportantElement, count_keyword_occurrences, match_elements
 from .patterns import (  # noqa: F401
     BehaviorClassification, classify_behaviors, classify_design,
 )
-from .rules import CandidateAsset, apply_family_rules, default_rules  # noqa: F401
+from .rules import CandidateAsset, apply_family_rules  # noqa: F401
 from .refine import PrimaryAsset, link_status_to_control  # noqa: F401
 from .evaluation import (  # noqa: F401
     EvalResult, GroundTruth, GroundTruthError, evaluate, load_ground_truth,

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .syntax import (
-    ASSIGN_KINDS, TERNARY_STMT,
+    ASSIGN_KINDS, TERNARY_STMT, WILDCARD,
     Diagnostic, ModuleDef, SignalDecl, SourceUnit,
 )
 
@@ -32,15 +32,20 @@ class DesignDatabase:
     modules_by_name: Dict[str, ModuleDef] = field(default_factory=dict)
     top_modules: List[str] = field(default_factory=list)
     instantiation_parents: Dict[str, Set[str]] = field(default_factory=dict)
-    signal_index: Dict[SignalRef, SignalDecl] = field(default_factory=dict)
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
     @property
     def signal_count(self) -> int:
-        return len(self.signal_index)
+        """Distinct signal names, summed over the modules."""
+        return sum(len(mod.signals()) for mod in self.modules_by_name.values())
 
     def module(self, name: str) -> ModuleDef:
         return self.modules_by_name[name]
+
+    def signal(self, ref: SignalRef) -> Optional[SignalDecl]:
+        """`ModuleDef.signal` of `ref`'s module, or None for an unknown module."""
+        mod = self.modules_by_name.get(ref[0])
+        return None if mod is None else mod.signal(ref[1])
 
     def modules_under(self, top: str) -> Set[str]:
         """Modules in `top`'s instantiation tree, including `top` itself."""
@@ -72,11 +77,6 @@ def build_database(units: Sequence[SourceUnit]) -> DesignDatabase:
             db.modules_by_name[mod.name] = mod
     if not db.modules_by_name:
         raise DesignError("empty design: no modules found in any source unit")
-
-    # rebuild signal index from the surviving definitions
-    for name, mod in db.modules_by_name.items():
-        for decl in mod.all_signals():
-            db.signal_index[(name, decl.name)] = decl
 
     for parent_name, mod in db.modules_by_name.items():
         for inst in mod.instantiations:
@@ -110,7 +110,9 @@ def build_connectivity(db: DesignDatabase) -> List[ConnEdge]:
     Instantiation connections link parent actuals to child formals;
     assignments link every rhs (and guarding condition) identifier to every
     lhs identifier.  Endpoints must be known signals, otherwise the edge is
-    skipped and counted in the diagnostics.
+    skipped and counted in the diagnostics.  A wildcard `.*` connects each
+    child port the instance does not name to the same-named parent signal,
+    if there is one (IEEE 1800-2017 §23.3.2.4).
     """
     edges: List[ConnEdge] = []
     skipped = 0
@@ -128,11 +130,11 @@ def build_connectivity(db: DesignDatabase) -> List[ConnEdge]:
             via = VIA_CONTINUOUS if stmt.continuous else VIA_PROCEDURAL
             sources = list(dict.fromkeys(stmt.rhs_idents + stmt.cond_idents))
             for lhs in stmt.lhs_idents:
-                if (mod_name, lhs) not in db.signal_index:
+                if mod.signal(lhs) is None:
                     skipped += 1
                     continue
                 for src in sources:
-                    if (mod_name, src) not in db.signal_index:
+                    if mod.signal(src) is None:
                         skipped += 1
                         continue
                     add((mod_name, src), (mod_name, lhs), via)
@@ -140,26 +142,32 @@ def build_connectivity(db: DesignDatabase) -> List[ConnEdge]:
             child = db.modules_by_name.get(inst.target_module)
             if child is None:
                 continue
-            order = child.port_order()
             for formal, actual_ids in inst.connections:
+                if formal == WILDCARD:
+                    named = {f for f, _ids in inst.connections}
+                    for port in dict.fromkeys(p.name for p in child.ports):
+                        if port not in named and mod.signal(port) is not None:
+                            add((mod_name, port), (inst.target_module, port),
+                                VIA_INSTANTIATION)
+                    continue
                 if isinstance(formal, int):
-                    if formal >= len(order):
+                    if formal >= len(child.ports):
                         skipped += 1
                         db.diagnostics.append(Diagnostic(
                             f"positional connection {formal} out of range for "
                             f"'{inst.target_module}'", "warning", inst.line))
                         continue
-                    formal_name = order[formal]
+                    formal_name = child.ports[formal].name
                 else:
                     formal_name = formal
-                if (inst.target_module, formal_name) not in db.signal_index:
+                if child.signal(formal_name) is None:
                     skipped += 1
                     db.diagnostics.append(Diagnostic(
                         f"connection to unknown port "
                         f"'{inst.target_module}.{formal_name}'", "warning", inst.line))
                     continue
                 for actual in actual_ids:
-                    if (mod_name, actual) not in db.signal_index:
+                    if mod.signal(actual) is None:
                         skipped += 1
                         continue
                     add((mod_name, actual), (inst.target_module, formal_name),

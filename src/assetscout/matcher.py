@@ -60,14 +60,15 @@ def fragment_matches(lower_name: str, group: PartialKeywordGroup) -> List[Tuple[
 def match_elements(db: DesignDatabase, config: FamilyConfig) -> List[ImportantElement]:
     """Stage 2: every signal with at least one partial-keyword match.
 
-    Clock/reset variants and reserved words are excluded up front; output is
-    ordered by (module name, declaration line, signal name).
+    Each name is seen once, as `ModuleDef.signal` resolves it. Clock/reset
+    variants and reserved words are excluded up front; output is ordered by
+    (module name, declaration line, signal name).
     """
     exclusions = config.exclusion_set()
     out: List[ImportantElement] = []
     for mod_name in sorted(db.modules_by_name):
         mod = db.modules_by_name[mod_name]
-        decls = sorted(mod.all_signals(), key=lambda d: (d.decl_line, d.name))
+        decls = sorted(mod.signals(), key=lambda d: (d.decl_line, d.name))
         for decl in decls:
             lower = decl.name.lower()
             if lower in exclusions:
@@ -82,18 +83,13 @@ def match_elements(db: DesignDatabase, config: FamilyConfig) -> List[ImportantEl
 
 
 def count_keyword_occurrences(db: DesignDatabase, config: FamilyConfig) -> Dict[str, int]:
-    """Per-group count of signals whose name contains any group fragment.
+    """Per-group count of the `match_elements` that the group matched.
 
     Signals hit by the global exclusions are not counted; a signal matching
     several groups contributes to each of them.
     """
-    excl = config.exclusion_set()
     counts = {g.name: 0 for g in config.groups}
-    for (_mod, name), _decl in db.signal_index.items():
-        lower = name.lower()
-        if lower in excl:
-            continue
-        for group in config.groups:
-            if fragment_matches(lower, group):
-                counts[group.name] += 1
+    for element in match_elements(db, config):
+        for group in element.group_names:
+            counts[group] += 1
     return counts

@@ -17,19 +17,19 @@ from .tokenizer import (
 )
 from .syntax import (
     BLOCKING_ASSIGN, CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, INOUT, INPUT, NET,
-    NONBLOCKING_ASSIGN, OUTPUT, TERNARY_STMT,
+    NONBLOCKING_ASSIGN, OUTPUT, TERNARY_STMT, WILDCARD,
     Diagnostic, Instantiation, ModuleDef, SignalDecl, SourceUnit, Statement,
 )
 
 RTL_EXTENSIONS = (".v", ".sv", ".vh", ".svh")
 MAX_INCLUDE_DEPTH = 17  # files on an include chain, the parsed file included
 
-# net type -> width of a net declared without a range; the SystemVerilog
-# integer types as in IEEE 1800-2017 §6.11
+# net type -> width of a net declared without a range; `time` as in IEEE
+# 1364-2005 §4.8, the SystemVerilog integer types as in IEEE 1800-2017 §6.11
 _NET_TYPES = dict.fromkeys(
     ["wire", "reg", "logic", "tri", "tri0", "tri1", "wand", "wor", "triand",
      "trior", "trireg", "supply0", "supply1", "uwire", "bit", "real", "realtime"], 1)
-_NET_TYPES.update(integer=32, time=32, int=32, byte=8, shortint=16, longint=64)
+_NET_TYPES.update(integer=32, time=64, int=32, byte=8, shortint=16, longint=64)
 _Range = Tuple[List[str], List[str]]  # the (msb, lsb) texts of `[msb:lsb]`
 _DIRECTIONS = {"input": INPUT, "output": OUTPUT, "inout": INOUT}
 _MODULE_KEYWORDS = frozenset(["module", "macromodule"])
@@ -233,7 +233,7 @@ def _split_ternary(texts: Sequence[str]) -> Tuple[List[str], List[str]]:
             depth += 1
         elif t in _CLOSE:
             depth -= 1
-        elif t == "?" and depth == 0:
+        elif t == "?" and depth <= 0:
             return list(texts[:idx]), list(texts[idx + 1:])
     return [], list(texts)
 
@@ -361,31 +361,19 @@ class _Parser:
         self.pos = pos + 1
         return self.lines[pos]
 
-    def skip_until(self, value: str) -> None:
-        """Advance past the next `value` outside brackets, or to the end."""
-        texts = self.texts
-        i, end = self.pos, self.end
-        depth = 0
-        while i < end:
-            t = texts[i]
-            i += 1
-            if t in _OPEN:
-                depth += 1
-            elif t in _CLOSE:
-                depth -= 1
-            elif depth <= 0 and t == value:
-                break
-        self.pos = i
-
     def collect_until(self, *values: str, consume: bool = True) -> List[str]:
-        """Texts up to (not including) a top-level occurrence of `values`."""
+        """Texts up to (not including) a top-level occurrence of `values`.
+
+        A stray closer makes the depth negative, which counts as top level:
+        one extra `)` cannot carry the search to the end of the file.
+        """
         texts = self.texts
         start = i = self.pos
         end = self.end
         depth = 0
         while i < end:
             t = texts[i]
-            if depth == 0 and t in values:
+            if depth <= 0 and t in values:
                 self.pos = i + 1 if consume else i
                 return texts[start:i]
             if t in _OPEN:
@@ -489,24 +477,15 @@ class _Parser:
 
     def _parse_range(self) -> _Range:
         self.expect("[")
-        texts = self.texts
-        start = i = self.pos
-        depth = 0
-        while i < self.end:
-            t = texts[i]
-            if depth == 0 and t == ":":
-                self.pos = i + 1
-                return (texts[start:i], self.collect_until("]"))
-            if depth == 0 and t == "]":
-                self.pos = i + 1
-                return (texts[start:i], ["0"])
-            if t in _OPEN:
-                depth += 1
-            elif t in _CLOSE:
-                depth -= 1
-            i += 1
-        self.pos = i
-        return (texts[start:i], [])
+        msb = self.collect_until(":", "]", consume=False)
+        t = self.texts[self.pos]
+        if t == ":":
+            self.pos += 1
+            return (msb, self.collect_until("]"))
+        if t == "]":
+            self.pos += 1
+            return (msb, ["0"])
+        return (msb, [])
 
     # -- declarations ---------------------------------------------------------
     def _declarators(self, end: str, unterminated: str = "",
@@ -563,7 +542,7 @@ class _Parser:
             elif t in _NET_TYPES:
                 self._parse_net_decl(mod)
             elif t == "genvar" or t == "defparam":
-                self.skip_until(";")
+                self.collect_until(";")
             elif t == "assign":
                 self._parse_continuous_assign(mod)
             elif t in _PROCESSES:
@@ -724,7 +703,7 @@ class _Parser:
             self.pos += 1
             return self._parse_statement(mod, guards)
         if t == "disable" or t == "wait" or t[0] == "$":
-            self.skip_until(";")
+            self.collect_until(";")
             return []
         if t in _PROCEDURAL_ASSIGN_KEYWORDS:
             self.pos += 1
@@ -734,7 +713,7 @@ class _Parser:
         op = texts[self.pos]
         if op != "=" and op != "<=":
             # not an assignment we understand; skip to ';'
-            self.skip_until(";")
+            self.collect_until(";")
             return []
         line = lines[start] if lhs else lines[self.pos]
         self.pos += 1
@@ -815,14 +794,14 @@ class _Parser:
             inst_name = texts[self.pos]
             if not _is_name(inst_name):
                 # not an instantiation after all (e.g. user-defined type decl)
-                self.skip_until(";")
+                self.collect_until(";")
                 return
             line = self.lines[self.pos]
             self.pos += 1
             while texts[self.pos] == "[":
                 self._parse_range()
             if texts[self.pos] != "(":
-                self.skip_until(";")
+                self.collect_until(";")
                 return
             self.pos += 1
             inst = Instantiation(inst_name, target, line=line)
@@ -845,13 +824,13 @@ class _Parser:
                 return
             if t == ",":
                 self.pos += 1
+            elif t == ".*" or (t == "." and texts[self.pos + 1] == "*"):
+                self.pos += 1 if t == ".*" else 2
+                inst.connections.append((WILDCARD, []))
             elif t == ".":
                 line = self.lines[self.pos]
                 self.pos += 1
                 formal = texts[self.pos]
-                if formal == "*":
-                    self.pos += 1
-                    continue
                 if not _is_name(formal):
                     got = "end of file" if self.pos == self.end else repr(formal)
                     raise ParseError(f"expected port name, got {got}", line)
@@ -875,7 +854,7 @@ class _Parser:
         mod.parameters = params
         # the parameters are fixed, so each distinct range is evaluated once
         widths: Dict[tuple, Optional[int]] = {}
-        for decl in mod.all_signals():
+        for decl in mod.ports + mod.nets:
             rng = decl.range_expr
             if rng is not None:
                 key = (tuple(rng[0]), tuple(rng[1]))

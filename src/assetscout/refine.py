@@ -140,7 +140,7 @@ def refine(candidates: Sequence[CandidateAsset],
     net_adj = adjacency(edges, _NET_EXPANSION_VIAS)
 
     def is_port(ref: SignalRef) -> bool:
-        decl = db.signal_index.get(ref)
+        decl = db.signal(ref)
         return decl is not None and decl.is_port and not _is_clock_reset(ref)
 
     # Case 3: a net expands to the port signals it reaches; a port is its
@@ -161,15 +161,15 @@ def refine(candidates: Sequence[CandidateAsset],
             return ref[0] == top and is_port(ref)
 
         # a port search finds top I/O only in a component that holds some
-        top_refs = [(top, s.name) for s in db.modules_by_name[top].all_signals()]
+        top_refs = [(top, s.name) for s in db.modules_by_name[top].signals()]
         top_components = {component.get(ref, ref) for ref in top_refs
                           if is_top_io(ref)}
 
         def emit(root: SignalRef, candidate: CandidateAsset,
                  path: List[ConnEdge], outside: bool = False) -> None:
-            decl = db.signal_index[root]
             asset = merged.get(root)
             if asset is None:
+                decl = db.signal(root)
                 asset = PrimaryAsset(
                     module=root[0], name=root[1],
                     direction=decl.direction, width_bits=decl.width_bits,

@@ -223,8 +223,9 @@ def run_pipeline(rtl_dir: str,
     )
     if ground_truth is not None:
         warnings: List[str] = []
-        report.evaluation = evaluate(assets, ground_truth,
-                                     db.signal_index.keys(), warnings)
+        universe = ((name, decl.name) for name, mod in db.modules_by_name.items()
+                    for decl in mod.signals())
+        report.evaluation = evaluate(assets, ground_truth, universe, warnings)
         for msg in warnings:
             report.diagnostics.append(Diagnostic(msg, "warning", 0))
     if out_path:

@@ -1,12 +1,9 @@
 """Stage 4: family-specific classification rules over matched elements."""
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from .keywords import (
-    BUILTIN_FAMILIES, ClassificationRule, ConfigError, FamilyConfig,
-    load_family_config,
-)
+from .keywords import ClassificationRule, FamilyConfig
 from .matcher import ImportantElement
 from .patterns import BehaviorClassification
 from .syntax import INOUT, INPUT, OUTPUT, SignalDecl
@@ -62,24 +59,20 @@ def rule_applies(rule: ClassificationRule, element: ImportantElement,
 
 def apply_family_rules(important: Sequence[ImportantElement],
                        behaviors: Dict[str, BehaviorClassification],
-                       config: FamilyConfig,
-                       rules: Optional[Sequence[ClassificationRule]] = None,
-                       ) -> List[CandidateAsset]:
+                       config: FamilyConfig) -> List[CandidateAsset]:
     """Emit one CandidateAsset per element satisfying at least one rule.
 
     Rules are ordered; the first satisfied rule is recorded and a signal is
     emitted at most once.  Objectives are the rule's plus those of every
     matched keyword group.
     """
-    if rules is None:
-        rules = config.rules
-    if not rules:
+    if not config.rules:
         raise RuleError(f"family '{config.family}' has no rules")
     out: List[CandidateAsset] = []
     for element in important:
         behavior = behaviors.get(element.module)
         patterns = behavior.patterns_of(element.signal.name) if behavior else []
-        for rule in rules:
+        for rule in config.rules:
             if not rule_applies(rule, element, patterns):
                 continue
             objectives = list(rule.objectives)
@@ -100,11 +93,3 @@ def apply_family_rules(important: Sequence[ImportantElement],
             ))
             break
     return out
-
-
-def default_rules(family: str) -> List[ClassificationRule]:
-    """Bundled ordered rule list for a builtin family."""
-    if family not in BUILTIN_FAMILIES:
-        raise ConfigError(
-            f"unknown family {family!r}; builtins: {', '.join(BUILTIN_FAMILIES)}")
-    return load_family_config(family).rules

@@ -5,7 +5,7 @@ treated as immutable and safe to share across threads.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union, ValuesView
 
 # Signal directions
 INPUT = "Input"
@@ -23,6 +23,9 @@ TERNARY_STMT = "Ternary"
 
 ASSIGN_KINDS = (CONTINUOUS_ASSIGN, BLOCKING_ASSIGN, NONBLOCKING_ASSIGN)
 CONDITIONAL_KINDS = (IF_STMT, CASE_STMT, TERNARY_STMT)
+
+# the formal of a SystemVerilog wildcard connection `.*`
+WILDCARD = "*"
 
 
 @dataclass
@@ -65,7 +68,8 @@ class Statement:
 class Instantiation:
     instance_name: str
     target_module: str
-    # formal is a port name for named connections, an int index for positional
+    # formal is a port name for named connections, an int index for
+    # positional ones, or WILDCARD (with no actuals) for `.*`
     connections: List[Tuple[Union[str, int], List[str]]] = field(default_factory=list)
     line: int = 0
 
@@ -75,7 +79,9 @@ class ModuleDef:
     """One parsed module.
 
     Add ports and nets through `add_port` and `add_net`, which keep the
-    name index behind `signal` up to date.
+    name index behind `signal` up to date. `ports` and `nets` hold every
+    declaration; every stage after the parser sees a name through the index,
+    so a name declared twice means its first port, else its first net.
     """
     name: str
     path: str = ""
@@ -103,15 +109,13 @@ class ModuleDef:
         self.nets.append(decl)
         self._signals.setdefault(decl.name, decl)
 
-    def all_signals(self) -> List[SignalDecl]:
-        return list(self.ports) + list(self.nets)
-
     def signal(self, name: str) -> Optional[SignalDecl]:
         """The first port named `name`, else the first net, else None."""
         return self._signals.get(name)
 
-    def port_order(self) -> List[str]:
-        return [p.name for p in self.ports]
+    def signals(self) -> ValuesView[SignalDecl]:
+        """One declaration per name: the one `signal` resolves it to."""
+        return self._signals.values()
 
 
 @dataclass

@@ -68,7 +68,7 @@ def test_behavior_classifier_fidelity_suite():
 
 
 def _fake_candidate(db, module, name, patterns=("Data",)):
-    return CandidateAsset(module=module, signal=db.signal_index[(module, name)],
+    return CandidateAsset(module=module, signal=db.signal((module, name)),
                           matched_rule="acceptance", patterns=list(patterns),
                           objectives=["Integrity"], matched_groups=[])
 

@@ -7,6 +7,7 @@ from assetscout.design import (
     build_connectivity, build_database, find_top_modules,
 )
 from assetscout.parser import parse_source
+from assetscout.syntax import WILDCARD
 
 from conftest import MINI_CORPUS, build_db, parse_tree
 from fixtures_rtl import AB_SOURCE
@@ -52,9 +53,10 @@ def test_signal_index_is_complete():
     db = build_db(AB_SOURCE)
     expected = set()
     for mod in db.modules_by_name.values():
-        for decl in mod.all_signals():
+        for decl in mod.ports + mod.nets:
             expected.add((mod.name, decl.name))
-    assert set(db.signal_index) == expected
+            assert db.signal((mod.name, decl.name)) is mod.signal(decl.name)
+    assert db.signal_count == len(expected)
 
 
 def test_instantiation_connection_edges():
@@ -98,6 +100,36 @@ def test_unknown_formal_port_is_diagnosed():
     edges = build_connectivity(db)
     assert not any(e.dst == ("child", "nope") for e in edges)
     assert any("nope" in d.message for d in db.diagnostics)
+
+
+WILDCARD_SOURCE = """
+    module sub (input a, output b, input only_sub);
+    endmodule
+    module top (input a, input x, output b);
+      sub u (.*);
+      sub v (. *);
+      sub w (.a(x), .*);
+    endmodule
+"""
+
+
+def test_wildcard_connection_forms_are_one_connection():
+    mod = parse_source(WILDCARD_SOURCE).modules[1]
+    assert [inst.connections for inst in mod.instantiations] == [
+        [(WILDCARD, [])], [(WILDCARD, [])], [("a", ["x"]), (WILDCARD, [])]]
+
+
+def test_wildcard_connects_same_named_ports():
+    db = build_db(WILDCARD_SOURCE)
+    edges = sorted((e.src, e.dst) for e in build_connectivity(db)
+                   if e.src[0] == "top")
+    # u and v connect a and b by name; w names a itself and leaves b to .*;
+    # only_sub has no parent signal of its name
+    assert edges == sorted(
+        [(("top", "a"), ("sub", "a"))] * 2 + [(("top", "b"), ("sub", "b"))] * 3
+        + [(("top", "x"), ("sub", "a"))])
+    assert all(e.via == VIA_INSTANTIATION for e in build_connectivity(db))
+    assert not db.diagnostics
 
 
 def test_ab_child_input_one_hop_from_top_port():

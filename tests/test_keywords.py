@@ -8,7 +8,9 @@ from assetscout.keywords import (
     BUILTIN_FAMILIES, CLOCK_RESET_NAMES, CONFIG_SCHEMA_VERSION, ConfigError,
     FamilyConfig, PartialKeywordGroup, clock_reset_closure, load_family_config,
 )
-from assetscout.matcher import count_keyword_occurrences
+from assetscout.matcher import (
+    count_keyword_occurrences, fragment_matches, match_elements,
+)
 from assetscout.design import build_database
 
 from conftest import MINI_CORPUS, build_db, parse_tree
@@ -166,6 +168,31 @@ def test_occurrences_empty_module():
     db = build_db("module bare (input clk);\nendmodule\n")
     counts = count_keyword_occurrences(db, load_family_config("crypto"))
     assert all(v == 0 for v in counts.values())
+
+
+def test_occurrences_are_the_group_tally_of_match_elements():
+    db = build_database(parse_tree(MINI_CORPUS))
+    for family in BUILTIN_FAMILIES:
+        cfg = load_family_config(family)
+        tally = {g.name: 0 for g in cfg.groups}
+        for element in match_elements(db, cfg):
+            for group in element.group_names:
+                tally[group] += 1
+        counts = count_keyword_occurrences(db, cfg)
+        assert counts == tally
+        assert list(counts) == [g.name for g in cfg.groups]
+        # the same as matching each distinct name of each module
+        direct = {g.name: 0 for g in cfg.groups}
+        for mod in db.modules_by_name.values():
+            for decl in mod.signals():
+                lower = decl.name.lower()
+                if lower in cfg.exclusion_set():
+                    continue
+                for group in cfg.groups:
+                    if fragment_matches(lower, group):
+                        direct[group.name] += 1
+        assert counts == direct
+        assert sum(counts.values()) > 0
 
 
 def test_occurrences_monotone_in_modules():

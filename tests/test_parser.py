@@ -10,10 +10,15 @@ from hypothesis import strategies as st
 
 import assetscout.parser
 from assetscout.cli import EXIT_OK, main
+from assetscout.design import build_database
+from assetscout.keywords import load_family_config
+from assetscout.matcher import match_elements
 from assetscout.parser import (
     MAX_INCLUDE_DEPTH, _number_value, _Parser, collect_identifiers,
     eval_const_expr, parse_file, parse_source, preprocess,
 )
+from assetscout.patterns import classify_design
+from assetscout.rules import apply_family_rules
 from assetscout.syntax import (
     CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT,
     Statement,
@@ -273,11 +278,25 @@ def test_error_recovery_at_module_boundary():
     assert unit.diagnostics
 
 
+@pytest.mark.parametrize("stray, stmts", [
+    ("  assign b = a);\n", [(["b"], ["a"])]),
+    ("  always @(posedge a) b <= a];\n", [(["b"], ["a"])]),
+    ("  always @* case (a) 1): b = a; endcase\n", [([], []), (["b"], ["a"])]),
+])
+def test_stray_closer_ends_at_the_terminator(stray, stmts):
+    unit = parse_source(f"module t(input a, output b);\n{stray}endmodule\n"
+                        "module s(input c);\nendmodule\n")
+    assert [m.name for m in unit.modules] == ["t", "s"]
+    assert not unit.diagnostics
+    assert [(stmt.lhs_idents, stmt.rhs_idents)
+            for stmt in unit.modules[0].statements] == stmts
+
+
 def test_reserved_words_never_become_signals(splitter_unit):
     units = parse_tree(MINI_CORPUS) + [splitter_unit]
     for unit in units:
         for mod in unit.modules:
-            for decl in mod.all_signals():
+            for decl in mod.ports + mod.nets:
                 assert decl.name not in RESERVED_WORDS
 
 
@@ -338,6 +357,24 @@ _BODY_ITEM = st.tuples(
     st.sampled_from(["input", "output", "inout", "wire", "reg"]), _RANGE, _NAME_LIST)
 
 
+def _header_and_items(header, body, rename=lambda n: n):
+    """The drawn port header and body declarations of a module, as text, and
+    the names declared as ports; `rename` maps each drawn name."""
+    if header is None:
+        head, port_names = "", []
+    elif isinstance(header[0], tuple):   # ANSI ports
+        head = "(" + ", ".join(f"{d} {r}{rename(n)}" for d, r, n in header) + ")"
+        port_names = [rename(n) for _d, _r, n in header]
+    else:                                # non-ANSI name list
+        port_names = [rename(n) for n in header]
+        head = "(" + ", ".join(port_names) + ")"
+    items = "".join(f"  {kw} {r}{', '.join(map(rename, names))};\n"
+                    for kw, r, names in body)
+    port_names += [rename(n) for kw, _r, names in body
+                   if kw in ("input", "output", "inout") for n in names]
+    return head, items, port_names
+
+
 def _linear_signal(mod, name):
     """Signal lookup as a scan: the first port of that name, else the first net."""
     for decl in mod.ports + mod.nets:
@@ -351,21 +388,38 @@ def _linear_signal(mod, name):
                         _NAME_LIST),
        body=st.lists(_BODY_ITEM, max_size=8))
 def test_signal_index_matches_linear_scan(header, body):
-    if header is None:
-        head, port_names = "", []
-    elif isinstance(header[0], tuple):   # ANSI ports
-        head = "(" + ", ".join(f"{d} {r}{n}" for d, r, n in header) + ")"
-        port_names = [n for _d, _r, n in header]
-    else:                                # non-ANSI name list
-        head, port_names = "(" + ", ".join(header) + ")", list(header)
-    items = "".join(f"  {kw} {r}{', '.join(names)};\n" for kw, r, names in body)
-    port_names += [n for kw, _r, names in body if kw in ("input", "output", "inout")
-                   for n in names]
+    head, items, port_names = _header_and_items(header, body)
     mod = parse_source(f"module m {head};\n{items}endmodule\n").modules[0]
     for name in _NAMES:
         assert mod.signal(name) is _linear_signal(mod, name), name
     # a port declared after a same-named net is still a port
     assert {p.name for p in mod.ports} == set(port_names)
+
+
+# names the crypto family matches, and statements that give them behaviours
+_KEYWORD_NAMES = {"a": "data_a", "b": "done_b", "c": "key_c", "d": "d"}
+_KEYWORD_BEHAVIOURS = ("  assign data_a = key_c;\n  assign done_b = d;\n"
+                       "  always @* if (done_b) key_c = data_a;\n")
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.one_of(st.none(), st.lists(_ANSI_PORT, min_size=1, max_size=5),
+                        _NAME_LIST),
+       body=st.lists(_BODY_ITEM, max_size=8))
+def test_every_stage_resolves_names_through_the_module(header, body):
+    head, items, _ports = _header_and_items(header, body, _KEYWORD_NAMES.get)
+    db = build_database([parse_source(
+        f"module m {head};\n{items}{_KEYWORD_BEHAVIOURS}endmodule\n")])
+    mod = db.module("m")
+    for name in _KEYWORD_NAMES.values():
+        assert db.signal(("m", name)) is mod.signal(name), name
+    config = load_family_config("crypto")
+    important = match_elements(db, config)
+    assert [e.signal for e in important] == \
+        [mod.signal(e.signal.name) for e in important]
+    candidates = apply_family_rules(important, classify_design(db), config)
+    assert len(candidates) <= len(important) <= db.signal_count
+    assert db.signal_count == len({d.name for d in mod.ports + mod.nets})
 
 
 _OPERAND = st.one_of(st.integers(min_value=0, max_value=300).map(str),
@@ -625,7 +679,7 @@ def test_each_distinct_range_is_evaluated_once_per_module(monkeypatch):
     assert sorted(calls) == sorted([(8, wide), (8, (("7",), ("0",))),
                                     (16, wide), (16, (("7",), ("0",)))])
     for mod, w in zip(unit.modules, (8, 16)):
-        assert [s.width_bits for s in mod.all_signals()] == \
+        assert [s.width_bits for s in mod.ports + mod.nets] == \
             [w, w, 8, w, 8] + ([w] if w == 8 else [])
 
 
@@ -681,10 +735,12 @@ def test_systemverilog_integer_types_declare_nets():
           byte b, c;
           shortint s = 3;
           longint unsigned l;
+          time t0;
         endmodule
     """).modules[0]
+    # IEEE 1364-2005 4.8: time is 64 bits
     assert [(n.name, n.width_bits) for n in mod.nets] == [
-        ("count", 32), ("b", 8), ("c", 8), ("s", 16), ("l", 64)]
+        ("count", 32), ("b", 8), ("c", 8), ("s", 16), ("l", 64), ("t0", 64)]
     assert [(s.lhs_idents, s.continuous) for s in mod.statements] == [(["s"], True)]
 
 

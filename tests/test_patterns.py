@@ -100,6 +100,7 @@ def test_patterns_of_matches_buckets():
                    behavior.status, behavior.data)
         for bucket in buckets:
             assert len(bucket) == len(set(bucket)), module_name
-        for decl in db.modules_by_name[module_name].all_signals():
+        mod = db.modules_by_name[module_name]
+        for decl in mod.ports + mod.nets:
             want = [p for p, bucket in zip(PATTERNS, buckets) if decl.name in bucket]
             assert behavior.patterns_of(decl.name) == want, (module_name, decl.name)

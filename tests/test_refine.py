@@ -36,7 +36,7 @@ def stage_outputs(db, family, top):
 
 
 def candidate_for(db, module, name, patterns):
-    decl = db.signal_index[(module, name)]
+    decl = db.signal((module, name))
     return CandidateAsset(module=module, signal=decl, matched_rule="test",
                           patterns=list(patterns), objectives=["Integrity"],
                           matched_groups=[])
@@ -149,7 +149,7 @@ def test_clock_reset_never_roots():
 def test_status_linked_to_foreign_control_gains_availability():
     db = build_db(STATUS_LINK_SOURCE)
     edges = traversal_edges(build_connectivity(db))
-    decl = db.signal_index[("worker", "done")]
+    decl = db.signal(("worker", "done"))
     asset = PrimaryAsset(module="worker", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
                          patterns=["Status"], objectives=["Integrity"])
@@ -166,7 +166,7 @@ def test_status_without_consumer_keeps_integrity_only():
         endmodule
     """)
     edges = traversal_edges(build_connectivity(db))
-    decl = db.signal_index[("solo", "done")]
+    decl = db.signal(("solo", "done"))
     asset = PrimaryAsset(module="solo", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
                          patterns=["Status"], objectives=[])
@@ -272,7 +272,7 @@ def unpruned_refine(candidates, db, edges, tops):
     net_adj = adjacency(edges, _NET_EXPANSION_VIAS)
 
     def is_port(ref):
-        decl = db.signal_index.get(ref)
+        decl = db.signal(ref)
         return decl is not None and decl.is_port and not _is_clock_reset(ref)
 
     starts = []
@@ -291,7 +291,7 @@ def unpruned_refine(candidates, db, edges, tops):
             return ref[0] == top and is_port(ref)
 
         def emit(root, candidate, path, outside=False):
-            decl = db.signal_index[root]
+            decl = db.signal(root)
             asset = merged.get(root)
             if asset is None:
                 asset = PrimaryAsset(
@@ -373,8 +373,9 @@ def _forests(draw):
 def test_component_pruned_refine_matches_unpruned_oracle(source, data):
     db = build_db(source)
     edges = traversal_edges(build_connectivity(db))
-    refs = data.draw(st.lists(st.sampled_from(sorted(db.signal_index)),
-                              unique=True, max_size=8))
+    all_refs = sorted((m, d.name) for m, mod in db.modules_by_name.items()
+                      for d in mod.signals())
+    refs = data.draw(st.lists(st.sampled_from(all_refs), unique=True, max_size=8))
     candidates = [candidate_for(db, module, name, data.draw(st.lists(
         st.sampled_from(["Data", "Control", "Status"]), max_size=2, unique=True)))
         for module, name in refs]

@@ -52,6 +52,22 @@ def test_stage_counts_monotonic_everywhere():
         assert counts["extracted"] == report.corpus_stats["signal_count"]
 
 
+def test_name_declared_twice_is_its_first_port_in_every_stage(tmp_path):
+    # invalid Verilog: key_in is declared twice; the 128-bit port wins
+    (tmp_path / "t.v").write_text(
+        "module t (input [127:0] key_in, input key_in, output [127:0] data_out);"
+        " assign data_out = key_in; endmodule\n")
+    report = run_pipeline(str(tmp_path), family="crypto")
+    counts = report.stage_counts
+    assert counts["candidates"] <= counts["important"] <= counts["extracted"] == 2
+    mod = report.database.module("t")
+    for asset in report.assets:
+        assert asset.width_bits == mod.signal(asset.name).width_bits
+        for c in asset.contributors:
+            assert c.signal is mod.signal(c.signal.name)
+    assert "t.key_in [128b Input]" in report.to_text()
+
+
 def test_corpus_stats():
     report = run_pipeline(SPLITTER_DIR)
     stats = report.corpus_stats

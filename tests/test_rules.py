@@ -6,7 +6,8 @@ from assetscout.design import build_database
 from assetscout.keywords import ClassificationRule, ConfigError, load_family_config
 from assetscout.matcher import match_elements
 from assetscout.patterns import classify_design
-from assetscout.rules import RuleError, apply_family_rules, default_rules, rule_applies
+from assetscout.keywords import FamilyConfig
+from assetscout.rules import RuleError, apply_family_rules, rule_applies
 
 from conftest import MINI_CORPUS, build_db, parse_tree
 
@@ -78,9 +79,8 @@ def test_empty_important_list():
 
 
 def test_empty_rule_list_is_an_error():
-    config = load_family_config("crypto")
     with pytest.raises(RuleError, match="no rules"):
-        apply_family_rules([], {}, config, rules=[])
+        apply_family_rules([], {}, FamilyConfig("empty"))
 
 
 def test_candidates_narrow_important():
@@ -123,20 +123,20 @@ def test_first_match_wins_attribution():
 
 
 def test_default_rules_contents():
-    crypto = default_rules("crypto")
+    crypto = load_family_config("crypto").rules
     enc = next(r for r in crypto if r.name == "encryption-key")
     assert enc.min_width == 64
     assert "Data" in enc.patterns
-    gpio = default_rules("gpio")
+    gpio = load_family_config("gpio").rules
     data_rules = [r for r in gpio if "Data" in r.patterns]
     assert any(r.max_width is not None and r.max_width >= 32 for r in data_rules)
-    peripheral = default_rules("peripheral")
+    peripheral = load_family_config("peripheral").rules
     assert any("Data" in r.patterns and r.min_width >= 2 for r in peripheral)
 
 
 def test_default_rules_unknown_family():
     with pytest.raises(ConfigError):
-        default_rules("dsp")
+        load_family_config("dsp")
 
 
 def test_unresolved_width_passes_small_minimum_only():

@@ -64,11 +64,7 @@ def _run(args: argparse.Namespace) -> int:
     family = args.config if args.config else args.family
     try:
         if args.stats:
-            counts = emit_keyword_stats(args.rtl_dir, family, args.out)
-            if not args.out:
-                print("group,count")
-                for group, count in counts.items():
-                    print(f"{group},{count}")
+            emit_keyword_stats(args.rtl_dir, family, args.out)
             return EXIT_OK
 
         truth = None

@@ -139,9 +139,6 @@ class FamilyConfig:
                     raise ConfigError(
                         f"group '{group.name}': fragment {frag!r} collides "
                         "with a global exclusion")
-        required = {"clk", "clock", "rst", "reset"}
-        if not required <= excl:
-            raise ConfigError("global exclusions must cover clock/reset names")
         if not self.rules:
             raise ConfigError(f"family '{self.family}' has no rules")
 

@@ -1,4 +1,4 @@
-"""Recursive-descent parser for a practical Verilog-2005 / SystemVerilog subset.
+"""Parser for a practical Verilog-2005 / SystemVerilog subset.
 
 Covers module/endmodule, ANSI and non-ANSI ports, wire/reg/logic/integer
 declarations, parameter/localparam, always/initial blocks with if/case and
@@ -6,8 +6,16 @@ blocking/non-blocking assignments, ternary expressions, continuous assigns
 and module instantiations.  Unsupported constructs (generate, function,
 task, ...) are skipped with a diagnostic.  Errors never abort sibling
 modules: recovery happens at the next `module` keyword.
+
+No function recurses, except `preprocess` into an included file, at most
+MAX_INCLUDE_DEPTH deep. Nesting lives on explicit stacks, so any depth
+parses: open `begin`, `if` and `case` statements on the statement
+parser's frame stack, parentheses and unary minuses on the constant
+evaluator's operator stack, and parameters waiting for their
+dependencies on the resolver's stack.
 """
 
+import operator
 import os
 import re
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -36,6 +44,8 @@ _MODULE_KEYWORDS = frozenset(["module", "macromodule"])
 _PROCESSES = frozenset(["always", "always_ff", "always_comb", "always_latch",
                         "initial", "final"])
 _CASE_STARTS = frozenset(["case", "casez", "casex", "unique", "priority"])
+# what a statement may start with before its own head (IEEE 1364-2005 §9.6, §9.7)
+_PREFIXES = frozenset(["@", "#", "for", "while", "repeat", "forever"])
 _PROCEDURAL_ASSIGN_KEYWORDS = frozenset(["force", "release", "deassign", "assign"])
 _SKIP_BLOCKS = {
     "generate": "endgenerate",
@@ -83,8 +93,9 @@ def preprocess(text: str, path: str = "<string>",
         diagnostics.append(Diagnostic(msg, "warning", line))
 
     out_lines: List[str] = []
-    # one [branch active, some branch of this level taken] pair per level
-    cond_stack: List[List[bool]] = []
+    # one [branch active, some branch of this level taken, its directive,
+    # the directive's line] per level
+    cond_stack: List[list] = []
     lines = cleaned.split("\n")
     i = 0
     while i < len(lines):
@@ -106,7 +117,7 @@ def preprocess(text: str, path: str = "<string>",
             defined = len(parts) > 1 and parts[1] in defines
             if word in ("ifdef", "ifndef"):
                 hit = active and (defined == (word == "ifdef"))
-                cond_stack.append([hit, hit])
+                cond_stack.append([hit, hit, word, lineno])
             elif word in ("else", "elsif"):
                 if cond_stack:
                     level = cond_stack[-1]
@@ -158,8 +169,10 @@ def preprocess(text: str, path: str = "<string>",
         elif not active:
             out_lines.append("")
         else:
-            out_lines.append(_substitute_macros(raw, defines))
+            out_lines.append(_substitute_macros(raw, defines, diagnostics, lineno))
         i += 1
+    for _active, _taken, word, line in cond_stack:  # IEEE 1364-2005 §19.4
+        diagnostics.append(Diagnostic(f"`{word} without `endif", "warning", line))
     return "\n".join(out_lines)
 
 
@@ -186,14 +199,33 @@ def _read_include(target: str, from_path: str,
 _MACRO_USE_RE = re.compile(r'"(?:[^"\\]|\\.?)*"?|\\[^ \t\r\n]*|`([\w$]*)')
 
 
-def _substitute_macros(line: str, defines: Dict[str, str]) -> str:
+def _substitute_macros(line: str, defines: Dict[str, str],
+                       diagnostics: List[Diagnostic], lineno: int) -> str:
+    """`line` with each macro use replaced by the macro's text, in which
+    macro uses expand in turn (IEEE 1364-2005 §19.3.1). The texts being
+    scanned wait on a stack as (text, position, the macros it expands); a
+    macro's use inside its own expansion stays, with a warning."""
     if "`" not in line:
         return line
-
-    def expand(m: "re.Match[str]") -> str:
+    out: List[str] = []
+    pending = [(line, 0, frozenset())]
+    while pending:
+        text, pos, expanding = pending.pop()
+        m = _MACRO_USE_RE.search(text, pos)
+        if m is None:
+            out.append(text[pos:])
+            continue
+        out.append(text[pos:m.start()])
+        pending.append((text, m.end(), expanding))
         name = m.group(1)
-        return m.group() if name is None else defines.get(name, m.group())
-    return _MACRO_USE_RE.sub(expand, line)
+        if name in expanding:
+            diagnostics.append(Diagnostic(
+                f"macro `{name} expands to a use of itself", "warning", lineno))
+        elif name in defines:
+            pending.append((defines[name], 0, expanding | {name}))
+            continue
+        out.append(m.group())
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -238,73 +270,66 @@ def _split_ternary(texts: Sequence[str]) -> Tuple[List[str], List[str]]:
     return [], list(texts)
 
 
+# binary operator -> (precedence, function)
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
+           "*": (2, operator.mul), "/": (2, operator.floordiv)}
+
+
 def eval_const_expr(texts: Sequence[str],
                     params: Dict[str, Optional[int]]) -> Optional[int]:
     """Evaluate +,-,*,/ and parenthesised constant expressions.
 
-    Identifiers are looked up in `params`; anything else makes the result
-    unresolved (None).
+    Identifiers are looked up in `params`. An unresolved name, a malformed
+    expression or a division by zero gives None. One loop over an operand
+    and an operator stack; a unary `-` applies to the primary after it, so
+    `- 7 / 2` is -4 (`/` floors).
     """
-    value, pos = _eval_sum(texts, 0, params)
-    return value if pos == len(texts) else None
-
-
-# The evaluator's levels are module-level functions that pass the position
-# along, so a call leaves no closures behind to form reference cycles. Each
-# returns (value, position after it); a None value is final, whatever the
-# position.
-
-def _eval_sum(texts: Sequence[str], pos: int,
-              params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
-    value, pos = _eval_product(texts, pos, params)
-    while value is not None and pos < len(texts):
-        op = texts[pos]
-        if op != "+" and op != "-":
-            break
-        rhs, pos = _eval_product(texts, pos + 1, params)
-        if rhs is None:
-            return None, pos
-        value = value + rhs if op == "+" else value - rhs
-    return value, pos
-
-
-def _eval_product(texts: Sequence[str], pos: int,
-                  params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
-    value, pos = _eval_primary(texts, pos, params)
-    while value is not None and pos < len(texts):
-        op = texts[pos]
-        if op != "*" and op != "/":
-            break
-        rhs, pos = _eval_primary(texts, pos + 1, params)
-        if rhs is None:
-            return None, pos
-        if op == "*":
-            value = value * rhs
+    values: List[int] = []
+    ops: List[str] = []  # "(", "~" for a unary minus, or a binary operator
+    want_operand = True
+    for t in texts:
+        if want_operand:
+            if t == "(" or t == "-":
+                ops.append("~" if t == "-" else t)
+                continue
+            if t == "+":
+                continue
+            value = _number_value(t) if is_number(t) else \
+                params.get(t) if t[0] in ID_START else None
+            if value is None:
+                return None
+        elif t == ")":
+            if not _reduce(values, ops, 1) or not ops:
+                return None
+            ops.pop()  # its "("
+            value = values.pop()
+        elif t in _BINARY:
+            if not _reduce(values, ops, _BINARY[t][0]):
+                return None
+            ops.append(t)
+            want_operand = True
+            continue
         else:
-            value = value // rhs if rhs != 0 else None
-    return value, pos
+            return None
+        while ops and ops[-1] == "~":  # the unary minuses before the primary
+            ops.pop()
+            value = -value
+        values.append(value)
+        want_operand = False
+    if want_operand or not _reduce(values, ops, 1) or ops:
+        return None
+    return values[0]
 
 
-def _eval_primary(texts: Sequence[str], pos: int,
-                  params: Dict[str, Optional[int]]) -> Tuple[Optional[int], int]:
-    if pos >= len(texts):
-        return None, pos
-    t = texts[pos]
-    if is_number(t):
-        return _number_value(t), pos + 1
-    if t[0] in ID_START:
-        return params.get(t), pos + 1
-    if t == "(":
-        value, pos = _eval_sum(texts, pos + 1, params)
-        if pos < len(texts) and texts[pos] == ")":
-            return value, pos + 1
-        return None, pos
-    if t == "-":
-        value, pos = _eval_primary(texts, pos + 1, params)
-        return (-value if value is not None else None), pos
-    if t == "+":
-        return _eval_primary(texts, pos + 1, params)
-    return None, pos
+def _reduce(values: List[int], ops: List[str], precedence: int) -> bool:
+    """Apply the binary operators on top of `ops` that bind at least as
+    tightly as `precedence`; False on a division by zero."""
+    while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] >= precedence:
+        rhs = values.pop()
+        if rhs == 0 and ops[-1] == "/":
+            return False
+        values[-1] = _BINARY[ops.pop()][1](values[-1], rhs)
+    return True
 
 
 def _number_value(text: str) -> Optional[int]:
@@ -395,15 +420,10 @@ class _Parser:
             start = self.pos
             try:
                 unit.modules.append(self.parse_module())
-                continue
             except ParseError as err:
-                message, line = err.message, err.line
-            except RecursionError:  # statements nested past the stack
-                message, line = "nesting too deep", self.lines[start]
-            self.diagnostics.append(
-                Diagnostic(f"malformed module: {message}", "error", line))
-            # recover: resume at the next `module` keyword
-            self.pos = start + 1
+                self.diagnostics.append(
+                    Diagnostic(f"malformed module: {err.message}", "error", err.line))
+                self.pos = start + 1  # recover: resume at the next `module` keyword
         return unit
 
     def parse_module(self) -> ModuleDef:
@@ -429,7 +449,16 @@ class _Parser:
         self.expect(";")
         self._parse_body(mod, params)
         mod.end_line = lines[self.pos - 1]
-        self._resolve_widths(mod, params)
+        mod.parameters = values = _resolve_parameters(params)
+        # the parameters are fixed, so each distinct range is evaluated once
+        widths: Dict[tuple, Optional[int]] = {}
+        for decl in mod.ports + mod.nets:
+            rng = decl.range_expr
+            if rng is not None:
+                key = (tuple(rng[0]), tuple(rng[1]))
+                if key not in widths:
+                    widths[key] = _range_width(rng, values)
+                decl.width_bits = widths[key]
         return mod
 
     # -- ports ----------------------------------------------------------------
@@ -547,9 +576,7 @@ class _Parser:
                 self._parse_continuous_assign(mod)
             elif t in _PROCESSES:
                 self.pos += 1
-                self._skip_timing_control()
-                stmts = self._parse_statement(mod, guards=[])
-                mod.statements.extend(stmts)
+                mod.statements.extend(self._parse_statement())
             elif t in _SKIP_BLOCKS:
                 self.diagnostics.append(Diagnostic(
                     f"unsupported construct '{t}' skipped", "warning", self.lines[self.pos]))
@@ -659,126 +686,113 @@ class _Parser:
                 self.pos += 1
             return
 
-    def _parse_statement(self, mod: ModuleDef, guards: List[str]) -> List[Statement]:
-        """Parse one procedural statement; returns the flattened records."""
+    def _parse_statement(self) -> List[Statement]:
+        """One procedural statement as flat records, an if or case head
+        before those of its branches. Open `begin`s, `if`s and `case`s wait
+        on `frames` as [closer (`else` opens an if's second branch), head
+        (None for begin), guards of its statements, start of its current
+        branch in `out`]. A complete statement ends its frame's branch, and
+        that may complete the frame's own statement."""
         texts, lines = self.texts, self.lines
-        if self.pos >= self.end:
-            return []
+        out: List[Statement] = []
+        frames: List[list] = []
+        guards: List[str] = []
+        while True:
+            t = texts[self.pos]
+            while t in _PREFIXES:  # timing controls and loop headers
+                if t == "@" or t == "#":
+                    self._skip_timing_control()
+                else:
+                    self.pos += 1
+                    if t != "forever" and texts[self.pos] == "(":
+                        self.pos += 1
+                        self.collect_until(")")
+                t = texts[self.pos]
+            complete = False
+            if t == "begin":
+                self.pos += 1
+                if texts[self.pos] == ":":  # a block label
+                    self.pos += 1
+                    if texts[self.pos][:1] in ID_START:
+                        self.pos += 1
+                frames.append(["end", None, guards, 0])
+            elif t == "if" or t in _CASE_STARTS:
+                if t == "unique" or t == "priority":
+                    self.pos += 1
+                line = lines[self.pos]
+                if self.pos < self.end:
+                    self.pos += 1  # if, case, casez or casex
+                self.expect("(")
+                cond_ids = collect_identifiers(self.collect_until(")"))
+                kind, closer = (IF_STMT, "else") if t == "if" else (CASE_STMT, "endcase")
+                out.append(Statement(kind, line, cond_idents=cond_ids))
+                frames.append([closer, out[-1], guards + cond_ids, len(out)])
+            else:
+                self._parse_simple_statement(guards, out)
+                complete = True
+            while frames:  # close what the statement completes
+                frame = frames[-1]
+                closer, head = frame[0], frame[1]
+                if complete and head is not None:  # it ends an if or case branch
+                    head.body_statement_count = max(head.body_statement_count,
+                                                    len(out) - frame[3])
+                    head.branch_count += 1
+                    if closer == "else":
+                        if head.branch_count == 1 and texts[self.pos] == "else":
+                            self.pos += 1
+                            frame[3] = len(out)
+                            break
+                        frames.pop()
+                        continue
+                elif closer == "else":  # an if's first branch starts
+                    break
+                complete = True
+                # at the next statement of a begin block or a case
+                t = texts[self.pos]
+                if t == closer or self.pos == self.end:  # end of file closes too
+                    self.pos += 1 if t == closer else 0
+                    frames.pop()
+                    continue
+                if t == "endmodule":
+                    raise ParseError(f"missing {closer!r}", lines[self.pos])
+                if head is not None:  # a case item's label
+                    if t == "default" and texts[self.pos + 1] != ":":
+                        self.pos += 1
+                    else:
+                        self.collect_until(":")
+                    frame[3] = len(out)
+                break
+            else:
+                return out
+            guards = frames[-1][2]
+
+    def _parse_simple_statement(self, guards: List[str], out: List[Statement]) -> None:
+        """A statement without nested ones: an assignment appends its record
+        to `out`; `;`, `disable`, `wait`, a `$task`, any other statement and
+        the end of file ("", which is no assignment) append none."""
+        texts, lines = self.texts, self.lines
         t = texts[self.pos]
         if t == ";":
             self.pos += 1
-            return []
-        if t == "@" or t == "#":
-            self._skip_timing_control()
-            return self._parse_statement(mod, guards)
-        if t == "begin":
-            self.pos += 1
-            if texts[self.pos] == ":":
-                self.pos += 1
-                if texts[self.pos][:1] in ID_START:
-                    self.pos += 1
-            out: List[Statement] = []
-            while self.pos < self.end:
-                t = texts[self.pos]
-                if t == "end":
-                    self.pos += 1
-                    break
-                if t == "endmodule":
-                    raise ParseError("missing 'end'", lines[self.pos])
-                out.extend(self._parse_statement(mod, guards))
-            return out
-        if t == "if":
-            return self._parse_if(mod, guards)
-        if t in _CASE_STARTS:
-            if t == "unique" or t == "priority":
-                self.pos += 1
-            return self._parse_case(mod, guards)
-        if t == "for" or t == "while" or t == "repeat":
-            self.pos += 1
-            if texts[self.pos] == "(":
-                self.pos += 1
-                self.collect_until(")")
-            return self._parse_statement(mod, guards)
-        if t == "forever":
-            self.pos += 1
-            return self._parse_statement(mod, guards)
-        if t == "disable" or t == "wait" or t[0] == "$":
+            return
+        if t == "disable" or t == "wait" or t[:1] == "$":
             self.collect_until(";")
-            return []
+            return
         if t in _PROCEDURAL_ASSIGN_KEYWORDS:
             self.pos += 1
-        # fall through: an assignment statement
         start = self.pos
         lhs = self.collect_until("=", "<=", consume=False)
         op = texts[self.pos]
         if op != "=" and op != "<=":
             # not an assignment we understand; skip to ';'
             self.collect_until(";")
-            return []
+            return
         line = lines[start] if lhs else lines[self.pos]
         self.pos += 1
         self._skip_timing_control()
         rhs = self.collect_until(";")
         kind = NONBLOCKING_ASSIGN if op == "<=" else BLOCKING_ASSIGN
-        return [self._make_assign(kind, collect_identifiers(lhs), rhs, guards, line)]
-
-    def _parse_if(self, mod: ModuleDef, guards: List[str]) -> List[Statement]:
-        """An `if` and its `else if` chain, walked in a loop: the records are
-        those of each `else if` nested in the branch before it."""
-        texts = self.texts
-        out: List[Statement] = []
-        heads = []  # (head, its index in out, its then-statement count)
-        while True:
-            line = self.expect("if")
-            self.expect("(")
-            cond_ids = collect_identifiers(self.collect_until(")"))
-            guards = guards + cond_ids
-            head = Statement(IF_STMT, line, cond_idents=cond_ids, branch_count=1)
-            then_stmts = self._parse_statement(mod, guards)
-            heads.append((head, len(out), len(then_stmts)))
-            out.append(head)
-            out.extend(then_stmts)
-            if texts[self.pos] != "else":
-                break
-            self.pos += 1
-            head.branch_count = 2
-            if texts[self.pos] != "if":
-                out.extend(self._parse_statement(mod, guards))
-                break
-        # a head's else branch holds every record after its own statements
-        for head, at, n_then in heads:
-            head.body_statement_count = max(n_then, len(out) - at - 1 - n_then)
-        return out
-
-    def _parse_case(self, mod: ModuleDef, guards: List[str]) -> List[Statement]:
-        texts = self.texts
-        line = self.lines[self.pos]
-        if self.pos < self.end:
-            self.pos += 1  # case/casez/casex
-        self.expect("(")
-        cond_ids = collect_identifiers(self.collect_until(")"))
-        items: List[List[Statement]] = []
-        body: List[Statement] = []
-        while self.pos < self.end:
-            t = texts[self.pos]
-            if t == "endcase":
-                self.pos += 1
-                break
-            if t == "endmodule":
-                raise ParseError("missing 'endcase'", self.lines[self.pos])
-            if t == "default":
-                self.pos += 1
-                if texts[self.pos] == ":":
-                    self.pos += 1
-            else:
-                self.collect_until(":")
-            stmts = self._parse_statement(mod, guards + cond_ids)
-            items.append(stmts)
-            body.extend(stmts)
-        head = Statement(CASE_STMT, line, cond_idents=cond_ids,
-                         body_statement_count=max((len(s) for s in items), default=0),
-                         branch_count=len(items))
-        return [head] + body
+        out.append(self._make_assign(kind, collect_identifiers(lhs), rhs, guards, line))
 
     # -- instantiations -------------------------------------------------------
     def _parse_instantiation(self, mod: ModuleDef) -> None:
@@ -846,40 +860,29 @@ class _Parser:
                 inst.connections.append((positional_index, collect_identifiers(expr)))
                 positional_index += 1
 
-    # -- width resolution -----------------------------------------------------
-    def _resolve_widths(self, mod: ModuleDef, raw: Dict[str, List[str]]) -> None:
-        params: Dict[str, Optional[int]] = {}
-        for name in raw:
-            _resolve_parameter(name, raw, params, set())
-        mod.parameters = params
-        # the parameters are fixed, so each distinct range is evaluated once
-        widths: Dict[tuple, Optional[int]] = {}
-        for decl in mod.ports + mod.nets:
-            rng = decl.range_expr
-            if rng is not None:
-                key = (tuple(rng[0]), tuple(rng[1]))
-                if key not in widths:
-                    widths[key] = _range_width(rng, params)
-                decl.width_bits = widths[key]
 
-
-def _resolve_parameter(name: str, raw: Dict[str, List[str]],
-                       resolved: Dict[str, Optional[int]],
-                       in_progress: set) -> Optional[int]:
-    """Value of parameter `name`, its dependencies resolved first; a name
-    already on `in_progress` is a dependency cycle and resolves to None."""
-    if name in resolved:
-        return resolved[name]
-    if name not in raw or name in in_progress:
-        return None
-    in_progress.add(name)
-    expr = raw[name]
-    needed = {t for t in expr if _is_name(t)}
-    env = {dep: _resolve_parameter(dep, raw, resolved, in_progress) for dep in needed}
-    value = eval_const_expr(expr, env)
-    in_progress.discard(name)
-    resolved[name] = value
-    return value
+def _resolve_parameters(raw: Dict[str, List[str]]) -> Dict[str, Optional[int]]:
+    """Each parameter's value from its raw value texts, dependencies first,
+    on an explicit depth-first stack of (name, its unread value texts). A
+    parameter reads None while it is on the stack, so a dependency cycle
+    reads None, as does an unknown name."""
+    resolved: Dict[str, Optional[int]] = {}
+    stack = []
+    for root in raw:
+        if root not in resolved:
+            resolved[root] = None
+            stack.append((root, iter(raw[root])))
+        while stack:
+            name, rest = stack[-1]
+            for t in rest:
+                if t in raw and t not in resolved:
+                    resolved[t] = None
+                    stack.append((t, iter(raw[t])))
+                    break
+            else:
+                stack.pop()
+                resolved[name] = eval_const_expr(raw[name], resolved)
+    return resolved
 
 
 def _range_width(range_expr: _Range,

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -236,14 +237,16 @@ def run_pipeline(rtl_dir: str,
 
 def emit_keyword_stats(rtl_dir: str, family: str,
                        out_path: Optional[str] = None) -> Dict[str, int]:
-    """Write per-group keyword occurrence counts as `group,count` CSV."""
+    """Write per-group keyword occurrence counts as `group,count` CSV to
+    `out_path`, or to stdout when it is None."""
     config = load_family_config(family)
     _files, db, _lines = _load_design(rtl_dir)
     counts = count_keyword_occurrences(db, config)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([("group", "count"), *counts.items()])
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["group", "count"])
-            for group in counts:
-                writer.writerow([group, counts[group]])
+            fh.write(buf.getvalue())
+    else:
+        sys.stdout.write(buf.getvalue())
     return counts

@@ -59,7 +59,7 @@ class Statement:
     cond_idents: List[str] = field(default_factory=list)
     lhs_idents: List[str] = field(default_factory=list)
     rhs_idents: List[str] = field(default_factory=list)
-    body_statement_count: int = 0   # max direct statements over branches/items
+    body_statement_count: int = 0   # records in the largest branch/item, nested ones included
     branch_count: int = 0           # number of branches / case items parsed
     continuous: bool = False        # True for assign-statement origin
 

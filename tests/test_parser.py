@@ -3,9 +3,10 @@
 import json
 import os
 import time
+from dataclasses import asdict
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import assetscout.parser
@@ -14,19 +15,19 @@ from assetscout.design import build_database
 from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
 from assetscout.parser import (
-    MAX_INCLUDE_DEPTH, _number_value, _Parser, collect_identifiers,
-    eval_const_expr, parse_file, parse_source, preprocess,
+    MAX_INCLUDE_DEPTH, _number_value, _resolve_parameters, eval_const_expr,
+    parse_file, parse_source, preprocess,
 )
 from assetscout.patterns import classify_design
 from assetscout.rules import apply_family_rules
 from assetscout.syntax import (
     CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT,
-    Statement,
 )
 from assetscout.tokenizer import RESERVED_WORDS, tokenize
 
 from conftest import MINI_CORPUS, SPLITTER_FILE, parse_tree
 from fixtures_rtl import AB_SOURCE
+from parser_oracle import recursive_parse_source, recursive_resolve_parameters
 
 
 def test_splitter_module_shape(splitter_unit):
@@ -247,6 +248,36 @@ def test_macro_uses_in_strings_and_escaped_identifiers_stay():
                       'wire \\w`A = `A;\n')
     assert text.splitlines()[1:] == ['initial $display("`A \\" `A", 1);',
                                      'wire \\w`A = 1;']
+
+
+def test_macro_in_macro_text_expands_where_used():
+    # IEEE 1364-2005 19.3.1: `A takes its value where `B is used
+    unit = parse_source("`define A 7\n`define B (`A+1)\n`undef A\n`define A 8\n"
+                        "module t (input [`B:0] key_in);\nendmodule\n")
+    assert unit.diagnostics == []
+    assert unit.modules[0].signal("key_in").width_bits == 10
+
+
+@pytest.mark.parametrize("defines", ["`define X `X", "`define X `Y\n`define Y (`X)"])
+def test_macro_reaching_itself_stops_with_one_warning(defines):
+    unit = parse_source(f"{defines}\nmodule t (input [`X:0] key_in);\nendmodule\n")
+    assert [m.name for m in unit.modules] == ["t"]
+    line = defines.count("\n") + 2
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        ("macro `X expands to a use of itself", "warning", line)]
+
+
+def test_conditional_open_at_end_of_file_is_a_warning(tmp_path):
+    # IEEE 1364-2005 19.4: each `ifdef/`ifndef ends at its `endif
+    (tmp_path / "open.vh").write_text("`ifndef GUARD\n`define GUARD\nwire w;\n")
+    top = tmp_path / "top.v"
+    top.write_text('`include "open.vh"\nmodule t (input a, output b);\n'
+                   "`ifdef NEVER\n  assign b = a;\nendmodule\n")
+    unit = parse_file(str(top))
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        ("`ifndef without `endif", "warning", 1),
+        ("`ifdef without `endif", "warning", 3),
+        ("malformed module: unexpected end of file inside module", "error", 2)]
 
 
 def test_unsupported_construct_is_skipped_with_diagnostic():
@@ -473,54 +504,80 @@ def test_preprocess_keeps_line_count(lines):
     assert preprocess(text).count("\n") == text.count("\n")
 
 
-def recursive_parse_if(self, mod, guards):
-    """Oracle: the `if` parser that recurses into each `else if`."""
-    line = self.expect("if")
-    self.expect("(")
-    cond_ids = collect_identifiers(self.collect_until(")"))
-    then_stmts = self._parse_statement(mod, guards + cond_ids)
-    else_stmts = []
-    branches = 1
-    if self.texts[self.pos] == "else":
-        self.pos += 1
-        branches = 2
-        else_stmts = self._parse_statement(mod, guards + cond_ids)
-    head = Statement(IF_STMT, line, cond_idents=cond_ids,
-                     body_statement_count=max(len(then_stmts), len(else_stmts)),
-                     branch_count=branches)
-    return [head] + then_stmts + else_stmts
-
-
 _IDS = st.lists(st.sampled_from(["s", "t", "u"]), max_size=2)
 _COND = _IDS.map(lambda ids: " & ".join(ids) or "1")
 _ASSIGN = st.tuples(st.sampled_from(["x", "y"]), _IDS).map(
     lambda a: f"{a[0]} <= {' + '.join(a[1]) or '0'};")
-# a dangling `if` without `else` takes the chain's next `else` in both parsers
-_BRANCH = st.one_of(
-    _ASSIGN, st.just(";"),
-    st.lists(_ASSIGN, max_size=3).map(lambda b: "begin " + " ".join(b) + " end"),
-    st.tuples(_COND, _ASSIGN).map(lambda c: f"if ({c[0]}) {c[1]}"))
+_SIMPLE = st.one_of(_ASSIGN, st.sampled_from([
+    ";", "y = s ? t : u;", "x <= #1 t;", "assign x = s;", "disable blk;",
+    '$display("s");', "x = s + ;"]))
+_CASE_LABEL = st.sampled_from(["1:", "2, 3:", "s:", "default:", "default"])
+
+
+def _nested(inner):
+    """Statements one level deeper than `inner`."""
+    return st.one_of(
+        st.tuples(st.sampled_from(["begin", "begin : blk"]), st.lists(inner, max_size=3))
+        .map(lambda b: f"{b[0]} {' '.join(b[1])} end"),
+        st.tuples(_COND, inner).map(lambda c: f"if ({c[0]}) {c[1]}"),
+        st.tuples(_COND, inner, inner).map(lambda c: f"if ({c[0]}) {c[1]}\nelse {c[2]}"),
+        # an `else if` chain; a dangling `if` without `else` takes the
+        # chain's next `else`
+        st.tuples(st.lists(st.tuples(_COND, inner), min_size=1, max_size=4),
+                  st.one_of(st.none(), inner))
+        .map(lambda c: "\n  else ".join(f"if ({cond}) {body}" for cond, body in c[0])
+             + ("" if c[1] is None else f"\n  else {c[1]}")),
+        st.tuples(st.sampled_from(["case", "casez", "unique case"]), _COND,
+                  st.lists(st.tuples(_CASE_LABEL, inner), max_size=3))
+        .map(lambda c: f"{c[0]} ({c[1]})\n"
+             + "".join(f"  {label} {body}\n" for label, body in c[2]) + "endcase"),
+        st.tuples(st.sampled_from(["for (i = 0; i < 4; i = i + 1)", "forever",
+                                   "@(posedge clk)", "@*", "#5", "while (s)"]), inner)
+        .map(" ".join))
+
+
+# statements nested up to 0, 1, ..., 8 levels deep
+_STATEMENTS = [_SIMPLE]
+for _ in range(8):
+    _STATEMENTS.append(st.one_of(_SIMPLE, _nested(_STATEMENTS[-1])))
+
+
+def _cut(src, how, at):
+    """`src` whole, cut short at a word, or with one word left out."""
+    words = src.split(" ")
+    at %= len(words)
+    if how == "cut":
+        return " ".join(words[:at])
+    if how == "drop":
+        return " ".join(words[:at] + words[at + 1:])
+    return src
 
 
 @settings(max_examples=300, deadline=None)
-@given(branches=st.lists(st.tuples(_COND, _BRANCH), min_size=1, max_size=30),
-       final=st.one_of(st.none(), _BRANCH), outer=_COND)
-def test_else_if_chain_matches_recursive_oracle(branches, final, outer):
-    chain = "\n  else ".join(f"if ({cond}) {body}" for cond, body in branches)
-    if final is not None:
-        chain += f"\n  else {final}"
-    src = ("module m (input clk, input s, input t, input u, output reg x,"
-           " output reg y);\nalways @(posedge clk)\n"
-           f"if ({outer}) begin\n  {chain}\nend\nendmodule\n")
-    unit = parse_source(src)
-    original = _Parser._parse_if
-    try:
-        _Parser._parse_if = recursive_parse_if
-        expected = parse_source(src)
-    finally:
-        _Parser._parse_if = original
-    assert unit.modules[0].statements == expected.modules[0].statements
-    assert unit.diagnostics == expected.diagnostics
+@given(body=st.one_of(_STATEMENTS[1:]),
+       how=st.sampled_from(["whole", "cut", "drop"]), at=st.integers(0, 10**4))
+def test_statement_nests_match_recursive_oracle(body, how, at):
+    src = _cut("module m (input clk, input s, input t, input u, output reg x,"
+               " output reg y);\nalways @(posedge clk)\n"
+               f"{body}\nendmodule\nmodule sib (input a);\nendmodule\n", how, at)
+    assert asdict(parse_source(src)) == asdict(recursive_parse_source(src))
+
+
+# a dependency map over P0..P4: forward references, cycles, self-references,
+# an unknown name and division by zero
+_DIGIT = st.integers(min_value=0, max_value=9).map(str)
+_PARAM_EXPR = st.recursive(
+    st.one_of(_DIGIT, _DIGIT, st.sampled_from(["P0", "P1", "P2", "P3", "P4", "UNDEF"])),
+    _combine, max_leaves=6)
+
+
+@settings(max_examples=500, deadline=None)
+@example(raw={"P0": ["-", "P1", "/", "2"], "P1": ["7"]})  # -4: the `-` binds first
+@given(raw=st.dictionaries(st.sampled_from(["P0", "P1", "P2", "P3", "P4"]),
+                           _PARAM_EXPR.map(lambda expr: tokenize(expr).texts),
+                           max_size=5))
+def test_parameters_match_recursive_oracle(raw):
+    assert _resolve_parameters(raw) == recursive_resolve_parameters(raw)
 
 
 def _else_if_chain(n):
@@ -683,25 +740,46 @@ def test_each_distinct_range_is_evaluated_once_per_module(monkeypatch):
             [w, w, 8, w, 8] + ([w] if w == 8 else [])
 
 
-def _deep_nest(n):
-    return ("module deep (input clk, input d, output reg q);\n"
-            "always @(posedge clk)\n" + "begin " * n + "q <= d;" + " end" * n +
-            "\nendmodule\n"
-            "module sib (input [127:0] key_in, output [127:0] data_out);\n"
+_DEEP = 5000
+_DEEP_ALWAYS = ("module deep (input clk, input [127:0] key_in,"
+                " output reg [127:0] data_out);\nalways @(posedge clk)\n")
+_DEEP_ASSIGN = "output [127:0] data_out);\nassign data_out = key_in;\nendmodule\n"
+# each module nests 5,000 levels deep; the width of its key_in
+_DEEP_MODULES = {
+    "begin": (_DEEP_ALWAYS + "begin " * _DEEP + "data_out <= key_in;" + " end" * _DEEP
+              + "\nendmodule\n", 128),
+    "if": (_DEEP_ALWAYS + "if (key_in) " * _DEEP + "data_out <= key_in;\nendmodule\n",
+           128),
+    "case": (_DEEP_ALWAYS + "case (key_in) 1: " * _DEEP + "data_out <= key_in;"
+             + " endcase" * _DEEP + "\nendmodule\n", 128),
+    "event": (_DEEP_ALWAYS + "@(key_in) " * _DEEP + "data_out <= key_in;\nendmodule\n",
+              128),
+    # an even number of unary minuses, each before a parenthesis: 7
+    "range": ("module deep (input [" + "-(" * _DEEP + "7" + ")" * _DEEP + ":0] key_in, "
+              + _DEEP_ASSIGN, 8),
+    # declared in reverse order of resolution: P0 = P1 + 1, ..., P5000 = 0
+    "parameters": ("module deep #(parameter "
+                   + ", ".join(f"P{k} = P{k + 1} + 1" for k in range(_DEEP))
+                   + f", P{_DEEP} = 0) (input [P0-1:0] key_in, " + _DEEP_ASSIGN, _DEEP),
+}
+_SIBLING = ("module sib (input [127:0] key_in, output [127:0] data_out);\n"
             "  assign data_out = key_in;\nendmodule\n")
 
 
-def test_nesting_past_the_stack_is_a_diagnostic(tmp_path):
-    unit = parse_source(_deep_nest(1200))
-    assert [m.name for m in unit.modules] == ["sib"]
-    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == \
-        [("malformed module: nesting too deep", "error", 1)]
-    (tmp_path / "deep.v").write_text(_deep_nest(1200))
+@pytest.mark.parametrize("kind", sorted(_DEEP_MODULES))
+def test_deep_nesting_parses_without_diagnostic(kind, tmp_path):
+    deep, width = _DEEP_MODULES[kind]
+    unit = parse_source(deep + _SIBLING)
+    assert [m.name for m in unit.modules] == ["deep", "sib"]
+    assert unit.diagnostics == []
+    assert unit.modules[0].signal("key_in").width_bits == width
+    (tmp_path / "deep.v").write_text(deep + _SIBLING)
     out = tmp_path / "report.json"
     assert main(["--rtl-dir", str(tmp_path), "--out", str(out)]) == EXIT_OK
     report = json.loads(out.read_text())
-    assert {a["module"] for a in report["assets"]} == {"sib"}
-    assert report["top_modules"] == ["sib"]
+    assert report["top_modules"] == ["deep", "sib"]
+    assert {a["module"] for a in report["assets"]} == {"deep", "sib"}
+    assert report["diagnostics"] == []
 
 
 def test_module_keyword_at_end_of_file_is_a_diagnostic():

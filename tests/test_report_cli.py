@@ -19,6 +19,7 @@ import assetscout.report
 from assetscout.cli import (
     EXIT_BAD_CONFIG, EXIT_BAD_TOP, EXIT_NO_RTL, EXIT_OK, main,
 )
+from assetscout.keywords import load_family_config
 from assetscout.report import (
     FORMATS, SCHEMA_VERSION, NoRtlFilesError, emit_keyword_stats, run_pipeline,
 )
@@ -331,6 +332,26 @@ def test_cli_stats_mode(capsys):
     assert main(["--rtl-dir", SPLITTER_DIR, "--stats"]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "group,count"
+
+
+def test_cli_stats_stdout_is_the_file_bytes(tmp_path, capsys):
+    # group names that a CSV writer must quote
+    rename = {"key": "k,ey", "data": 'd"at'}
+    data = load_family_config("crypto").to_dict()
+    for group in data["groups"]:
+        group["name"] = rename.get(group["name"], group["name"])
+    for rule in data["rules"]:
+        rule["groups"] = [rename.get(name, name) for name in rule["groups"]]
+    config = tmp_path / "quoted.json"
+    config.write_text(json.dumps(data))
+    args = ["--rtl-dir", SPLITTER_DIR, "--config", str(config), "--stats"]
+    out = tmp_path / "stats.csv"
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    assert main(args) == EXIT_OK
+    assert capsys.readouterr().out.encode() == out.read_bytes()
+    lines = out.read_bytes().splitlines()
+    assert lines[0] == b"group,count"
+    assert b'"k,ey",0' in lines and b'"d""at",7' in lines
 
 
 def test_cli_version(capsys):

@@ -31,6 +31,7 @@ from .syntax import (
 
 RTL_EXTENSIONS = (".v", ".sv", ".vh", ".svh")
 MAX_INCLUDE_DEPTH = 17  # files on an include chain, the parsed file included
+MAX_EXPANDED_LINE = 1 << 16  # characters expanding one line may read
 
 # net type -> width of a net declared without a range; `time` as in IEEE
 # 1364-2005 §4.8, the SystemVerilog integer types as in IEEE 1800-2017 §6.11
@@ -204,10 +205,13 @@ def _substitute_macros(line: str, defines: Dict[str, str],
     """`line` with each macro use replaced by the macro's text, in which
     macro uses expand in turn (IEEE 1364-2005 §19.3.1). The texts being
     scanned wait on a stack as (text, position, the macros it expands); a
-    macro's use inside its own expansion stays, with a warning."""
+    macro's use inside its own expansion stays, with a warning. Reading
+    past MAX_EXPANDED_LINE characters of line and macro text ends the line,
+    with a warning: a chain of macros can double the text at each level."""
     if "`" not in line:
         return line
     out: List[str] = []
+    scanned = 0
     pending = [(line, 0, frozenset())]
     while pending:
         text, pos, expanding = pending.pop()
@@ -216,11 +220,17 @@ def _substitute_macros(line: str, defines: Dict[str, str],
             out.append(text[pos:])
             continue
         out.append(text[pos:m.start()])
+        scanned += m.end() - pos
         pending.append((text, m.end(), expanding))
         name = m.group(1)
         if name in expanding:
             diagnostics.append(Diagnostic(
                 f"macro `{name} expands to a use of itself", "warning", lineno))
+        elif name in defines and scanned > MAX_EXPANDED_LINE:
+            diagnostics.append(Diagnostic(
+                f"macro expansion passes {MAX_EXPANDED_LINE} characters;"
+                " the rest of the line is dropped", "warning", lineno))
+            break
         elif name in defines:
             pending.append((defines[name], 0, expanding | {name}))
             continue
@@ -448,7 +458,6 @@ class _Parser:
             self._parse_port_list(mod)
         self.expect(";")
         self._parse_body(mod, params)
-        mod.end_line = lines[self.pos - 1]
         mod.parameters = values = _resolve_parameters(params)
         # the parameters are fixed, so each distinct range is evaluated once
         widths: Dict[tuple, Optional[int]] = {}
@@ -690,13 +699,12 @@ class _Parser:
         """One procedural statement as flat records, an if or case head
         before those of its branches. Open `begin`s, `if`s and `case`s wait
         on `frames` as [closer (`else` opens an if's second branch), head
-        (None for begin), guards of its statements, start of its current
-        branch in `out`]. A complete statement ends its frame's branch, and
-        that may complete the frame's own statement."""
+        (None for begin), start of its current branch in `out`]. A complete
+        statement ends its frame's branch, and that may complete the frame's
+        own statement. The names the open heads read guard a statement."""
         texts, lines = self.texts, self.lines
         out: List[Statement] = []
         frames: List[list] = []
-        guards: List[str] = []
         while True:
             t = texts[self.pos]
             while t in _PREFIXES:  # timing controls and loop headers
@@ -715,7 +723,7 @@ class _Parser:
                     self.pos += 1
                     if texts[self.pos][:1] in ID_START:
                         self.pos += 1
-                frames.append(["end", None, guards, 0])
+                frames.append(["end", None, 0])
             elif t == "if" or t in _CASE_STARTS:
                 if t == "unique" or t == "priority":
                     self.pos += 1
@@ -726,21 +734,21 @@ class _Parser:
                 cond_ids = collect_identifiers(self.collect_until(")"))
                 kind, closer = (IF_STMT, "else") if t == "if" else (CASE_STMT, "endcase")
                 out.append(Statement(kind, line, cond_idents=cond_ids))
-                frames.append([closer, out[-1], guards + cond_ids, len(out)])
+                frames.append([closer, out[-1], len(out)])
             else:
-                self._parse_simple_statement(guards, out)
+                self._parse_simple_statement(frames, out)
                 complete = True
             while frames:  # close what the statement completes
                 frame = frames[-1]
                 closer, head = frame[0], frame[1]
                 if complete and head is not None:  # it ends an if or case branch
                     head.body_statement_count = max(head.body_statement_count,
-                                                    len(out) - frame[3])
+                                                    len(out) - frame[2])
                     head.branch_count += 1
                     if closer == "else":
                         if head.branch_count == 1 and texts[self.pos] == "else":
                             self.pos += 1
-                            frame[3] = len(out)
+                            frame[2] = len(out)
                             break
                         frames.pop()
                         continue
@@ -760,16 +768,16 @@ class _Parser:
                         self.pos += 1
                     else:
                         self.collect_until(":")
-                    frame[3] = len(out)
+                    frame[2] = len(out)
                 break
             else:
                 return out
-            guards = frames[-1][2]
 
-    def _parse_simple_statement(self, guards: List[str], out: List[Statement]) -> None:
-        """A statement without nested ones: an assignment appends its record
-        to `out`; `;`, `disable`, `wait`, a `$task`, any other statement and
-        the end of file ("", which is no assignment) append none."""
+    def _parse_simple_statement(self, frames: List[list], out: List[Statement]) -> None:
+        """A statement without nested ones: an assignment appends its record,
+        guarded by the heads open on `frames`, to `out`; `;`, `disable`,
+        `wait`, a `$task`, any other statement and the end of file ("", which
+        is no assignment) append none."""
         texts, lines = self.texts, self.lines
         t = texts[self.pos]
         if t == ";":
@@ -792,6 +800,8 @@ class _Parser:
         self._skip_timing_control()
         rhs = self.collect_until(";")
         kind = NONBLOCKING_ASSIGN if op == "<=" else BLOCKING_ASSIGN
+        guards = [name for frame in frames if frame[1] is not None
+                  for name in frame[1].cond_idents]
         out.append(self._make_assign(kind, collect_identifiers(lhs), rhs, guards, line))
 
     # -- instantiations -------------------------------------------------------

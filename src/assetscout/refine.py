@@ -5,7 +5,9 @@ Case 2: a port of another module is traced through instantiation and
 continuous-assignment edges to a reachable top port; unreachable candidates
 are dropped when their module sits inside the top's instantiation tree and
 kept (flagged) when it does not. Cases 1-2 are one search, whose start may
-already be accepted.
+already be accepted. One BFS from the top's I/O guides it: the search follows
+only edges one hop nearer to them, so it walks shortest paths alone, finds
+what an unguided BFS finds, and ends at once where no such edge leads.
 Case 3: a net first expands through assignment and instantiation edges to
 port signals, once for all tops, then Cases 1-2 run on each discovered port.
 """
@@ -104,21 +106,21 @@ def _path_to(node: SignalRef, parent) -> List[ConnEdge]:
     return path[::-1]
 
 
-def _components(adj) -> Dict[SignalRef, SignalRef]:
-    """Node -> first node of its connected component in `adj`, a flood fill:
-    `adj` holds each edge both ways, so no search over it leaves a component."""
-    label: Dict[SignalRef, SignalRef] = {}
-    for start in adj:
-        if start in label:
-            continue
-        label[start] = start
-        stack = [start]
-        while stack:
-            for neighbor, _edge in adj.get(stack.pop(), ()):
-                if neighbor not in label:
-                    label[neighbor] = start
-                    stack.append(neighbor)
-    return label
+def _downhill(adj, sources: List[SignalRef]) -> Dict[SignalRef, tuple]:
+    """Node -> its edges in `adj` one hop nearer to `sources`, for each node
+    a multi-source BFS from `sources` reaches: the edges from hop count d
+    whose far end has hop count d - 1. `adj` holds each edge both ways, so a
+    node's hop count is its distance to the nearest source."""
+    dist = dict.fromkeys(sources, 0)
+    queue = list(dist)
+    for node in queue:  # grows as it is read: BFS order
+        for neighbor, _edge in adj.get(node, ()):
+            if neighbor not in dist:
+                dist[neighbor] = dist[node] + 1
+                queue.append(neighbor)
+    return {node: tuple(step for step in adj.get(node, ())
+                        if dist.get(step[0]) == d - 1)
+            for node, d in dist.items() if d}
 
 
 def refine(candidates: Sequence[CandidateAsset],
@@ -136,7 +138,6 @@ def refine(candidates: Sequence[CandidateAsset],
         if top not in db.modules_by_name:
             raise DesignError(f"top module '{top}' not found")
     port_adj = adjacency(edges, _PORT_SEARCH_VIAS)
-    component = _components(port_adj)
     net_adj = adjacency(edges, _NET_EXPANSION_VIAS)
 
     def is_port(ref: SignalRef) -> bool:
@@ -160,10 +161,9 @@ def refine(candidates: Sequence[CandidateAsset],
         def is_top_io(ref: SignalRef) -> bool:
             return ref[0] == top and is_port(ref)
 
-        # a port search finds top I/O only in a component that holds some
-        top_refs = [(top, s.name) for s in db.modules_by_name[top].signals()]
-        top_components = {component.get(ref, ref) for ref in top_refs
-                          if is_top_io(ref)}
+        top_adj = _downhill(port_adj, [
+            (top, s.name) for s in db.modules_by_name[top].signals()
+            if is_top_io((top, s.name))])
 
         def emit(root: SignalRef, candidate: CandidateAsset,
                  path: List[ConnEdge], outside: bool = False) -> None:
@@ -175,14 +175,9 @@ def refine(candidates: Sequence[CandidateAsset],
                     direction=decl.direction, width_bits=decl.width_bits,
                     trace_path=list(path), outside_top_tree=outside, top=top)
                 merged[root] = asset
-            if candidate not in asset.contributors:
-                asset.contributors.append(candidate)
-            for p in candidate.patterns:
-                if p not in asset.patterns:
-                    asset.patterns.append(p)
-            for o in candidate.objectives:
-                if o not in asset.objectives:
-                    asset.objectives.append(o)
+            asset.contributors.append(candidate)
+            asset.patterns.extend(candidate.patterns)
+            asset.objectives.extend(candidate.objectives)
             if path and (not asset.trace_path or len(path) < len(asset.trace_path)):
                 asset.trace_path = list(path)
 
@@ -192,8 +187,7 @@ def refine(candidates: Sequence[CandidateAsset],
             for port, prefix in ports:
                 # Cases 1-2: the port itself or the top I/O it reaches
                 # through instantiations and continuous assignments
-                hits = (_bfs_paths(port, port_adj, is_top_io)
-                        if component.get(port, port) in top_components else [])
+                hits = _bfs_paths(port, top_adj, is_top_io)
                 for root, path in hits:
                     emit(root, candidate, prefix + path)
                 if not hits and port[0] not in top_tree:
@@ -201,10 +195,11 @@ def refine(candidates: Sequence[CandidateAsset],
                 # else: unreachable inside the top tree -> secondary, dropped
 
         out.extend(sorted(merged.values(), key=lambda a: a.ref))
-    for asset in out:
-        asset.patterns.sort()
-        asset.objectives.sort()
-        asset.contributors.sort(key=lambda c: c.ref)
+    for asset in out:  # a candidate may reach one root through several ports
+        asset.patterns = sorted(set(asset.patterns))
+        asset.objectives = sorted(set(asset.objectives))
+        unique = {c.ref: c for c in asset.contributors}
+        asset.contributors = [unique[ref] for ref in sorted(unique)]
     return out
 
 

@@ -86,7 +86,6 @@ class ModuleDef:
     name: str
     path: str = ""
     line: int = 0
-    end_line: int = 0
     ports: List[SignalDecl] = field(default_factory=list)
     nets: List[SignalDecl] = field(default_factory=list)
     parameters: Dict[str, Optional[int]] = field(default_factory=dict)

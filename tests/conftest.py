@@ -1,5 +1,6 @@
 """Shared paths and helpers for the test suite."""
 
+import importlib.util
 import os
 
 import pytest
@@ -14,6 +15,7 @@ SPLITTER_DIR = os.path.join(FIXTURES, "data_splitter")
 SPLITTER_FILE = os.path.join(SPLITTER_DIR, "data_splitter.v")
 SPLITTER_TRUTH = os.path.join(FIXTURES, "data_splitter_truth.csv")
 MINI_CORPUS = os.path.join(FIXTURES, "mini_corpus")
+BENCH_DIR = os.path.join(os.path.dirname(TESTS_DIR), "bench")
 
 # bundled mini-corpus IPs and the family config each one targets
 CORPUS_FAMILIES = {
@@ -26,6 +28,14 @@ CORPUS_FAMILIES = {
 def parse_tree(root):
     """Parse every RTL file under a directory root, as the CLI does."""
     return [parse_file(p, [root]) for p in discover_rtl_files(root)]
+
+
+def bench_gen():
+    """bench/gen.py, loaded by its path: the benchmark's corpus generator."""
+    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(BENCH_DIR, "gen.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def build_db(text, path="<test>"):

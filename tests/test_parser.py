@@ -3,6 +3,7 @@
 import json
 import os
 import time
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
@@ -15,7 +16,7 @@ from assetscout.design import build_database
 from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
 from assetscout.parser import (
-    MAX_INCLUDE_DEPTH, _number_value, _resolve_parameters, eval_const_expr,
+    MAX_EXPANDED_LINE, MAX_INCLUDE_DEPTH, _number_value, _resolve_parameters, eval_const_expr,
     parse_file, parse_source, preprocess,
 )
 from assetscout.patterns import classify_design
@@ -780,6 +781,38 @@ def test_deep_nesting_parses_without_diagnostic(kind, tmp_path):
     assert report["top_modules"] == ["deep", "sib"]
     assert {a["module"] for a in report["assets"]} == {"deep", "sib"}
     assert report["diagnostics"] == []
+
+
+def _parse_peak_bytes(text):
+    tracemalloc.start()
+    try:
+        parse_source(text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_if_nest_memory_grows_linearly_with_depth():
+    # open frames that each copied their outer guards held depth**2 / 2 names
+    peaks = {depth: _parse_peak_bytes(_DEEP_ALWAYS + "if (key_in) " * depth
+                                      + "data_out <= key_in;\nendmodule\n")
+             for depth in (2000, 4000)}
+    assert peaks[4000] <= 2.5 * peaks[2000], peaks
+
+
+@pytest.mark.parametrize("leaf", ["x", ""])
+def test_doubling_macro_chain_stops_at_the_expansion_cap(leaf):
+    # each level doubles the text; an empty leaf doubles the work alone
+    chain = "".join(f"`define M{k} `M{k + 1}`M{k + 1}\n" for k in range(30))
+    start = time.perf_counter()
+    unit = parse_source(chain + f"`define M30 {leaf}\n"
+                        "module t (input a, output [7:0] b);\n"
+                        "  wire [7:0] w = `M0;\n  assign b = w;\nendmodule\n")
+    assert time.perf_counter() - start < 0.5
+    assert [m.name for m in unit.modules] == ["t"]
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        (f"macro expansion passes {MAX_EXPANDED_LINE} characters;"
+         " the rest of the line is dropped", "warning", 33)]
 
 
 def test_module_keyword_at_end_of_file_is_a_diagnostic():

@@ -20,7 +20,9 @@ from assetscout.refine import (
 from assetscout.report import run_pipeline
 from assetscout.rules import CandidateAsset, apply_family_rules
 
-from conftest import CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, build_db, parse_tree
+from conftest import (
+    CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, bench_gen, build_db, parse_tree,
+)
 from fixtures_rtl import (
     AB_SOURCE, NET_EXPANSION_SOURCE, SECONDARY_NET_SOURCE, STATUS_LINK_SOURCE,
 )
@@ -367,59 +369,133 @@ def _forests(draw):
     return "\n".join(text)
 
 
-@settings(max_examples=150, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(source=_forests(), data=st.data())
-def test_component_pruned_refine_matches_unpruned_oracle(source, data):
-    db = build_db(source)
-    edges = traversal_edges(build_connectivity(db))
+def _drawn_candidates(db, data):
     all_refs = sorted((m, d.name) for m, mod in db.modules_by_name.items()
                       for d in mod.signals())
     refs = data.draw(st.lists(st.sampled_from(all_refs), unique=True, max_size=8))
-    candidates = [candidate_for(db, module, name, data.draw(st.lists(
+    return [candidate_for(db, module, name, data.draw(st.lists(
         st.sampled_from(["Data", "Control", "Status"]), max_size=2, unique=True)))
         for module, name in refs]
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(source=_forests(), data=st.data())
+def test_guided_refine_matches_unpruned_oracle(source, data):
+    db = build_db(source)
+    edges = traversal_edges(build_connectivity(db))
+    candidates = _drawn_candidates(db, data)
     assert len(db.top_modules) >= 2
     for tops in [db.top_modules] + [[top] for top in db.top_modules]:
         assert refine(candidates, db, edges, tops) == \
             unpruned_refine(candidates, db, edges, tops)
 
 
-def test_port_search_skips_components_without_top_ports(monkeypatch):
+class ExpansionLog:
+    """An adjacency map that records each node a search expands."""
+
+    def __init__(self, adj, expanded):
+        self.adj, self.expanded = adj, expanded
+
+    def get(self, node, default=None):
+        self.expanded.append(node)
+        return self.adj.get(node, default)
+
+
+def port_searches(candidates, db, edges, tops):
+    """[(start, nodes expanded, tops whose I/O it accepts)] of each port
+    search `refine` runs. Port searches start at ports, net expansions at
+    nets; a port search accepts the I/O of its own top alone."""
+    searches = []
+    original = assetscout.refine._bfs_paths
+
+    def logging(start, adj, accept, *args):
+        expanded = []
+        if db.signal(start).is_port:
+            under = [top for top in tops
+                     if any(accept((top, s.name)) for s in db.module(top).ports)]
+            searches.append((start, expanded, under))
+        return original(start, ExpansionLog(adj, expanded), accept, *args)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(assetscout.refine, "_bfs_paths", logging)
+        refine(candidates, db, edges, tops)
+    return searches
+
+
+def hop_counts(adj, sources):
+    """Plain BFS: node -> hops from the nearest of `sources`."""
+    dist = dict.fromkeys(sources, 0)
+    frontier = list(dist)
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            for neighbor, _edge in adj.get(node, []):
+                if neighbor not in dist:
+                    dist[neighbor] = dist[node] + 1
+                    next_frontier.append(neighbor)
+        frontier = next_frontier
+    return dist
+
+
+def assert_port_searches_walk_shortest_paths(candidates, db, edges, tops):
+    port_adj = adjacency(edges, _PORT_SEARCH_VIAS)
+    to_top = {top: hop_counts(port_adj, [
+        (top, s.name) for s in db.module(top).ports
+        if not _is_clock_reset((top, s.name))]) for top in tops}
+    searches = port_searches(candidates, db, edges, tops)
+    for start, expanded, under in searches:
+        assert len(under) <= 1
+        dist = to_top[under[0]] if under else {}
+        if start not in dist:
+            assert set(expanded) <= {start}, start
+            continue
+        from_start = hop_counts(port_adj, [start])
+        for node in expanded:
+            assert from_start[node] + dist[node] == dist[start], (start, node)
+    return searches
+
+
+def test_port_searches_walk_shortest_paths_on_mini_corpus():
     db = build_database(parse_tree(MINI_CORPUS))
     tops = find_top_modules(db, None)
     config = load_family_config("crypto")
     edges = traversal_edges(build_connectivity(db))
     candidates = apply_family_rules(match_elements(db, config),
                                     classify_design(db), config)
-    # undirected flood fill over the edges a port search may follow
-    usable = [e for e in edges if e.via in _PORT_SEARCH_VIAS
-              and not _is_clock_reset(e.src) and not _is_clock_reset(e.dst)]
+    searches = assert_port_searches_walk_shortest_paths(candidates, db, edges, tops)
+    assert {top for _start, _expanded, under in searches for top in under} == set(tops)
 
-    def component(start):
-        seen, stack = {start}, [start]
-        while stack:
-            node = stack.pop()
-            for e in usable:
-                for a, b in ((e.src, e.dst), (e.dst, e.src)):
-                    if a == node and b not in seen:
-                        seen.add(b)
-                        stack.append(b)
-        return seen
 
-    top_ports = {t: [(t, s.name) for s in db.module(t).ports] for t in tops}
-    searches = []
-    original = assetscout.refine._bfs_paths
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(source=_forests(), data=st.data())
+def test_port_searches_walk_shortest_paths_on_forests(source, data):
+    db = build_db(source)
+    edges = traversal_edges(build_connectivity(db))
+    assert_port_searches_walk_shortest_paths(
+        _drawn_candidates(db, data), db, edges, db.top_modules)
 
-    def counting(start, adj, accept, *args):
-        # a port search accepts the ports of exactly one top
-        under = [t for t in tops if any(map(accept, top_ports[t]))]
-        if len(under) == 1:
-            searches.append((under[0], start))
-        return original(start, adj, accept, *args)
-    monkeypatch.setattr(assetscout.refine, "_bfs_paths", counting)
-    assert refine(candidates, db, edges, tops) == \
-        unpruned_refine(candidates, db, edges, tops)
-    assert searches
-    for top, start in searches:
-        assert component(start) & set(top_ports[top]), (top, start)
+
+def test_port_search_work_grows_as_modules_times_depth(tmp_path, monkeypatch):
+    gen = bench_gen()
+    expansions = {}
+    for modules in (12, 48):
+        monkeypatch.setitem(gen.WORKLOADS["hier_soc"], "modules_per_tree", modules)
+        manifest = gen.generate("hier_soc", 1, str(tmp_path / str(modules)))
+        args = manifest["args"]
+        db = build_database(parse_tree(manifest["rtl_dir"]))
+        config = load_family_config(args[args.index("--family") + 1])
+        edges = traversal_edges(build_connectivity(db))
+        candidates = apply_family_rules(match_elements(db, config),
+                                        classify_design(db), config)
+        tops = [args[args.index("--top") + 1]]
+        expansions[modules] = sum(len(expanded) for _start, expanded, _under
+                                  in port_searches(candidates, db, edges, tops))
+    # Each search walks shortest paths up to the root's I/O, whose length
+    # grows with the tree's depth: the work grows as modules x depth, here
+    # within a 1.3 margin (6.8x from 12 to 48 modules). An unguided search
+    # walks the tree from every port, so its work grows as modules**2 (17.9x).
+    depth = {n: n.bit_length() - 1 for n in expansions}
+    assert expansions[12] > 0
+    assert expansions[48] <= 1.3 * (48 * depth[48]) / (12 * depth[12]) \
+        * expansions[12], expansions

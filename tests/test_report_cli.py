@@ -3,7 +3,6 @@
 import ast
 import gc
 import hashlib
-import importlib.util
 import json
 import os
 import sys
@@ -27,7 +26,8 @@ from assetscout.syntax import SignalDecl, Statement
 from assetscout.tokenizer import Tokens
 
 from conftest import (
-    CORPUS_FAMILIES, FIXTURES, MINI_CORPUS, SPLITTER_DIR, SPLITTER_TRUTH, TESTS_DIR,
+    BENCH_DIR, CORPUS_FAMILIES, FIXTURES, MINI_CORPUS, SPLITTER_DIR, SPLITTER_TRUTH,
+    bench_gen,
 )
 
 GOLDEN_ROOTS = {
@@ -361,9 +361,6 @@ def test_cli_version(capsys):
     assert "assetscout" in capsys.readouterr().out
 
 
-BENCH_DIR = os.path.join(os.path.dirname(TESTS_DIR), "bench")
-
-
 def _bench_fixtures():
     """`FIXTURES` of bench/run.py, evaluated without importing the runner."""
     path = os.path.join(BENCH_DIR, "run.py")
@@ -386,18 +383,10 @@ def test_fixture_reports_match_pinned_digests(tmp_path):
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned[name], name
 
 
-def _bench_gen():
-    """bench/gen.py, loaded by its path: the benchmark's corpus generator."""
-    spec = importlib.util.spec_from_file_location("bench_gen", os.path.join(BENCH_DIR, "gen.py"))
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_workload_reports_match_pinned_digests(tmp_path, capsys):
     with open(os.path.join(BENCH_DIR, "pinned.json"), encoding="utf-8") as fh:
         pinned = json.load(fh)["workloads"]
-    gen = _bench_gen()
+    gen = bench_gen()
     assert sorted(gen.WORKLOADS) == sorted(pinned)
     for name in sorted(pinned):
         manifest = gen.generate(name, 1, str(tmp_path / name))

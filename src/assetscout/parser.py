@@ -817,15 +817,14 @@ class _Parser:
         while True:
             inst_name = texts[self.pos]
             if not _is_name(inst_name):
-                # not an instantiation after all (e.g. user-defined type decl)
-                self.collect_until(";")
+                self._skip_instantiation(f"no instance name after '{target}'")
                 return
             line = self.lines[self.pos]
             self.pos += 1
             while texts[self.pos] == "[":
                 self._parse_range()
             if texts[self.pos] != "(":
-                self.collect_until(";")
+                self._skip_instantiation(f"no port list after '{target} {inst_name}'")
                 return
             self.pos += 1
             inst = Instantiation(inst_name, target, line=line)
@@ -837,6 +836,13 @@ class _Parser:
             if texts[self.pos] == ";":
                 self.pos += 1
             return
+
+    def _skip_instantiation(self, why: str) -> None:
+        """Not an instantiation after all (a user-defined type declaration,
+        or an unsupported construct): warn at this line and skip to ';'."""
+        self.diagnostics.append(Diagnostic(
+            f"{why}, skipped to ';'", "warning", self.lines[self.pos]))
+        self.collect_until(";")
 
     def _parse_connections(self, inst: Instantiation) -> None:
         texts = self.texts

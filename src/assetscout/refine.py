@@ -10,6 +10,9 @@ only edges one hop nearer to them, so it walks shortest paths alone, finds
 what an unguided BFS finds, and ends at once where no such edge leads.
 Case 3: a net first expands through assignment and instantiation edges to
 port signals, once for all tops, then Cases 1-2 run on each discovered port.
+Whether a port reaches a top's I/O depends on the port alone, so a flagged
+asset is built once, from every contribution at its root, and each top that
+keeps it gets a copy that shares its lists.
 """
 
 from dataclasses import dataclass, field
@@ -48,6 +51,10 @@ def traversal_edges(edges: Sequence[ConnEdge]) -> List[ConnEdge]:
 
 @dataclass
 class PrimaryAsset:
+    """A root signal and the candidates traced to it under `top`. The
+    `outside_top_tree` copies of one asset under several tops share their
+    lists."""
+
     module: str
     name: str
     direction: str
@@ -123,6 +130,32 @@ def _downhill(adj, sources: List[SignalRef]) -> Dict[SignalRef, tuple]:
             for node, d in dist.items() if d}
 
 
+def _emit(merged: Dict[SignalRef, PrimaryAsset], db: DesignDatabase,
+          root: SignalRef, candidate: CandidateAsset, path: List[ConnEdge],
+          top: str, outside: bool = False) -> None:
+    """Add one contribution at `root` to `merged`, creating its asset."""
+    asset = merged.get(root)
+    if asset is None:
+        decl = db.signal(root)
+        asset = merged[root] = PrimaryAsset(
+            module=root[0], name=root[1],
+            direction=decl.direction, width_bits=decl.width_bits,
+            trace_path=list(path), outside_top_tree=outside, top=top)
+    asset.contributors.append(candidate)
+    asset.patterns.extend(candidate.patterns)
+    asset.objectives.extend(candidate.objectives)
+    if path and (not asset.trace_path or len(path) < len(asset.trace_path)):
+        asset.trace_path = list(path)
+
+
+def _dedupe(asset: PrimaryAsset) -> None:
+    """A candidate may reach one root through several ports."""
+    asset.patterns = sorted(set(asset.patterns))
+    asset.objectives = sorted(set(asset.objectives))
+    unique = {c.ref: c for c in asset.contributors}
+    asset.contributors = [unique[ref] for ref in sorted(unique)]
+
+
 def refine(candidates: Sequence[CandidateAsset],
            db: DesignDatabase,
            edges: Sequence[ConnEdge],
@@ -134,9 +167,11 @@ def refine(candidates: Sequence[CandidateAsset],
     `edges` is `traversal_edges(build_connectivity(db))`, which holds every
     edge in both directions.
     """
+    trees = {}
     for top in tops:
         if top not in db.modules_by_name:
             raise DesignError(f"top module '{top}' not found")
+        trees[top] = db.modules_under(top)
     port_adj = adjacency(edges, _PORT_SEARCH_VIAS)
     net_adj = adjacency(edges, _NET_EXPANSION_VIAS)
 
@@ -153,9 +188,21 @@ def refine(candidates: Sequence[CandidateAsset],
                  else _bfs_paths(ref, net_adj, is_port))
         starts.append((candidate, ref, ports))
 
+    # A start whose module some tree does not hold is kept, flagged, under
+    # each such top that does not reach it; which tops reach a port depends
+    # on the port alone, so its asset gathers every contribution once
+    everywhere = set(db.modules_by_name).intersection(*trees.values())
+    outside: Dict[SignalRef, PrimaryAsset] = {}
+    for candidate, ref, ports in starts:
+        for root, prefix in ports or [(ref, [])]:
+            if root[0] not in everywhere:
+                _emit(outside, db, root, candidate, prefix, "", outside=True)
+    for asset in outside.values():
+        _dedupe(asset)
+    outside = dict(sorted(outside.items()))  # one sorted run in each top's sort
+
     out: List[PrimaryAsset] = []
     for top in tops:
-        top_tree = db.modules_under(top)
         merged: Dict[SignalRef, PrimaryAsset] = {}
 
         def is_top_io(ref: SignalRef) -> bool:
@@ -164,42 +211,28 @@ def refine(candidates: Sequence[CandidateAsset],
         top_adj = _downhill(port_adj, [
             (top, s.name) for s in db.modules_by_name[top].signals()
             if is_top_io((top, s.name))])
-
-        def emit(root: SignalRef, candidate: CandidateAsset,
-                 path: List[ConnEdge], outside: bool = False) -> None:
-            asset = merged.get(root)
-            if asset is None:
-                decl = db.signal(root)
-                asset = PrimaryAsset(
-                    module=root[0], name=root[1],
-                    direction=decl.direction, width_bits=decl.width_bits,
-                    trace_path=list(path), outside_top_tree=outside, top=top)
-                merged[root] = asset
-            asset.contributors.append(candidate)
-            asset.patterns.extend(candidate.patterns)
-            asset.objectives.extend(candidate.objectives)
-            if path and (not asset.trace_path or len(path) < len(asset.trace_path)):
-                asset.trace_path = list(path)
-
-        for candidate, ref, ports in starts:
-            if not ports and ref[0] not in top_tree:
-                emit(ref, candidate, [], outside=True)
+        reached = set()
+        for candidate, _ref, ports in starts:
             for port, prefix in ports:
                 # Cases 1-2: the port itself or the top I/O it reaches
-                # through instantiations and continuous assignments
-                hits = _bfs_paths(port, top_adj, is_top_io)
-                for root, path in hits:
-                    emit(root, candidate, prefix + path)
-                if not hits and port[0] not in top_tree:
-                    emit(port, candidate, prefix, outside=True)
-                # else: unreachable inside the top tree -> secondary, dropped
-
-        out.extend(sorted(merged.values(), key=lambda a: a.ref))
-    for asset in out:  # a candidate may reach one root through several ports
-        asset.patterns = sorted(set(asset.patterns))
-        asset.objectives = sorted(set(asset.objectives))
-        unique = {c.ref: c for c in asset.contributors}
-        asset.contributors = [unique[ref] for ref in sorted(unique)]
+                # through instantiations and continuous assignments; a port
+                # with no edge nearer to that I/O reaches none of it
+                if port[0] != top and port not in top_adj:
+                    continue
+                for root, path in _bfs_paths(port, top_adj, is_top_io):
+                    reached.add(port)
+                    _emit(merged, db, root, candidate, prefix + path, top)
+        for asset in merged.values():
+            _dedupe(asset)
+        # an unreached start outside the top tree gets a copy; inside it,
+        # it is secondary and dropped
+        tree = trees[top]
+        for root, asset in outside.items():
+            if root[0] not in tree and root not in reached:
+                merged[root] = PrimaryAsset(  # the same lists: a copy
+                    *root, asset.direction, asset.width_bits, asset.contributors,
+                    asset.patterns, asset.objectives, asset.trace_path, True, top)
+        out.extend(asset for _root, asset in sorted(merged.items()))
     return out
 
 
@@ -215,19 +248,21 @@ def link_status_to_control(assets: Sequence[PrimaryAsset],
     and `behaviors` is `classify_design(db)`.
     """
     inst_adj = adjacency(edges, {VIA_INSTANTIATION})
+    verdicts: Dict[SignalRef, str] = {}  # one per ref: copies share it
     for asset in assets:
         if STATUS not in asset.patterns:
             continue
+        if asset.ref not in verdicts:
+            def is_foreign_control(ref: SignalRef) -> bool:
+                mod, sig = ref
+                if mod == asset.module:
+                    return False
+                behavior = behaviors.get(mod)
+                return behavior is not None and CONTROL in behavior.patterns_of(sig)
 
-        def is_foreign_control(ref: SignalRef) -> bool:
-            mod, sig = ref
-            if mod == asset.module:
-                return False
-            behavior = behaviors.get(mod)
-            return behavior is not None and CONTROL in behavior.patterns_of(sig)
-
-        hits = _bfs_paths(asset.ref, inst_adj, is_foreign_control)
-        target = AVAILABILITY if hits else INTEGRITY
+            hits = _bfs_paths(asset.ref, inst_adj, is_foreign_control)
+            verdicts[asset.ref] = AVAILABILITY if hits else INTEGRITY
+        target = verdicts[asset.ref]
         if target not in asset.objectives:
             asset.objectives.append(target)
             asset.objectives.sort()

@@ -6,7 +6,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from . import __version__
 from .design import (
@@ -54,9 +54,19 @@ class AssetReport:
         # assets, the bulk of a report, are written here, keys in sorted order
         yield '{\n  "assets": ['
         sep = "\n    "
-        for asset in sorted(self.assets, key=lambda a: (a.module, a.name, a.top)):
-            yield sep
-            yield _asset_json(asset)
+        last = None
+        for a in sorted(self.assets, key=lambda a: (a.module, a.name, a.top)):
+            # the copies of an asset under several tops differ in "top" alone
+            fields = (a.module, a.name, a.direction, a.width_bits,
+                      a.outside_top_tree, a.contributors, a.patterns,
+                      a.objectives, a.trace_path)
+            if fields != last:
+                last = fields
+                head, tail = _asset_json(a)
+            yield sep  # one piece each: the copies share `head` and `tail`
+            yield head
+            yield _str(a.top)
+            yield tail
             sep = ",\n    "
         yield "\n  ]" if self.assets else "]"
         small = {
@@ -141,8 +151,9 @@ def _strs(items, pad: str) -> str:
     return _list([_str(s) for s in items], pad)
 
 
-def _asset_json(a: PrimaryAsset) -> str:
-    """One asset as `json.dumps(indent=2, sort_keys=True)` writes it at depth 2."""
+def _asset_json(a: PrimaryAsset) -> Tuple[str, str]:
+    """One asset as `json.dumps(indent=2, sort_keys=True)` writes it at depth
+    2, as the text before its "top" value and the text after it."""
     p8, p10, p12 = " " * 8, " " * 10, " " * 12
     contributors = [
         f'{{\n{p10}"matched_groups": {_strs(c.matched_groups, p12)},\n'
@@ -159,8 +170,8 @@ def _asset_json(a: PrimaryAsset) -> str:
             f'      "objectives": {_strs(a.objectives, p8)},\n'
             f'      "outside_top_tree": {"true" if a.outside_top_tree else "false"},\n'
             f'      "patterns": {_strs(a.patterns, p8)},\n'
-            f'      "top": {_str(a.top)},\n'
-            f'      "trace_path": {_list(trace, p8)},\n'
+            f'      "top": ',
+            f',\n      "trace_path": {_list(trace, p8)},\n'
             f'      "width_bits": {width}\n    }}')
 
 

@@ -310,6 +310,22 @@ def test_error_recovery_at_module_boundary():
     assert unit.diagnostics
 
 
+@pytest.mark.parametrize("item, message", [
+    # a generate region without the keywords: the label reads as a module
+    ("if (1) begin : g core u (.key_in(key)); end",
+     "no port list after 'g core'"),
+    ("for (i = 0; i < 1; i = i + 1) begin : g core u (.key_in(key)); end",
+     "no instance name after 'i'"),
+])
+def test_instantiation_that_is_no_instance_is_a_warning(item, message):
+    unit = parse_source("module top (input [7:0] key);\n"
+                        f"  {item}\nendmodule\n")
+    assert [m.name for m in unit.modules] == ["top"]
+    assert unit.modules[0].instantiations == []
+    assert (f"{message}, skipped to ';'", "warning", 2) in [
+        (d.message, d.severity, d.line) for d in unit.diagnostics]
+
+
 @pytest.mark.parametrize("stray, stmts", [
     ("  assign b = a);\n", [(["b"], ["a"])]),
     ("  always @(posedge a) b <= a];\n", [(["b"], ["a"])]),

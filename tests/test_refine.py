@@ -1,5 +1,7 @@
 """Root tracing, deduplication, and status-to-control linkage."""
 
+import copy
+
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -12,12 +14,13 @@ from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
 from assetscout.patterns import classify_design
 import assetscout.refine
+import assetscout.report
 from assetscout.refine import (
     _NET_EXPANSION_VIAS, _PORT_SEARCH_VIAS, MAX_BFS_DEPTH, PrimaryAsset,
     _bfs_paths, _is_clock_reset, link_status_to_control, refine,
     traversal_edges,
 )
-from assetscout.report import run_pipeline
+from assetscout.report import AssetReport, run_pipeline
 from assetscout.rules import CandidateAsset, apply_family_rules
 
 from conftest import (
@@ -187,6 +190,67 @@ def test_link_ignores_non_status_assets():
     assert linked[0].objectives == ["Availability"]
 
 
+def count_calls(monkeypatch, module, name, counts):
+    """Count the calls of `module.name` in `counts[name]`."""
+    original = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_link_on_shared_lists_equals_link_on_independent_copies(monkeypatch):
+    db = build_db(STATUS_LINK_SOURCE)
+    edges = traversal_edges(build_connectivity(db))
+    behaviors = classify_design(db)
+    done = db.signal(("worker", "done"))
+    go = db.signal(("boss", "go_in"))
+    base = [PrimaryAsset(module="worker", name="done", direction=done.direction,
+                         width_bits=done.width_bits, patterns=["Status"],
+                         objectives=["Integrity"], outside_top_tree=True),
+            PrimaryAsset(module="boss", name="go_in", direction=go.direction,
+                         width_bits=go.width_bits, patterns=["Status"])]
+    # copies under three tops, which share their lists as refine makes them
+    shared = [PrimaryAsset(**{**vars(a), "top": top})
+              for a in base for top in ("t0", "t1", "t2")]
+    independent = copy.deepcopy(shared)
+    counts = {}
+    count_calls(monkeypatch, assetscout.refine, "_bfs_paths", counts)
+    linked = link_status_to_control(shared, edges, behaviors)
+    assert counts["_bfs_paths"] == 2  # one per distinct Status ref
+    assert [a.objectives for a in linked] == \
+        [a.objectives for a in link_status_to_control(independent, edges, behaviors)]
+    assert [a.objectives for a in linked] == \
+        [["Availability", "Integrity"]] * 3 + [["Integrity"]] * 3
+
+
+def test_cross_top_copies_are_searched_linked_and_rendered_once(tmp_path,
+                                                                monkeypatch):
+    # seed-1 ip_library: 11 tops, and most assets are outside_top_tree
+    # copies of another tree's candidates
+    manifest = bench_gen().generate("ip_library", 1, str(tmp_path))
+    args = manifest["args"]
+    db = build_database(parse_tree(manifest["rtl_dir"]))
+    config = load_family_config(args[args.index("--family") + 1])
+    edges = traversal_edges(build_connectivity(db))
+    behaviors = classify_design(db)
+    candidates = apply_family_rules(match_elements(db, config), behaviors, config)
+    tops = find_top_modules(db, None)
+    counts = {}
+    count_calls(monkeypatch, assetscout.refine, "_bfs_paths", counts)
+    count_calls(monkeypatch, assetscout.report, "_asset_json", counts)
+    assets = refine(candidates, db, edges, tops)
+    searches = counts.pop("_bfs_paths")
+    link_status_to_control(assets, edges, behaviors)
+    AssetReport("", "", tops, {}, {}, assets, []).render("json")
+    status_refs = {a.ref for a in assets if "Status" in a.patterns}
+    assert len(tops) == 11 and len(assets) > 9000
+    assert searches <= 1000  # 9,801 with a search per copy
+    assert counts["_bfs_paths"] == len(status_refs) > 0  # 2,429: one per asset
+    assert counts["_asset_json"] <= 1600  # 9,256: one per asset
+
+
 def test_refine_all_tops_equals_one_top_at_a_time():
     db = build_database(parse_tree(MINI_CORPUS))
     tops = find_top_modules(db, None)
@@ -336,8 +400,11 @@ _NET_NAMES = ["key_q", "data_q", "clk_g"]
 
 @st.composite
 def _forests(draw):
-    """Verilog for 2-4 instantiation trees of 2-3 modules each."""
+    """Verilog for 2-4 instantiation trees of 2-3 modules each. A module may
+    also instantiate a non-root module of an earlier tree, so trees share
+    subtrees: every root stays a root and no instantiation cycle forms."""
     text = []
+    shared = []  # (name, ports) of the non-root modules of earlier trees
     for t in range(draw(st.integers(min_value=2, max_value=4))):
         size = draw(st.integers(min_value=2, max_value=3))
         signals = {}
@@ -347,6 +414,7 @@ def _forests(draw):
             nets = draw(st.lists(st.sampled_from(_NET_NAMES), max_size=2,
                                  unique=True))
             signals[k] = (ports, nets)
+        earlier = list(shared)
         for k in range(size):
             ports, nets = signals[k]
             own = ports + nets
@@ -360,12 +428,17 @@ def _forests(draw):
                     st.sampled_from(own), st.sampled_from(own),
                     st.sampled_from(["assign", "always @(*)"])), max_size=3)):
                 body.append(f"  {kind} {lhs} = {rhs};")
-            for child in range(k + 1, size):
-                if child == k + 1 or draw(st.booleans()):
-                    conns = [f".{p}({draw(st.sampled_from(own))})"
-                             for p in signals[child][0] if draw(st.booleans())]
-                    body.append(f"  t{t}_m{child} u{child} ({', '.join(conns)});")
+            children = [(f"t{t}_m{child}", signals[child][0])
+                        for child in range(k + 1, size)
+                        if child == k + 1 or draw(st.booleans())]
+            if earlier and draw(st.booleans()):
+                children.append(draw(st.sampled_from(earlier)))
+            for u, (child, child_ports) in enumerate(children):
+                conns = [f".{p}({draw(st.sampled_from(own))})"
+                         for p in child_ports if draw(st.booleans())]
+                body.append(f"  {child} u{u} ({', '.join(conns)});")
             text.append("\n".join(body + ["endmodule", ""]))
+        shared += [(f"t{t}_m{k}", signals[k][0]) for k in range(1, size)]
     return "\n".join(text)
 
 
@@ -389,6 +462,42 @@ def test_guided_refine_matches_unpruned_oracle(source, data):
     for tops in [db.top_modules] + [[top] for top in db.top_modules]:
         assert refine(candidates, db, edges, tops) == \
             unpruned_refine(candidates, db, edges, tops)
+
+
+SHARED_CHILD_SOURCE = """
+module shared (input [7:0] key_in, output [7:0] key_out);
+  assign key_out = key_in;
+endmodule
+module top_a (input [7:0] key_a, input [7:0] key_spare, output [7:0] out_a);
+  shared u (.key_in(key_a), .key_out(out_a));
+endmodule
+module top_b (input [7:0] key_b, output [7:0] out_b);
+  shared u (.key_in(key_b), .key_out(out_b));
+endmodule
+"""
+
+
+def test_port_of_one_top_reaching_another_tops_io_is_no_copy():
+    # shared.key_in roots under both tops. top_a's ports lie outside
+    # top_b's tree: key_a reaches top_b.key_b through the shared child, so
+    # it gets no outside_top_tree copy under top_b; key_spare reaches
+    # nothing there, so it does
+    db = build_db(SHARED_CHILD_SOURCE)
+    edges = traversal_edges(build_connectivity(db))
+    candidates = [candidate_for(db, "shared", "key_in", ["Data"]),
+                  candidate_for(db, "top_a", "key_a", ["Data"]),
+                  candidate_for(db, "top_a", "key_spare", ["Data"])]
+    tops = ["top_a", "top_b"]
+    assets = refine(candidates, db, edges, tops)
+    key_in, key_a, key_spare = [c.ref for c in candidates]
+    assert [(a.top, a.module, a.name, a.outside_top_tree,
+             [c.ref for c in a.contributors]) for a in assets] == [
+        ("top_a", "top_a", "key_a", False, [key_in, key_a]),
+        ("top_a", "top_a", "key_spare", False, [key_spare]),
+        ("top_b", "top_a", "key_spare", True, [key_spare]),
+        ("top_b", "top_b", "key_b", False, [key_in, key_a]),
+    ]
+    assert assets == unpruned_refine(candidates, db, edges, tops)
 
 
 class ExpansionLog:

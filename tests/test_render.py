@@ -1,5 +1,6 @@
 """The JSON report renderer against the `json.dumps` of the report's dict."""
 
+import copy
 import json
 
 from hypothesis import given, settings
@@ -64,18 +65,39 @@ _CONTRIBUTOR = st.builds(
     objectives=st.lists(_TEXT, max_size=2),
     matched_groups=st.lists(_TEXT, max_size=3))
 
-_ASSET = st.builds(
-    PrimaryAsset, module=_NAMES, name=_NAMES, direction=_TEXT,
+_FIELDS = dict(
+    module=_NAMES, name=_NAMES, direction=_TEXT,
     width_bits=st.one_of(st.none(), st.integers()),
     contributors=st.lists(_CONTRIBUTOR, max_size=3),
     patterns=st.lists(_TEXT, max_size=3), objectives=st.lists(_TEXT, max_size=3),
     trace_path=st.lists(st.builds(ConnEdge, _REF, _REF, _TEXT), max_size=3),
     outside_top_tree=st.booleans(), top=_NAMES)
 
+
+@st.composite
+def _assets(draw):
+    """Assets, with copies of some under other tops: copies that share the
+    lists, copies with equal but distinct lists, and near-copies that differ
+    in one field other than `top` as well."""
+    assets = draw(st.lists(st.builds(PrimaryAsset, **_FIELDS), max_size=6))
+    for asset in list(assets):
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            fields = {**vars(asset), "top": draw(_FIELDS["top"])}
+            kind = draw(st.sampled_from(["shared", "equal", "near"]))
+            if kind == "equal":
+                fields = copy.deepcopy(fields)
+            elif kind == "near":
+                name = draw(st.sampled_from(sorted(set(_FIELDS) - {"top"})))
+                fields[name] = draw(_FIELDS[name].filter(
+                    lambda value, old=fields[name]: value != old))
+            assets.append(PrimaryAsset(**fields))
+    return assets
+
+
 _REPORT = st.builds(
     AssetReport, tool_version=_TEXT, family=_TEXT,
     top_modules=st.lists(_NAMES, max_size=3), corpus_stats=_COUNTS,
-    stage_counts=_COUNTS, assets=st.lists(_ASSET, max_size=6),
+    stage_counts=_COUNTS, assets=_assets(),
     diagnostics=st.lists(st.builds(Diagnostic, _TEXT, _TEXT, st.integers()),
                          max_size=3),
     evaluation=st.one_of(st.none(), st.builds(

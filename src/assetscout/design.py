@@ -2,7 +2,7 @@
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .syntax import (
     ASSIGN_KINDS, TERNARY_STMT, WILDCARD,
@@ -20,8 +20,7 @@ class DesignError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class ConnEdge:
+class ConnEdge(NamedTuple):
     src: SignalRef
     dst: SignalRef
     via: str
@@ -177,14 +176,3 @@ def build_connectivity(db: DesignDatabase) -> List[ConnEdge]:
             f"{skipped} connectivity endpoints did not resolve to declared "
             "signals and were skipped", "info", 0))
     return edges
-
-
-def adjacency(edges: Iterable[ConnEdge],
-              vias: Optional[Set[str]] = None) -> Dict[SignalRef, List[Tuple[SignalRef, ConnEdge]]]:
-    """Adjacency map for BFS, optionally restricted to edge kinds."""
-    adj: Dict[SignalRef, List[Tuple[SignalRef, ConnEdge]]] = {}
-    for edge in edges:
-        if vias is not None and edge.via not in vias:
-            continue
-        adj.setdefault(edge.src, []).append((edge.dst, edge))
-    return adj

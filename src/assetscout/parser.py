@@ -2,10 +2,11 @@
 
 Covers module/endmodule, ANSI and non-ANSI ports, wire/reg/logic/integer
 declarations, parameter/localparam, always/initial blocks with if/case and
-blocking/non-blocking assignments, ternary expressions, continuous assigns
-and module instantiations.  Unsupported constructs (generate, function,
-task, ...) are skipped with a diagnostic.  Errors never abort sibling
-modules: recovery happens at the next `module` keyword.
+blocking/non-blocking assignments, ternary expressions, continuous assigns,
+gate primitives (read as continuous assigns) and module instantiations.
+Unsupported constructs (generate, function, task, switch primitives, ...)
+are skipped with a diagnostic.  Errors never abort sibling modules:
+recovery happens at the next `module` keyword.
 
 No function recurses, except `preprocess` into an included file, at most
 MAX_INCLUDE_DEPTH deep. Nesting lives on explicit stacks, so any depth
@@ -48,6 +49,16 @@ _CASE_STARTS = frozenset(["case", "casez", "casex", "unique", "priority"])
 # what a statement may start with before its own head (IEEE 1364-2005 §9.6, §9.7)
 _PREFIXES = frozenset(["@", "#", "for", "while", "repeat", "forever"])
 _PROCEDURAL_ASSIGN_KEYWORDS = frozenset(["force", "release", "deassign", "assign"])
+# gate primitive -> where its outputs end among its terminals (IEEE 1364-2005
+# §7): an n-input gate or a three-state buffer drives its first terminal,
+# and a buf or not all but its last
+_GATE_OUTPUTS = {**dict.fromkeys(["and", "nand", "or", "nor", "xor", "xnor",
+                                  "bufif0", "bufif1", "notif0", "notif1"], 1),
+                 "buf": -1, "not": -1}
+_OTHER_PRIMITIVES = frozenset("""cmos rcmos nmos pmos rnmos rpmos tran rtran
+tranif0 tranif1 rtranif0 rtranif1 pullup pulldown""".split())
+_STRENGTHS = frozenset("""supply0 strong0 pull0 weak0 highz0 supply1 strong1
+pull1 weak1 highz1""".split())
 _SKIP_BLOCKS = {
     "generate": "endgenerate",
     "function": "endfunction",
@@ -583,6 +594,10 @@ class _Parser:
                 self.collect_until(";")
             elif t == "assign":
                 self._parse_continuous_assign(mod)
+            elif t in _GATE_OUTPUTS:
+                self._parse_gates(mod)
+            elif t in _OTHER_PRIMITIVES:
+                self._skip_instantiation(f"unsupported primitive '{t}'")
             elif t in _PROCESSES:
                 self.pos += 1
                 mod.statements.extend(self._parse_statement())
@@ -692,6 +707,47 @@ class _Parser:
                 self.pos += 1
                 continue
             if sep == ";":
+                self.pos += 1
+            return
+
+    def _parse_gates(self, mod: ModuleDef) -> None:
+        """`gate [#delay] [name [range]] (terminals) {, ...};` (IEEE
+        1364-2005 §7.1) as one continuous assignment per instance, whose
+        outputs are driven by its other terminals."""
+        texts = self.texts
+        gate = texts[self.pos]
+        self.pos += 1
+        if texts[self.pos] == "(" and texts[self.pos + 1] in _STRENGTHS:
+            self.pos += 1
+            self._skip_instantiation(f"unsupported drive strength '{texts[self.pos]}'")
+            return
+        self._skip_timing_control()
+        split = _GATE_OUTPUTS[gate]
+        while True:
+            if _is_name(texts[self.pos]):
+                self.pos += 1
+                while texts[self.pos] == "[":
+                    self._parse_range()
+            if texts[self.pos] != "(":
+                self._skip_instantiation(f"no terminal list after '{gate}'")
+                return
+            self.pos += 1
+            line = self.lines[self.pos]
+            terminals = [self.collect_until(",", ")", consume=False)]
+            while texts[self.pos] == ",":
+                self.pos += 1
+                terminals.append(self.collect_until(",", ")", consume=False))
+            if texts[self.pos] == ")":
+                self.pos += 1
+            mod.statements.append(Statement(
+                CONTINUOUS_ASSIGN, line,
+                lhs_idents=collect_identifiers(sum(terminals[:split], [])),
+                rhs_idents=collect_identifiers(sum(terminals[split:], [])),
+                continuous=True))
+            if texts[self.pos] == ",":
+                self.pos += 1
+                continue
+            if texts[self.pos] == ";":
                 self.pos += 1
             return
 

@@ -1,27 +1,27 @@
 """Stage 5: trace candidates to their roots at TOP-module I/O and deduplicate.
 
+Every search walks one graph, `traversal_graph`, built once per run: one
+shared tuple per signal, mapped to its (neighbour, link kind) pairs.
 Case 1: a candidate that is already a top-module port roots at itself.
 Case 2: a port of another module is traced through instantiation and
-continuous-assignment edges to a reachable top port; unreachable candidates
+continuous-assignment links to a reachable top port; unreachable candidates
 are dropped when their module sits inside the top's instantiation tree and
 kept (flagged) when it does not. Cases 1-2 are one search, whose start may
 already be accepted. One BFS from the top's I/O guides it: the search follows
-only edges one hop nearer to them, so it walks shortest paths alone, finds
-what an unguided BFS finds, and ends at once where no such edge leads.
-Case 3: a net first expands through assignment and instantiation edges to
-port signals, once for all tops, then Cases 1-2 run on each discovered port.
+only links one hop nearer to them, so it walks shortest paths alone, finds
+what an unguided BFS finds, and ends at once where no such link leads.
+Case 3: a net first expands through links of every kind to port signals,
+once for all tops, then Cases 1-2 run on each discovered port.
 Whether a port reaches a top's I/O depends on the port alone, so a flagged
 asset is built once, from every contribution at its root, and each top that
 keeps it gets a copy that shares its lists.
 """
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .design import (
-    VIA_CONTINUOUS, VIA_INSTANTIATION, VIA_PROCEDURAL,
-    ConnEdge, DesignDatabase, DesignError, SignalRef, adjacency,
-)
+from .design import VIA_CONTINUOUS, VIA_INSTANTIATION
+from .design import ConnEdge, DesignDatabase, DesignError, SignalRef
 from .keywords import AVAILABILITY, CLOCK_RESET_NAMES, INTEGRITY
 from .patterns import CONTROL, STATUS, BehaviorClassification
 from .rules import CandidateAsset
@@ -29,24 +29,28 @@ from .rules import CandidateAsset
 MAX_BFS_DEPTH = 64
 
 _PORT_SEARCH_VIAS = {VIA_INSTANTIATION, VIA_CONTINUOUS}
-_NET_EXPANSION_VIAS = {VIA_INSTANTIATION, VIA_CONTINUOUS, VIA_PROCEDURAL}
+Graph = Dict[SignalRef, List[Tuple[SignalRef, str]]]  # signal -> (neighbour, via)
 
 
-def _is_clock_reset(ref: SignalRef) -> bool:
-    return ref[1].lower() in CLOCK_RESET_NAMES
+def traversal_graph(edges: Iterable[ConnEdge]) -> Graph:
+    """Signal -> the (neighbour, via) of each edge from it, in edge order,
+    from `build_connectivity(db)`; one tuple per signal is its key and every
+    neighbour naming it. Clock/reset signals are excluded both as endpoints
+    and as hops: reset guards touch nearly every register, so paths through
+    them carry no dataflow meaning. Each signal is tested once."""
+    graph: Graph = {}
+    kept: Dict[SignalRef, Optional[SignalRef]] = {}  # None: a clock/reset
 
+    def one(ref: SignalRef) -> Optional[SignalRef]:
+        if ref not in kept:
+            kept[ref] = None if ref[1].lower() in CLOCK_RESET_NAMES else ref
+        return kept[ref]
 
-def traversal_edges(edges: Sequence[ConnEdge]) -> List[ConnEdge]:
-    """The edges refinement searches follow, from `build_connectivity(db)`.
-
-    Clock/reset signals are excluded both as endpoints and as hops: reset
-    guards touch nearly every register, so paths through them carry no
-    dataflow meaning. Each signal name is tested once.
-    """
-    names = {e.src[1] for e in edges} | {e.dst[1] for e in edges}
-    excluded = {name for name in names if name.lower() in CLOCK_RESET_NAMES}
-    return [e for e in edges
-            if e.src[1] not in excluded and e.dst[1] not in excluded]
+    for src, dst, via in edges:
+        src, dst = one(src), one(dst)
+        if src is not None and dst is not None:
+            graph.setdefault(src, []).append((dst, via))
+    return graph
 
 
 @dataclass
@@ -72,18 +76,20 @@ class PrimaryAsset:
 
 
 def _bfs_paths(start: SignalRef,
-               adj: Dict[SignalRef, List[Tuple[SignalRef, ConnEdge]]],
+               adj: Graph,
                accept,
                max_depth: int = MAX_BFS_DEPTH,
+               via: Optional[str] = None,
                ) -> List[Tuple[SignalRef, List[ConnEdge]]]:
-    """All accepted nodes at the minimal BFS depth, with their paths.
+    """All accepted nodes at the minimal BFS depth, with their paths, over
+    the links of `adj` of kind `via`, or of every kind when it is None.
 
-    Each reached node records the node and edge it was first reached by;
-    a path is walked back from these parent pointers only for the hits.
+    Each reached node records the node and link kind it was first reached
+    by; a path is walked back from these parent pointers only for the hits.
     """
     if accept(start):
         return [(start, [])]
-    parent: Dict[SignalRef, Optional[Tuple[SignalRef, ConnEdge]]] = {start: None}
+    parent: Dict[SignalRef, Optional[Tuple[SignalRef, str]]] = {start: None}
     frontier = [start]
     depth = 0
     while frontier and depth < max_depth:
@@ -91,10 +97,10 @@ def _bfs_paths(start: SignalRef,
         next_frontier: List[SignalRef] = []
         hits: List[SignalRef] = []
         for node in frontier:
-            for neighbor, edge in adj.get(node, ()):
-                if neighbor in parent:
+            for neighbor, kind in adj.get(node, ()):
+                if neighbor in parent or via is not None and kind != via:
                     continue
-                parent[neighbor] = (node, edge)
+                parent[neighbor] = (node, kind)
                 if accept(neighbor):
                     hits.append(neighbor)
                 else:
@@ -108,25 +114,28 @@ def _bfs_paths(start: SignalRef,
 def _path_to(node: SignalRef, parent) -> List[ConnEdge]:
     path: List[ConnEdge] = []
     while parent[node] is not None:
-        node, edge = parent[node]
-        path.append(edge)
+        prev, via = parent[node]
+        path.append(ConnEdge(prev, node, via))
+        node = prev
     return path[::-1]
 
 
-def _downhill(adj, sources: List[SignalRef]) -> Dict[SignalRef, tuple]:
-    """Node -> its edges in `adj` one hop nearer to `sources`, for each node
-    a multi-source BFS from `sources` reaches: the edges from hop count d
-    whose far end has hop count d - 1. `adj` holds each edge both ways, so a
-    node's hop count is its distance to the nearest source."""
+def _downhill(graph: Graph, sources: List[SignalRef]) -> Dict[SignalRef, tuple]:
+    """Node -> its port-search links in `graph` one hop nearer to `sources`,
+    for each node a multi-source BFS over those links reaches: the links
+    from hop count d whose far end has hop count d - 1. `graph` holds each
+    link both ways, so a node's hop count is its distance to the nearest
+    source."""
     dist = dict.fromkeys(sources, 0)
     queue = list(dist)
     for node in queue:  # grows as it is read: BFS order
-        for neighbor, _edge in adj.get(node, ()):
-            if neighbor not in dist:
+        for neighbor, via in graph.get(node, ()):
+            if neighbor not in dist and via in _PORT_SEARCH_VIAS:
                 dist[neighbor] = dist[node] + 1
                 queue.append(neighbor)
-    return {node: tuple(step for step in adj.get(node, ())
-                        if dist.get(step[0]) == d - 1)
+    return {node: tuple(step for step in graph.get(node, ())
+                        if step[1] in _PORT_SEARCH_VIAS
+                        and dist.get(step[0]) == d - 1)
             for node, d in dist.items() if d}
 
 
@@ -158,26 +167,26 @@ def _dedupe(asset: PrimaryAsset) -> None:
 
 def refine(candidates: Sequence[CandidateAsset],
            db: DesignDatabase,
-           edges: Sequence[ConnEdge],
+           graph: Graph,
            tops: Sequence[str]) -> List[PrimaryAsset]:
     """Trace every candidate to its roots under each top and merge duplicates.
 
     The assets come top by top in the order of `tops`, each top's sorted by
-    signal. Net candidates are expanded to ports once, for all tops.
-    `edges` is `traversal_edges(build_connectivity(db))`, which holds every
-    edge in both directions.
+    signal. Net candidates are expanded to ports once, for all tops, over
+    every link of `graph`, which is `traversal_graph(build_connectivity(db))`;
+    port searches follow its instantiation and continuous-assignment links.
     """
     trees = {}
     for top in tops:
         if top not in db.modules_by_name:
             raise DesignError(f"top module '{top}' not found")
         trees[top] = db.modules_under(top)
-    port_adj = adjacency(edges, _PORT_SEARCH_VIAS)
-    net_adj = adjacency(edges, _NET_EXPANSION_VIAS)
+    port_names = {name: {s.name for s in mod.signals()
+                         if s.is_port and s.name.lower() not in CLOCK_RESET_NAMES}
+                  for name, mod in db.modules_by_name.items()}
 
     def is_port(ref: SignalRef) -> bool:
-        decl = db.signal(ref)
-        return decl is not None and decl.is_port and not _is_clock_reset(ref)
+        return ref[1] in port_names.get(ref[0], ())
 
     # Case 3: a net expands to the port signals it reaches; a port is its
     # own single start with an empty prefix
@@ -185,7 +194,7 @@ def refine(candidates: Sequence[CandidateAsset],
     for candidate in candidates:
         ref = (candidate.module, candidate.signal.name)
         ports = ([(ref, [])] if candidate.signal.is_port
-                 else _bfs_paths(ref, net_adj, is_port))
+                 else _bfs_paths(ref, graph, is_port))
         starts.append((candidate, ref, ports))
 
     # A start whose module some tree does not hold is kept, flagged, under
@@ -204,13 +213,12 @@ def refine(candidates: Sequence[CandidateAsset],
     out: List[PrimaryAsset] = []
     for top in tops:
         merged: Dict[SignalRef, PrimaryAsset] = {}
+        top_io = port_names[top]
 
         def is_top_io(ref: SignalRef) -> bool:
-            return ref[0] == top and is_port(ref)
+            return ref[0] == top and ref[1] in top_io
 
-        top_adj = _downhill(port_adj, [
-            (top, s.name) for s in db.modules_by_name[top].signals()
-            if is_top_io((top, s.name))])
+        top_adj = _downhill(graph, [(top, name) for name in sorted(top_io)])
         reached = set()
         for candidate, _ref, ports in starts:
             for port, prefix in ports:
@@ -237,17 +245,17 @@ def refine(candidates: Sequence[CandidateAsset],
 
 
 def link_status_to_control(assets: Sequence[PrimaryAsset],
-                           edges: Sequence[ConnEdge],
+                           graph: Graph,
                            behaviors: Dict[str, BehaviorClassification],
                            ) -> List[PrimaryAsset]:
     """Upgrade Status assets wired to another module's Control signal.
 
-    Reachability through instantiation connections to a Control-classified
-    signal of a different module adds Availability; otherwise Integrity is
-    guaranteed present. `edges` is `traversal_edges(build_connectivity(db))`
-    and `behaviors` is `classify_design(db)`.
+    Reachability through the instantiation links of `graph` to a
+    Control-classified signal of a different module adds Availability;
+    otherwise Integrity is guaranteed present. `graph` is
+    `traversal_graph(build_connectivity(db))` and `behaviors` is
+    `classify_design(db)`; one search runs per distinct Status ref.
     """
-    inst_adj = adjacency(edges, {VIA_INSTANTIATION})
     verdicts: Dict[SignalRef, str] = {}  # one per ref: copies share it
     for asset in assets:
         if STATUS not in asset.patterns:
@@ -260,7 +268,8 @@ def link_status_to_control(assets: Sequence[PrimaryAsset],
                 behavior = behaviors.get(mod)
                 return behavior is not None and CONTROL in behavior.patterns_of(sig)
 
-            hits = _bfs_paths(asset.ref, inst_adj, is_foreign_control)
+            hits = _bfs_paths(asset.ref, graph, is_foreign_control,
+                              via=VIA_INSTANTIATION)
             verdicts[asset.ref] = AVAILABILITY if hits else INTEGRITY
         target = verdicts[asset.ref]
         if target not in asset.objectives:

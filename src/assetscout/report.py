@@ -18,7 +18,7 @@ from .keywords import load_family_config
 from .matcher import ImportantElement, count_keyword_occurrences, match_elements
 from .parser import discover_rtl_files, parse_file
 from .patterns import classify_design
-from .refine import PrimaryAsset, link_status_to_control, refine, traversal_edges
+from .refine import PrimaryAsset, link_status_to_control, refine, traversal_graph
 from .rules import apply_family_rules
 from .syntax import Diagnostic
 
@@ -203,14 +203,14 @@ def run_pipeline(rtl_dir: str,
     config = load_family_config(family)
     files, db, line_count = _load_design(rtl_dir)
     tops = find_top_modules(db, top)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
 
     important = match_elements(db, config)
     behaviors = classify_design(db)
     candidates = apply_family_rules(important, behaviors, config)
 
-    assets = link_status_to_control(refine(candidates, db, edges, tops),
-                                    edges, behaviors)
+    assets = link_status_to_control(refine(candidates, db, graph, tops),
+                                    graph, behaviors)
 
     report = AssetReport(
         tool_version=__version__,

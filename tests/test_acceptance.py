@@ -16,7 +16,7 @@ from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
 from assetscout.parser import parse_source
 from assetscout.patterns import classify_behaviors
-from assetscout.refine import refine, traversal_edges
+from assetscout.refine import refine, traversal_graph
 from assetscout.report import run_pipeline
 from assetscout.rules import CandidateAsset
 from assetscout.tokenizer import RESERVED_WORDS
@@ -77,26 +77,26 @@ def test_refinement_cases_suite():
     """Top-port, child-port, net-expansion and secondary-drop fixtures."""
     # Case 1: top-port candidate roots at itself with an empty path
     db1 = build_database([parse_source(AB_SOURCE, "ab.v")])
-    edges1 = traversal_edges(build_connectivity(db1))
-    a1 = refine([_fake_candidate(db1, "top_b", "top_in")], db1, edges1, ["top_b"])
+    graph1 = traversal_graph(build_connectivity(db1))
+    a1 = refine([_fake_candidate(db1, "top_b", "top_in")], db1, graph1, ["top_b"])
     case1 = [(x.ref, len(x.trace_path)) for x in a1] == [(("top_b", "top_in"), 0)]
 
     # Case 2: child port traced through one instantiation hop
-    a2 = refine([_fake_candidate(db1, "child_a", "din")], db1, edges1, ["top_b"])
+    a2 = refine([_fake_candidate(db1, "child_a", "din")], db1, graph1, ["top_b"])
     case2 = [(x.ref, len(x.trace_path)) for x in a2] == [(("top_b", "top_in"), 1)]
 
     # Case 3: net expands to a child port, then one hop to each top port
     db3 = build_database([parse_source(NET_EXPANSION_SOURCE, "net.v")])
-    edges3 = traversal_edges(build_connectivity(db3))
-    a3 = refine([_fake_candidate(db3, "leaf", "key_mix")], db3, edges3, ["wrap"])
+    graph3 = traversal_graph(build_connectivity(db3))
+    a3 = refine([_fake_candidate(db3, "leaf", "key_mix")], db3, graph3, ["wrap"])
     case3 = ({x.ref for x in a3} ==
              {("wrap", "secret_in"), ("wrap", "secret_out")}
              and all(len(x.trace_path) == 2 for x in a3))
 
     # Secondary: unconnected deep net inside the top tree produces nothing
     db4 = build_database([parse_source(SECONDARY_NET_SOURCE, "deep.v")])
-    edges4 = traversal_edges(build_connectivity(db4))
-    a4 = refine([_fake_candidate(db4, "deep", "key_buf")], db4, edges4, ["roof"])
+    graph4 = traversal_graph(build_connectivity(db4))
+    a4 = refine([_fake_candidate(db4, "deep", "key_buf")], db4, graph4, ["roof"])
     secondary = a4 == []
 
     _verdict("refinement cases 1-3 plus secondary drop (exact roots, path lengths)",

@@ -3,10 +3,11 @@
 import pytest
 
 from assetscout.design import (
-    VIA_CONTINUOUS, VIA_INSTANTIATION, DesignError, adjacency,
+    VIA_CONTINUOUS, VIA_INSTANTIATION, DesignError,
     build_connectivity, build_database, find_top_modules,
 )
 from assetscout.parser import parse_source
+from assetscout.refine import traversal_graph
 from assetscout.syntax import WILDCARD
 
 from conftest import MINI_CORPUS, build_db, parse_tree
@@ -134,30 +135,29 @@ def test_wildcard_connects_same_named_ports():
 
 def test_ab_child_input_one_hop_from_top_port():
     db = build_db(AB_SOURCE)
-    edges = build_connectivity(db)
-    adj = adjacency(edges, {VIA_INSTANTIATION, VIA_CONTINUOUS})
-    neighbors = {ref for ref, _edge in adj[("top_b", "top_in")]}
+    graph = traversal_graph(build_connectivity(db))
+    neighbors = {ref for ref, via in graph[("top_b", "top_in")]
+                 if via in {VIA_INSTANTIATION, VIA_CONTINUOUS}}
     assert ("child_a", "din") in neighbors
 
 
 def test_connectivity_is_symmetric_reachability():
     units = parse_tree(MINI_CORPUS)
     db = build_database(units)
-    edges = build_connectivity(db)
-    adj = adjacency(edges, {VIA_INSTANTIATION, VIA_CONTINUOUS})
+    graph = traversal_graph(build_connectivity(db))
 
     def reach(start):
         seen = {start}
         frontier = [start]
         while frontier:
             node = frontier.pop()
-            for nxt, _edge in adj.get(node, []):
-                if nxt not in seen:
+            for nxt, via in graph.get(node, []):
+                if nxt not in seen and via in {VIA_INSTANTIATION, VIA_CONTINUOUS}:
                     seen.add(nxt)
                     frontier.append(nxt)
         return seen
 
-    some_nodes = sorted(adj)[:25]
+    some_nodes = sorted(graph)[:25]
     for a in some_nodes:
         for b in reach(a):
             assert a in reach(b)

@@ -20,6 +20,7 @@ from assetscout.parser import (
     parse_file, parse_source, preprocess,
 )
 from assetscout.patterns import classify_design
+from assetscout.report import run_pipeline
 from assetscout.rules import apply_family_rules
 from assetscout.syntax import (
     CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT,
@@ -876,7 +877,7 @@ _SOUP = ["module", "macromodule", "endmodule", "m", "(", ")", "[", "]", ":", ","
          "parameter", "begin", "end", "if", "else", "case", "endcase", "default",
          "always", "assign", "generate", "W", "-", "1", "8'hFF", "a", "q", "u0",
          ".", ".*", "localparam", "inout", "integer", "signed", "unique", "int",
-         "byte"]
+         "byte", "and", "buf", "bufif1", "nmos", "strong0"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -976,3 +977,51 @@ def test_declaration_lists_parse_as_declared(header_params, body, header_ports):
     assert [(n.name, n.width_bits) for n in mod.nets] == nets
     assert mod.parameters == params
     assert [(s.kind, s.lhs_idents, s.rhs_idents) for s in mod.statements] == assigns
+
+
+_GATE_CELL = """module gated (input [1:0] key_in, input start, input en,
+                  output key_out, output done, output valid);
+  {item}
+endmodule
+module top (input [1:0] key, input go, input en, output k, output d, output v);
+  gated u (.key_in(key), .start(go), .en(en), .key_out(k), .done(d), .valid(v));
+endmodule
+"""
+
+
+@pytest.mark.parametrize("gate, assign", [
+    ("and g1 (key_out, key_in, start);", "assign key_out = key_in & start;"),
+    ("nor #2 g2 [1:0] (done, key_in, start), (valid, start, en);",
+     "assign done = ~(key_in | start), valid = ~(start | en);"),
+    ("buf (done, valid, key_in);", "assign {done, valid} = {2{key_in}};"),
+    ("not #(1, 2) n1 (done, key_in[0]);", "assign done = ~key_in[0];"),
+    ("bufif1 b1 (valid, key_in, en);", "assign valid = key_in & en;"),
+    ("notif0 (key_out, start, en), n2 (done, key_in, en);",
+     "assign key_out = ~start & en, done = ~key_in & en;"),
+])
+def test_gate_primitive_is_its_continuous_assign(gate, assign, tmp_path):
+    # IEEE 1364-2005 7.1: the outputs are driven by the other terminals
+    reports = []
+    for name, item in (("gate", gate), ("assign", assign)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "cell.v").write_text(_GATE_CELL.format(item=item))
+        reports.append(run_pipeline(str(tmp_path / name)))
+    gates, assigns = reports
+    assert gates.diagnostics == []
+    assert gates.database.module("gated").statements == \
+        assigns.database.module("gated").statements
+    for fmt in ("json", "csv", "text"):
+        assert gates.render(fmt) == assigns.render(fmt)
+
+
+@pytest.mark.parametrize("item, name", [
+    ("nmos n1 (key_out, key_in, en);", "primitive 'nmos'"),
+    ("pullup (done);", "primitive 'pullup'"),
+    ("and (strong0, weak1) g1 (key_out, key_in, start);", "drive strength 'strong0'"),
+])
+def test_unsupported_primitive_warns_by_name_and_skips(item, name):
+    mod = parse_source(_GATE_CELL.format(item=item + " assign done = start;")).modules[0]
+    assert [(s.lhs_idents, s.rhs_idents) for s in mod.statements] == [
+        (["done"], ["start"])]
+    assert [d.message for d in parse_source(_GATE_CELL.format(item=item)).diagnostics] \
+        == [f"unsupported {name}, skipped to ';'"]

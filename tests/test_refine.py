@@ -7,18 +7,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from assetscout.design import (
-    ConnEdge, DesignError, adjacency, build_connectivity, build_database,
-    find_top_modules,
+    ConnEdge, DesignError, build_connectivity, build_database, find_top_modules,
 )
-from assetscout.keywords import load_family_config
+from assetscout.keywords import CLOCK_RESET_NAMES, load_family_config
 from assetscout.matcher import match_elements
 from assetscout.patterns import classify_design
 import assetscout.refine
 import assetscout.report
 from assetscout.refine import (
-    _NET_EXPANSION_VIAS, _PORT_SEARCH_VIAS, MAX_BFS_DEPTH, PrimaryAsset,
-    _bfs_paths, _is_clock_reset, link_status_to_control, refine,
-    traversal_edges,
+    _PORT_SEARCH_VIAS, MAX_BFS_DEPTH, PrimaryAsset, _bfs_paths,
+    link_status_to_control, refine, traversal_graph,
 )
 from assetscout.report import AssetReport, run_pipeline
 from assetscout.rules import CandidateAsset, apply_family_rules
@@ -33,11 +31,11 @@ from fixtures_rtl import (
 
 def stage_outputs(db, family, top):
     config = load_family_config(family)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     important = match_elements(db, config)
     behaviors = classify_design(db)
     candidates = apply_family_rules(important, behaviors, config)
-    return candidates, edges, refine(candidates, db, edges, [top])
+    return candidates, graph, refine(candidates, db, graph, [top])
 
 
 def candidate_for(db, module, name, patterns):
@@ -56,18 +54,18 @@ def test_case1_top_port_roots_at_itself():
 
 def test_case2_child_port_traced_one_hop():
     db = build_db(AB_SOURCE)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     cand = candidate_for(db, "child_a", "din", ["Data"])
-    assets = refine([cand], db, edges, ["top_b"])
+    assets = refine([cand], db, graph, ["top_b"])
     assert [(a.module, a.name) for a in assets] == [("top_b", "top_in")]
     assert len(assets[0].trace_path) == 1
 
 
 def test_case3_net_expands_then_traces():
     db = build_db(NET_EXPANSION_SOURCE)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     cand = candidate_for(db, "leaf", "key_mix", ["Data"])
-    assets = refine([cand], db, edges, ["wrap"])
+    assets = refine([cand], db, graph, ["wrap"])
     roots = {(a.module, a.name) for a in assets}
     assert roots == {("wrap", "secret_in"), ("wrap", "secret_out")}
     for asset in assets:
@@ -76,9 +74,9 @@ def test_case3_net_expands_then_traces():
 
 def test_secondary_net_is_dropped():
     db = build_db(SECONDARY_NET_SOURCE)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     cand = candidate_for(db, "deep", "key_buf", ["Data"])
-    assert refine([cand], db, edges, ["roof"]) == []
+    assert refine([cand], db, graph, ["roof"]) == []
 
 
 def test_outside_top_tree_candidate_is_flagged():
@@ -91,9 +89,9 @@ module stray (
 endmodule
 """
     db = build_db(source)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     cand = candidate_for(db, "stray", "key_word", ["Data"])
-    assets = refine([cand], db, edges, ["roof"])
+    assets = refine([cand], db, graph, ["roof"])
     assert [(a.module, a.name) for a in assets] == [("stray", "key_word")]
     assert assets[0].outside_top_tree
 
@@ -118,10 +116,10 @@ def test_refine_is_idempotent():
     for ip, family in CORPUS_FAMILIES.items():
         top = {"toy_cipher": "cipher_top", "gpio_block": "gpio_top",
                "uart_lite": "uart_top"}[ip]
-        candidates, edges, assets = stage_outputs(db, family, top)
+        candidates, graph, assets = stage_outputs(db, family, top)
         again = refine(
             [candidate_for(db, a.module, a.name, a.patterns) for a in assets],
-            db, edges, [top])
+            db, graph, [top])
         assert {(a.module, a.name) for a in again} == \
             {(a.module, a.name) for a in assets}
 
@@ -131,7 +129,7 @@ def test_trace_paths_are_connected(splitter_db):
     for ip, family in CORPUS_FAMILIES.items():
         top = {"toy_cipher": "cipher_top", "gpio_block": "gpio_top",
                "uart_lite": "uart_top"}[ip]
-        _cands, _edges, assets = stage_outputs(db, family, top)
+        _cands, _graph, assets = stage_outputs(db, family, top)
         for asset in assets:
             path = asset.trace_path
             for prev, nxt in zip(path, path[1:]):
@@ -142,23 +140,22 @@ def test_trace_paths_are_connected(splitter_db):
 
 def test_clock_reset_never_roots():
     db = build_database(parse_tree(MINI_CORPUS))
-    from assetscout.keywords import CLOCK_RESET_NAMES
     for ip, family in CORPUS_FAMILIES.items():
         top = {"toy_cipher": "cipher_top", "gpio_block": "gpio_top",
                "uart_lite": "uart_top"}[ip]
-        _cands, _edges, assets = stage_outputs(db, family, top)
+        _cands, _graph, assets = stage_outputs(db, family, top)
         for asset in assets:
             assert asset.name.lower() not in CLOCK_RESET_NAMES
 
 
 def test_status_linked_to_foreign_control_gains_availability():
     db = build_db(STATUS_LINK_SOURCE)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     decl = db.signal(("worker", "done"))
     asset = PrimaryAsset(module="worker", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
                          patterns=["Status"], objectives=["Integrity"])
-    linked = link_status_to_control([asset], edges, classify_design(db))
+    linked = link_status_to_control([asset], graph, classify_design(db))
     assert "Availability" in linked[0].objectives
 
 
@@ -170,23 +167,23 @@ def test_status_without_consumer_keeps_integrity_only():
           end
         endmodule
     """)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     decl = db.signal(("solo", "done"))
     asset = PrimaryAsset(module="solo", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
                          patterns=["Status"], objectives=[])
-    linked = link_status_to_control([asset], edges, classify_design(db))
+    linked = link_status_to_control([asset], graph, classify_design(db))
     assert "Integrity" in linked[0].objectives
     assert "Availability" not in linked[0].objectives
 
 
 def test_link_ignores_non_status_assets():
     db = build_db(STATUS_LINK_SOURCE)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     asset = PrimaryAsset(module="boss", name="go_in", direction="Input",
                          width_bits=1, patterns=["Control"],
                          objectives=["Availability"])
-    linked = link_status_to_control([asset], edges, classify_design(db))
+    linked = link_status_to_control([asset], graph, classify_design(db))
     assert linked[0].objectives == ["Availability"]
 
 
@@ -202,7 +199,7 @@ def count_calls(monkeypatch, module, name, counts):
 
 def test_link_on_shared_lists_equals_link_on_independent_copies(monkeypatch):
     db = build_db(STATUS_LINK_SOURCE)
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     behaviors = classify_design(db)
     done = db.signal(("worker", "done"))
     go = db.signal(("boss", "go_in"))
@@ -217,10 +214,10 @@ def test_link_on_shared_lists_equals_link_on_independent_copies(monkeypatch):
     independent = copy.deepcopy(shared)
     counts = {}
     count_calls(monkeypatch, assetscout.refine, "_bfs_paths", counts)
-    linked = link_status_to_control(shared, edges, behaviors)
+    linked = link_status_to_control(shared, graph, behaviors)
     assert counts["_bfs_paths"] == 2  # one per distinct Status ref
     assert [a.objectives for a in linked] == \
-        [a.objectives for a in link_status_to_control(independent, edges, behaviors)]
+        [a.objectives for a in link_status_to_control(independent, graph, behaviors)]
     assert [a.objectives for a in linked] == \
         [["Availability", "Integrity"]] * 3 + [["Integrity"]] * 3
 
@@ -233,16 +230,16 @@ def test_cross_top_copies_are_searched_linked_and_rendered_once(tmp_path,
     args = manifest["args"]
     db = build_database(parse_tree(manifest["rtl_dir"]))
     config = load_family_config(args[args.index("--family") + 1])
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     behaviors = classify_design(db)
     candidates = apply_family_rules(match_elements(db, config), behaviors, config)
     tops = find_top_modules(db, None)
     counts = {}
     count_calls(monkeypatch, assetscout.refine, "_bfs_paths", counts)
     count_calls(monkeypatch, assetscout.report, "_asset_json", counts)
-    assets = refine(candidates, db, edges, tops)
+    assets = refine(candidates, db, graph, tops)
     searches = counts.pop("_bfs_paths")
-    link_status_to_control(assets, edges, behaviors)
+    link_status_to_control(assets, graph, behaviors)
     AssetReport("", "", tops, {}, {}, assets, []).render("json")
     status_refs = {a.ref for a in assets if "Status" in a.patterns}
     assert len(tops) == 11 and len(assets) > 9000
@@ -256,16 +253,39 @@ def test_refine_all_tops_equals_one_top_at_a_time():
     tops = find_top_modules(db, None)
     assert len(tops) == 3
     config = load_family_config("crypto")
-    edges = traversal_edges(build_connectivity(db))
+    graph = traversal_graph(build_connectivity(db))
     candidates = apply_family_rules(match_elements(db, config),
                                     classify_design(db), config)
     per_top = []
     for top in tops:
-        one = refine(candidates, db, edges, [top])
+        one = refine(candidates, db, graph, [top])
         assert {a.top for a in one} <= {top}
         per_top.extend(one)
-    assert refine(candidates, db, edges, tops) == per_top
-    assert refine(candidates, db, edges, []) == []
+    assert refine(candidates, db, graph, tops) == per_top
+    assert refine(candidates, db, graph, []) == []
+
+
+def _is_clock_reset(ref):
+    return ref[1].lower() in CLOCK_RESET_NAMES
+
+
+def traversal_edges(edges):
+    """Oracle: the edges of `edges` with no clock/reset end, each signal
+    name tested once."""
+    names = {e.src[1] for e in edges} | {e.dst[1] for e in edges}
+    excluded = {name for name in names if name.lower() in CLOCK_RESET_NAMES}
+    return [e for e in edges
+            if e.src[1] not in excluded and e.dst[1] not in excluded]
+
+
+def adjacency(edges, vias=None):
+    """Oracle: node -> [(neighbour, edge)] of the edges from it, in edge
+    order, optionally restricted to edge kinds."""
+    adj = {}
+    for edge in edges:
+        if vias is None or edge.via in vias:
+            adj.setdefault(edge.src, []).append((edge.dst, edge))
+    return adj
 
 
 def copying_bfs_paths(start, adj, accept, max_depth=MAX_BFS_DEPTH):
@@ -301,19 +321,26 @@ _NODE = st.builds(lambda m, s: (m, s), st.sampled_from("ab"), st.sampled_from("p
 @settings(max_examples=400, deadline=None)
 @example(edges=[ConnEdge(("a", "p"), ("a", "s"), "x"),  # hits found unsorted
                 ConnEdge(("a", "p"), ("a", "r"), "x")],
-         accepted={("a", "r"), ("a", "s")}, start=("a", "p"), max_depth=2)
+         accepted={("a", "r"), ("a", "s")}, start=("a", "p"), max_depth=2,
+         via=None)
 @example(edges=[ConnEdge(("a", "p"), ("a", "q"), "x"),  # a two-edge path
                 ConnEdge(("a", "q"), ("b", "p"), "y")],
-         accepted={("b", "p")}, start=("a", "p"), max_depth=2)
+         accepted={("b", "p")}, start=("a", "p"), max_depth=2, via=None)
+@example(edges=[ConnEdge(("a", "p"), ("b", "p"), "y"),  # the x-only detour
+                ConnEdge(("a", "p"), ("a", "q"), "x"),
+                ConnEdge(("a", "q"), ("b", "p"), "x")],
+         accepted={("b", "p")}, start=("a", "p"), max_depth=2, via="x")
 @given(edges=st.lists(st.builds(ConnEdge, _NODE, _NODE, st.sampled_from("xy")),
                       max_size=24),
        accepted=st.sets(_NODE), start=_NODE,
-       max_depth=st.integers(min_value=0, max_value=5))
+       max_depth=st.integers(min_value=0, max_value=5),
+       via=st.sampled_from([None, "x"]))
 def test_parent_pointer_bfs_matches_path_copying_oracle(edges, accepted, start,
-                                                        max_depth):
-    adj = adjacency(edges)
-    assert _bfs_paths(start, adj, accepted.__contains__, max_depth) == \
-        copying_bfs_paths(start, adj, accepted.__contains__, max_depth)
+                                                        max_depth, via):
+    assert _bfs_paths(start, traversal_graph(edges), accepted.__contains__,
+                      max_depth, via) == \
+        copying_bfs_paths(start, adjacency(edges, via and {via}),
+                          accepted.__contains__, max_depth)
 
 
 _NAMED_NODE = st.tuples(st.sampled_from("ab"),
@@ -329,13 +356,37 @@ def test_traversal_edges_drop_every_clock_reset_end(edges):
         e for e in edges if not _is_clock_reset(e.src) and not _is_clock_reset(e.dst)]
 
 
+@settings(max_examples=300, deadline=None)
+@given(edges=st.lists(st.builds(ConnEdge, _NAMED_NODE, _NAMED_NODE,
+                                st.sampled_from("xy")), max_size=16))
+def test_traversal_graph_is_adjacency_of_traversal_edges(edges):
+    assert list(traversal_graph(edges).items()) == [
+        (node, [(e.dst, e.via) for _neighbor, e in steps])
+        for node, steps in adjacency(traversal_edges(edges)).items()]
+
+
+def test_graph_holds_one_tuple_per_signal_and_one_entry_per_link(tmp_path):
+    # seed-1 hier_soc: a neighbour is its signal's key, not a tuple per link
+    manifest = bench_gen().generate("hier_soc", 1, str(tmp_path))
+    edges = build_connectivity(build_database(parse_tree(manifest["rtl_dir"])))
+    graph = traversal_graph(edges)
+    key = {node: node for node in graph}
+    assert len(graph) > 1000
+    assert all(neighbor is key[neighbor]
+               for steps in graph.values() for neighbor, _via in steps)
+    assert sum(map(len, graph.values())) == len(traversal_edges(edges))
+
+
 def unpruned_refine(candidates, db, edges, tops):
-    """Oracle: `refine` with a port search for every start under every top."""
+    """Oracle: `refine` with a port search for every start under every top,
+    each a path-copying BFS over the `adjacency` of `build_connectivity`'s
+    `edges`."""
     for top in tops:
         if top not in db.modules_by_name:
             raise DesignError(f"top module '{top}' not found")
+    edges = traversal_edges(edges)
     port_adj = adjacency(edges, _PORT_SEARCH_VIAS)
-    net_adj = adjacency(edges, _NET_EXPANSION_VIAS)
+    net_adj = adjacency(edges)  # nets expand through every kind of edge
 
     def is_port(ref):
         decl = db.signal(ref)
@@ -345,7 +396,7 @@ def unpruned_refine(candidates, db, edges, tops):
     for candidate in candidates:
         ref = (candidate.module, candidate.signal.name)
         ports = ([(ref, [])] if candidate.signal.is_port
-                 else _bfs_paths(ref, net_adj, is_port))
+                 else copying_bfs_paths(ref, net_adj, is_port))
         starts.append((candidate, ref, ports))
 
     out = []
@@ -380,7 +431,7 @@ def unpruned_refine(candidates, db, edges, tops):
             if not ports and ref[0] not in top_tree:
                 emit(ref, candidate, [], outside=True)
             for port, prefix in ports:
-                hits = _bfs_paths(port, port_adj, is_top_io)
+                hits = copying_bfs_paths(port, port_adj, is_top_io)
                 for root, path in hits:
                     emit(root, candidate, prefix + path)
                 if not hits and port[0] not in top_tree:
@@ -456,11 +507,12 @@ def _drawn_candidates(db, data):
 @given(source=_forests(), data=st.data())
 def test_guided_refine_matches_unpruned_oracle(source, data):
     db = build_db(source)
-    edges = traversal_edges(build_connectivity(db))
+    edges = build_connectivity(db)
+    graph = traversal_graph(edges)
     candidates = _drawn_candidates(db, data)
     assert len(db.top_modules) >= 2
     for tops in [db.top_modules] + [[top] for top in db.top_modules]:
-        assert refine(candidates, db, edges, tops) == \
+        assert refine(candidates, db, graph, tops) == \
             unpruned_refine(candidates, db, edges, tops)
 
 
@@ -483,12 +535,12 @@ def test_port_of_one_top_reaching_another_tops_io_is_no_copy():
     # it gets no outside_top_tree copy under top_b; key_spare reaches
     # nothing there, so it does
     db = build_db(SHARED_CHILD_SOURCE)
-    edges = traversal_edges(build_connectivity(db))
+    edges = build_connectivity(db)
     candidates = [candidate_for(db, "shared", "key_in", ["Data"]),
                   candidate_for(db, "top_a", "key_a", ["Data"]),
                   candidate_for(db, "top_a", "key_spare", ["Data"])]
     tops = ["top_a", "top_b"]
-    assets = refine(candidates, db, edges, tops)
+    assets = refine(candidates, db, traversal_graph(edges), tops)
     key_in, key_a, key_spare = [c.ref for c in candidates]
     assert [(a.top, a.module, a.name, a.outside_top_tree,
              [c.ref for c in a.contributors]) for a in assets] == [
@@ -511,7 +563,7 @@ class ExpansionLog:
         return self.adj.get(node, default)
 
 
-def port_searches(candidates, db, edges, tops):
+def port_searches(candidates, db, graph, tops):
     """[(start, nodes expanded, tops whose I/O it accepts)] of each port
     search `refine` runs. Port searches start at ports, net expansions at
     nets; a port search accepts the I/O of its own top alone."""
@@ -527,7 +579,7 @@ def port_searches(candidates, db, edges, tops):
         return original(start, ExpansionLog(adj, expanded), accept, *args)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(assetscout.refine, "_bfs_paths", logging)
-        refine(candidates, db, edges, tops)
+        refine(candidates, db, graph, tops)
     return searches
 
 
@@ -547,11 +599,11 @@ def hop_counts(adj, sources):
 
 
 def assert_port_searches_walk_shortest_paths(candidates, db, edges, tops):
-    port_adj = adjacency(edges, _PORT_SEARCH_VIAS)
+    port_adj = adjacency(traversal_edges(edges), _PORT_SEARCH_VIAS)
     to_top = {top: hop_counts(port_adj, [
         (top, s.name) for s in db.module(top).ports
         if not _is_clock_reset((top, s.name))]) for top in tops}
-    searches = port_searches(candidates, db, edges, tops)
+    searches = port_searches(candidates, db, traversal_graph(edges), tops)
     for start, expanded, under in searches:
         assert len(under) <= 1
         dist = to_top[under[0]] if under else {}
@@ -568,7 +620,7 @@ def test_port_searches_walk_shortest_paths_on_mini_corpus():
     db = build_database(parse_tree(MINI_CORPUS))
     tops = find_top_modules(db, None)
     config = load_family_config("crypto")
-    edges = traversal_edges(build_connectivity(db))
+    edges = build_connectivity(db)
     candidates = apply_family_rules(match_elements(db, config),
                                     classify_design(db), config)
     searches = assert_port_searches_walk_shortest_paths(candidates, db, edges, tops)
@@ -580,7 +632,7 @@ def test_port_searches_walk_shortest_paths_on_mini_corpus():
 @given(source=_forests(), data=st.data())
 def test_port_searches_walk_shortest_paths_on_forests(source, data):
     db = build_db(source)
-    edges = traversal_edges(build_connectivity(db))
+    edges = build_connectivity(db)
     assert_port_searches_walk_shortest_paths(
         _drawn_candidates(db, data), db, edges, db.top_modules)
 
@@ -594,12 +646,12 @@ def test_port_search_work_grows_as_modules_times_depth(tmp_path, monkeypatch):
         args = manifest["args"]
         db = build_database(parse_tree(manifest["rtl_dir"]))
         config = load_family_config(args[args.index("--family") + 1])
-        edges = traversal_edges(build_connectivity(db))
+        graph = traversal_graph(build_connectivity(db))
         candidates = apply_family_rules(match_elements(db, config),
                                         classify_design(db), config)
         tops = [args[args.index("--top") + 1]]
         expansions[modules] = sum(len(expanded) for _start, expanded, _under
-                                  in port_searches(candidates, db, edges, tops))
+                                  in port_searches(candidates, db, graph, tops))
     # Each search walks shortest paths up to the root's I/O, whose length
     # grows with the tree's depth: the work grows as modules x depth, here
     # within a 1.3 margin (6.8x from 12 to 48 modules). An unguided search

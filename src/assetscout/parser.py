@@ -8,6 +8,10 @@ Unsupported constructs (generate, function, task, switch primitives, ...)
 are skipped with a diagnostic.  Errors never abort sibling modules:
 recovery happens at the next `module` keyword.
 
+Every declaration list (header parameters, ANSI ports, body ports, nets,
+body parameters) is read by one walker, `_declarators`, and every instance
+list (modules, UDPs, gates) by one reader, `_parse_instantiation`.
+
 No function recurses, except `preprocess` into an included file, at most
 MAX_INCLUDE_DEPTH deep. Nesting lives on explicit stacks, so any depth
 parses: open `begin`, `if` and `case` statements on the statement
@@ -27,7 +31,8 @@ from .tokenizer import (
 from .syntax import (
     BLOCKING_ASSIGN, CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, INOUT, INPUT, NET,
     NONBLOCKING_ASSIGN, OUTPUT, TERNARY_STMT, WILDCARD,
-    Diagnostic, Instantiation, ModuleDef, SignalDecl, SourceUnit, Statement,
+    Connection, Diagnostic, Instantiation, ModuleDef, SignalDecl, SourceUnit,
+    Statement,
 )
 
 RTL_EXTENSIONS = (".v", ".sv", ".vh", ".svh")
@@ -43,6 +48,8 @@ _NET_TYPES.update(integer=32, time=64, int=32, byte=8, shortint=16, longint=64)
 _Range = Tuple[List[str], List[str]]  # the (msb, lsb) texts of `[msb:lsb]`
 _DIRECTIONS = {"input": INPUT, "output": OUTPUT, "inout": INOUT}
 _MODULE_KEYWORDS = frozenset(["module", "macromodule"])
+# what ends a declaration list that is not its own end: "" is the end of file
+_DECLARATION_ENDS = frozenset([";", "", "endmodule"]) | _MODULE_KEYWORDS
 _PROCESSES = frozenset(["always", "always_ff", "always_comb", "always_latch",
                         "initial", "final"])
 _CASE_STARTS = frozenset(["case", "casez", "casex", "unique", "priority"])
@@ -463,7 +470,7 @@ class _Parser:
         if texts[self.pos] == "#":
             self.pos += 1
             self.expect("(")
-            self._parse_param_decl(params, ")")
+            self._parse_param_decl(params, ")", "unterminated parameter list")
         if texts[self.pos] == "(":
             self.pos += 1
             self._parse_port_list(mod)
@@ -487,7 +494,11 @@ class _Parser:
         if t == ")":
             self.pos += 1
         elif t in _DIRECTIONS:
-            self._parse_ansi_ports(mod)
+            for name, line, rng, direction in self._declarators(
+                    ")", "unterminated port list", self.lines[self.pos]):
+                self._declared_value(")")  # default value `= expr` allowed in SV headers
+                mod.add_port(SignalDecl(name, direction, None if rng else 1,
+                                        decl_line=line, range_expr=rng))
         else:
             # non-ANSI: plain name list; body declarations fill in direction
             line = self.lines[self.pos]
@@ -496,33 +507,6 @@ class _Parser:
                 if mod.signal(name) is None:
                     mod.add_port(SignalDecl(name, INPUT, 1,
                                             decl_line=line if texts else 0))
-
-    def _parse_ansi_ports(self, mod: ModuleDef) -> None:
-        texts, lines = self.texts, self.lines
-        direction = INPUT
-        rng: Optional[_Range] = None
-        while self.pos < self.end:
-            t = texts[self.pos]
-            if t == "[":
-                rng = self._parse_range()
-                continue
-            if t == ";" or t in _MODULE_KEYWORDS or t == "endmodule":
-                # a port list cannot contain these: the header is malformed
-                raise ParseError("unterminated port list", lines[self.pos])
-            line = lines[self.pos]
-            self.pos += 1
-            if t == ")":
-                return
-            if t in _DIRECTIONS:
-                direction, rng = _DIRECTIONS[t], None
-            elif _is_name(t):
-                # default value `= expr` allowed in SV headers
-                if texts[self.pos] == "=":
-                    self.pos += 1
-                    self.collect_until(",", ")", consume=False)
-                mod.add_port(SignalDecl(t, direction, None if rng else 1,
-                                        decl_line=line, range_expr=rng))
-            # anything else (",", net types, signing, stray tokens): skip
 
     def _parse_range(self) -> _Range:
         self.expect("[")
@@ -537,20 +521,23 @@ class _Parser:
         return (msb, [])
 
     # -- declarations ---------------------------------------------------------
-    def _declarators(self, end: str, unterminated: str = "",
-                     line: int = 0) -> Iterator[Tuple[str, int, Optional[_Range]]]:
+    def _declarators(self, end: str, unterminated: str, line: int
+                     ) -> Iterator[Tuple[str, int, Optional[_Range], str]]:
         """Each declared name up to the punctuation `end`, as (name, its
-        line, the last packed range before it); the caller may consume what
-        follows a name (`= value`, unpacked dimensions) before it takes the
-        next.
+        line, the last packed range before it, the last direction before
+        it); the caller may consume what follows a name (`= value`,
+        unpacked dimensions) before it takes the next.
 
-        Keywords (direction, net type, signing), commas and stray tokens are
-        passed over. Running out of tokens before `end`, a range included,
-        raises ParseError(`unterminated`) when that message is given.
+        A direction keyword sets the direction and drops the range; other
+        keywords (net type, signing), commas and stray tokens are passed
+        over. A `;` that is not `end`, a module keyword or the end of file,
+        none of which a declaration list holds, raises
+        ParseError(`unterminated`) at `line`.
         """
         texts = self.texts
         rng: Optional[_Range] = None
-        while self.pos < self.end:
+        direction = INPUT
+        while True:
             t = texts[self.pos]
             if t == end:
                 self.pos += 1
@@ -558,21 +545,31 @@ class _Parser:
             if t == "[":
                 rng = self._parse_range()
                 continue
+            if t in _DECLARATION_ENDS:
+                raise ParseError(unterminated, line)
             self.pos += 1
-            if _is_name(t):
-                yield t, self.lines[self.pos - 1], rng
-        if unterminated:
-            raise ParseError(unterminated, line)
+            if t in _DIRECTIONS:
+                direction, rng = _DIRECTIONS[t], None
+            elif _is_name(t):
+                yield t, self.lines[self.pos - 1], rng, direction
 
-    def _parse_param_decl(self, params: Dict[str, List[str]], end: str) -> None:
+    def _declared_value(self, end: str) -> List[str]:
+        """The texts of the `= value` after a declared name, up to the next
+        declarator or the end of its list, or [] without one. The value
+        stops at a module keyword too, so that a missing `end` is reported
+        by `_declarators` and does not swallow the next module."""
+        if self.texts[self.pos] != "=":
+            return []
+        self.pos += 1
+        return self.collect_until(",", end, *_DECLARATION_ENDS, consume=False)
+
+    def _parse_param_decl(self, params: Dict[str, List[str]], end: str,
+                          unterminated: str) -> None:
         """`#(parameter W = 8, ...)` in the header, or `parameter W = 8, D = 4;`
         in the body: the raw value texts of each name."""
-        for name, _line, _rng in self._declarators(end):
-            value: List[str] = []
-            if self.texts[self.pos] == "=":
-                self.pos += 1
-                value = self.collect_until(",", end, consume=False)
-            params[name] = value
+        for name, _line, _rng, _dir in self._declarators(
+                end, unterminated, self.lines[self.pos]):
+            params[name] = self._declared_value(end)
 
     # -- module body ----------------------------------------------------------
     def _parse_body(self, mod: ModuleDef, params: Dict[str, List[str]]) -> None:
@@ -585,7 +582,7 @@ class _Parser:
             if t in _MODULE_KEYWORDS:
                 raise ParseError("missing endmodule", self.lines[self.pos])
             if t == "parameter" or t == "localparam":
-                self._parse_param_decl(params, ";")
+                self._parse_param_decl(params, ";", "unterminated parameter declaration")
             elif t in _DIRECTIONS:
                 self._parse_body_port_decl(mod)
             elif t in _NET_TYPES:
@@ -594,8 +591,6 @@ class _Parser:
                 self.collect_until(";")
             elif t == "assign":
                 self._parse_continuous_assign(mod)
-            elif t in _GATE_OUTPUTS:
-                self._parse_gates(mod)
             elif t in _OTHER_PRIMITIVES:
                 self._skip_instantiation(f"unsupported primitive '{t}'")
             elif t in _PROCESSES:
@@ -606,7 +601,7 @@ class _Parser:
                     f"unsupported construct '{t}' skipped", "warning", self.lines[self.pos]))
                 self.pos += 1
                 self._skip_to_keyword(_SKIP_BLOCKS[t])
-            elif _is_name(t):
+            elif _is_name(t) or t in _GATE_OUTPUTS:
                 self._parse_instantiation(mod)
             else:  # directives, system ids, stray tokens
                 self.pos += 1
@@ -627,8 +622,7 @@ class _Parser:
         self.pos = i
 
     def _parse_body_port_decl(self, mod: ModuleDef) -> None:
-        direction = _DIRECTIONS[self.texts[self.pos]]
-        for name, line, rng in self._declarators(
+        for name, line, rng, direction in self._declarators(
                 ";", "unterminated port declaration", self.lines[self.pos]):
             width = None if rng else 1
             existing = mod.signal(name)
@@ -644,7 +638,7 @@ class _Parser:
     def _parse_net_decl(self, mod: ModuleDef) -> None:
         texts = self.texts
         default_width = _NET_TYPES[texts[self.pos]]
-        for name, line, rng in self._declarators(
+        for name, line, rng, _dir in self._declarators(
                 ";", "unterminated net declaration", self.lines[self.pos]):
             # skip unpacked array dimensions after the name
             while texts[self.pos] == "[":
@@ -654,8 +648,7 @@ class _Parser:
                                        decl_line=line, range_expr=rng))
             if texts[self.pos] == "=":
                 # net declaration assignment doubles as a continuous assign
-                self.pos += 1
-                rhs = self.collect_until(",", ";", consume=False)
+                rhs = self._declared_value(";")
                 mod.statements.append(self._make_assign(
                     CONTINUOUS_ASSIGN, [name], rhs, [], line, continuous=True))
 
@@ -707,47 +700,6 @@ class _Parser:
                 self.pos += 1
                 continue
             if sep == ";":
-                self.pos += 1
-            return
-
-    def _parse_gates(self, mod: ModuleDef) -> None:
-        """`gate [#delay] [name [range]] (terminals) {, ...};` (IEEE
-        1364-2005 §7.1) as one continuous assignment per instance, whose
-        outputs are driven by its other terminals."""
-        texts = self.texts
-        gate = texts[self.pos]
-        self.pos += 1
-        if texts[self.pos] == "(" and texts[self.pos + 1] in _STRENGTHS:
-            self.pos += 1
-            self._skip_instantiation(f"unsupported drive strength '{texts[self.pos]}'")
-            return
-        self._skip_timing_control()
-        split = _GATE_OUTPUTS[gate]
-        while True:
-            if _is_name(texts[self.pos]):
-                self.pos += 1
-                while texts[self.pos] == "[":
-                    self._parse_range()
-            if texts[self.pos] != "(":
-                self._skip_instantiation(f"no terminal list after '{gate}'")
-                return
-            self.pos += 1
-            line = self.lines[self.pos]
-            terminals = [self.collect_until(",", ")", consume=False)]
-            while texts[self.pos] == ",":
-                self.pos += 1
-                terminals.append(self.collect_until(",", ")", consume=False))
-            if texts[self.pos] == ")":
-                self.pos += 1
-            mod.statements.append(Statement(
-                CONTINUOUS_ASSIGN, line,
-                lhs_idents=collect_identifiers(sum(terminals[:split], [])),
-                rhs_idents=collect_identifiers(sum(terminals[split:], [])),
-                continuous=True))
-            if texts[self.pos] == ",":
-                self.pos += 1
-                continue
-            if texts[self.pos] == ";":
                 self.pos += 1
             return
 
@@ -862,36 +814,48 @@ class _Parser:
 
     # -- instantiations -------------------------------------------------------
     def _parse_instantiation(self, mod: ModuleDef) -> None:
+        """`type [strength] [#...] name [range] (connections) {, ...};` for a
+        module or a UDP (IEEE 1364-2005 §12.1.2, §8.6), the name optional
+        for a gate primitive (§7.1). A gate instance reads as one continuous
+        assignment, whose outputs are driven by its other terminals."""
         texts = self.texts
         target = texts[self.pos]
+        split = _GATE_OUTPUTS.get(target)
         self.pos += 1
-        if texts[self.pos] == "#":
+        if texts[self.pos] == "(" and texts[self.pos + 1] in _STRENGTHS:
             self.pos += 1
-            if texts[self.pos] == "(":
-                self.pos += 1
-                self.collect_until(")")
+            self._skip_instantiation(f"unsupported drive strength '{texts[self.pos]}'")
+            return
+        if texts[self.pos] == "#":
+            self._skip_timing_control()
         while True:
-            inst_name = texts[self.pos]
-            if not _is_name(inst_name):
+            name, line = texts[self.pos], self.lines[self.pos]
+            if _is_name(name):
+                self.pos += 1
+                while texts[self.pos] == "[":
+                    self._parse_range()
+            elif split is None or name != "(":
                 self._skip_instantiation(f"no instance name after '{target}'")
                 return
-            line = self.lines[self.pos]
-            self.pos += 1
-            while texts[self.pos] == "[":
-                self._parse_range()
             if texts[self.pos] != "(":
-                self._skip_instantiation(f"no port list after '{target} {inst_name}'")
+                self._skip_instantiation(f"no port list after '{target} {name}'")
                 return
             self.pos += 1
-            inst = Instantiation(inst_name, target, line=line)
-            self._parse_connections(inst)
-            mod.instantiations.append(inst)
-            if texts[self.pos] == ",":
-                self.pos += 1
-                continue
-            if texts[self.pos] == ";":
-                self.pos += 1
-            return
+            connections = self._parse_connections()
+            if split is None:
+                mod.instantiations.append(Instantiation(target, connections, line))
+            else:
+                terminals = [actual for _slot, actual in connections]
+                mod.statements.append(Statement(
+                    CONTINUOUS_ASSIGN, line,
+                    lhs_idents=list(dict.fromkeys(sum(terminals[:split], []))),
+                    rhs_idents=list(dict.fromkeys(sum(terminals[split:], []))),
+                    continuous=True))
+            if texts[self.pos] != ",":
+                break
+            self.pos += 1
+        if texts[self.pos] == ";":
+            self.pos += 1
 
     def _skip_instantiation(self, why: str) -> None:
         """Not an instantiation after all (a user-defined type declaration,
@@ -900,19 +864,22 @@ class _Parser:
             f"{why}, skipped to ';'", "warning", self.lines[self.pos]))
         self.collect_until(";")
 
-    def _parse_connections(self, inst: Instantiation) -> None:
+    def _parse_connections(self) -> List[Connection]:
+        """The connections up to the `)` that closes an instance's list. An
+        ordered connection is keyed by its slot, an empty one included
+        (IEEE 1364-2005 §12.3), so `u(a, , b)` connects `b` to the third
+        port; `u()` has no connections."""
         texts = self.texts
-        positional_index = 0
+        connections: List[Connection] = []
+        if texts[self.pos] == ")":
+            self.pos += 1
+            return connections
+        slot = 0
         while self.pos < self.end:
             t = texts[self.pos]
-            if t == ")":
-                self.pos += 1
-                return
-            if t == ",":
-                self.pos += 1
-            elif t == ".*" or (t == "." and texts[self.pos + 1] == "*"):
+            if t == ".*" or (t == "." and texts[self.pos + 1] == "*"):
                 self.pos += 1 if t == ".*" else 2
-                inst.connections.append((WILDCARD, []))
+                connections.append((WILDCARD, []))
             elif t == ".":
                 line = self.lines[self.pos]
                 self.pos += 1
@@ -926,11 +893,17 @@ class _Parser:
                     actual = collect_identifiers(self.collect_until(")"))
                 else:
                     actual = [formal]  # SV `.name` shorthand
-                inst.connections.append((formal, actual))
+                connections.append((formal, actual))
             else:
                 expr = self.collect_until(",", ")", consume=False)
-                inst.connections.append((positional_index, collect_identifiers(expr)))
-                positional_index += 1
+                connections.append((slot, collect_identifiers(expr)))
+                slot += 1
+            if texts[self.pos] == ",":
+                self.pos += 1
+            elif texts[self.pos] == ")":
+                self.pos += 1
+                break
+        return connections
 
 
 def _resolve_parameters(raw: Dict[str, List[str]]) -> Dict[str, Optional[int]]:

@@ -9,10 +9,6 @@ from .patterns import BehaviorClassification
 from .syntax import INOUT, INPUT, OUTPUT, SignalDecl
 
 
-class RuleError(Exception):
-    pass
-
-
 @dataclass
 class CandidateAsset:
     module: str
@@ -66,8 +62,6 @@ def apply_family_rules(important: Sequence[ImportantElement],
     emitted at most once.  Objectives are the rule's plus those of every
     matched keyword group.
     """
-    if not config.rules:
-        raise RuleError(f"family '{config.family}' has no rules")
     out: List[CandidateAsset] = []
     for element in important:
         behavior = behaviors.get(element.module)

@@ -27,6 +27,10 @@ CONDITIONAL_KINDS = (IF_STMT, CASE_STMT, TERNARY_STMT)
 # the formal of a SystemVerilog wildcard connection `.*`
 WILDCARD = "*"
 
+# (formal, the actual's identifiers): the formal is a port name for a named
+# connection, the slot for an ordered one, or WILDCARD (with no actuals) for `.*`
+Connection = Tuple[Union[str, int], List[str]]
+
 
 @dataclass
 class Diagnostic:
@@ -66,11 +70,8 @@ class Statement:
 
 @dataclass
 class Instantiation:
-    instance_name: str
     target_module: str
-    # formal is a port name for named connections, an int index for
-    # positional ones, or WILDCARD (with no actuals) for `.*`
-    connections: List[Tuple[Union[str, int], List[str]]] = field(default_factory=list)
+    connections: List[Connection] = field(default_factory=list)
     line: int = 0
 
 

@@ -73,6 +73,20 @@ def test_instantiation_connection_edges():
     assert (("child", "din"), ("parent", "bus")) in pairs
 
 
+def test_empty_ordered_connection_keeps_its_slot():
+    # IEEE 1364-2005 12.3: `u(p, , q)` leaves b open and connects q to x
+    db = build_db("""
+        module c (input a, input b, input x);
+        endmodule
+        module t (input p, input q);
+          c u (p, , q);
+        endmodule
+    """)
+    assert sorted((e.src, e.dst) for e in build_connectivity(db) if e.src[0] == "t") == [
+        (("t", "p"), ("c", "a")), (("t", "q"), ("c", "x"))]
+    assert not db.diagnostics
+
+
 def test_continuous_assign_edges():
     db = build_db("""
         module m (input a, input b, output y);

@@ -23,7 +23,7 @@ from assetscout.patterns import classify_design
 from assetscout.report import run_pipeline
 from assetscout.rules import apply_family_rules
 from assetscout.syntax import (
-    CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT,
+    CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT, WILDCARD,
 )
 from assetscout.tokenizer import RESERVED_WORDS, tokenize
 
@@ -93,8 +93,21 @@ def test_two_module_file():
     assert len(top.instantiations) == 1
     inst = top.instantiations[0]
     assert inst.target_module == "child_a"
-    assert inst.instance_name == "u0"
     assert dict(inst.connections) == {"din": ["top_in"], "dout": ["top_out"]}
+
+
+@pytest.mark.parametrize("item, instances", [
+    ("child #(.W(8)) u0 (.a(x)), u1 (.a(y));", [[("a", ["x"])], [("a", ["y"])]]),
+    ("child #5 u [1:0] (x, , y), v [0:3] (.*);",
+     [[(0, ["x"]), (1, []), (2, ["y"])], [(WILDCARD, [])]]),
+    ("child u (), v (x, );", [[], [(0, ["x"]), (1, [])]]),
+])
+def test_instance_list_gives_each_instance_its_connections(item, instances):
+    unit = parse_source(f"module p (input x, input y);\n  {item}\nendmodule\n")
+    assert unit.diagnostics == []
+    assert [(i.target_module, i.connections, i.line)
+            for i in unit.modules[0].instantiations] == [
+        ("child", connections, 2) for connections in instances]
 
 
 def test_comment_only_file():
@@ -906,6 +919,18 @@ def test_range_running_to_end_of_file_is_unterminated(keyword, what):
         (f"malformed module: unterminated {what} declaration", 2)]
 
 
+@pytest.mark.parametrize("item, what", [
+    ("wire w", "net declaration"), ("input y", "port declaration"),
+    ("parameter P = 1", "parameter declaration")])
+def test_declaration_without_its_semicolon_spares_the_next_module(item, what):
+    unit = parse_source(f"module a(input x);\n  {item}\nendmodule\n"
+                        "module b(input y, output z);\n  assign z = y;\nendmodule\n")
+    assert [(m.name, [(s.lhs_idents, s.rhs_idents) for s in m.statements])
+            for m in unit.modules] == [("b", [(["z"], ["y"])])]
+    assert [(d.message, d.line) for d in unit.diagnostics] == [
+        (f"malformed module: unterminated {what}", 2)]
+
+
 # Declaration lists for the walker: each choice carries what it declares.
 # Ranges and parameter values may use the header's `parameter P = 6`.
 _DECL_RANGE = st.sampled_from([("", None), ("[7:0] ", 8), ("[0:0] ", 1),
@@ -931,12 +956,15 @@ _DIRECTION = {"input": "Input", "output": "Output", "inout": "Inout"}
 
 
 @settings(max_examples=300, deadline=None)
+# a direction keyword drops the range before it: a1 is one bit wide
+@example(header_params=[], header_ports="ANSI",
+         body=[("input", "", ("[7:0] ", 8), 1), ("output", "", ("", None), 1)])
 @given(header_params=st.lists(_HEADER_PARAM, max_size=3),
        body=st.lists(st.one_of(_BODY_PARAM, _PORT_DECL, _NET_DECL), max_size=8),
-       header_ports=st.booleans())
+       header_ports=st.sampled_from(["", "non-ANSI", "ANSI"]))
 def test_declaration_lists_parse_as_declared(header_params, body, header_ports):
     params = {"P": 6}
-    ports, nets, assigns, lines = [], [], [], []
+    ports, nets, assigns, lines, port_lines = [], [], [], [], []
 
     def param(value):
         name = f"Q{len(params)}"
@@ -952,7 +980,9 @@ def test_declaration_lists_parse_as_declared(header_params, body, header_ports):
             direction, typ, (rng, width), count = item
             names = [f"a{len(ports) + k}" for k in range(count)]
             ports += [(name, _DIRECTION[direction], width or 1) for name in names]
-            lines.append(f"{direction} {typ}{rng}" + ", ".join(names))
+            port_lines.append(f"{direction} {typ}{rng}" + ", ".join(names))
+            if header_ports != "ANSI":
+                lines.append(port_lines[-1])
         else:
             kw, sign, (rng, width), declarators = item
             default = 32 if kw == "integer" else 1
@@ -964,11 +994,13 @@ def test_declaration_lists_parse_as_declared(header_params, body, header_ports):
                     assigns.append((CONTINUOUS_ASSIGN, [name], rhs))
                 names.append(name + dims + init)
             lines.append(f"{kw} {sign}{rng}" + ", ".join(names))
-    if header_ports and ports:  # non-ANSI: the header fixes the port order
+    if not ports or not header_ports:
+        head = ""
+    elif header_ports == "ANSI":  # the same declarations, moved to the header
+        head = "(" + ", ".join(port_lines) + ")"
+    else:  # non-ANSI: the header fixes the port order
         ports.reverse()
         head = "(" + ", ".join(name for name, _d, _w in ports) + ")"
-    else:
-        head = ""
     unit = parse_source(f"module m #({header}) {head};\n"
                         + "".join(f"  {line};\n" for line in lines) + "endmodule\n")
     assert unit.diagnostics == []
@@ -998,6 +1030,13 @@ endmodule
     ("bufif1 b1 (valid, key_in, en);", "assign valid = key_in & en;"),
     ("notif0 (key_out, start, en), n2 (done, key_in, en);",
      "assign key_out = ~start & en, done = ~key_in & en;"),
+    ("and #3 (key_out, key_in, start);", "assign key_out = key_in & start;"),
+    ("xor #(1, 2) (valid, start, en), (done, en, key_in);",
+     "assign valid = start ^ en, done = en ^ key_in;"),
+    ("xnor x0 [3:0] (valid, start, en), x1 [1:0] (done, en, key_in);",
+     "assign valid = ~(start ^ en), done = ~(en ^ key_in);"),
+    # an empty terminal keeps its slot, so the outputs end where they should
+    ("buf (done, valid, );", "assign {done, valid} = 2'b0;"),
 ])
 def test_gate_primitive_is_its_continuous_assign(gate, assign, tmp_path):
     # IEEE 1364-2005 7.1: the outputs are driven by the other terminals

@@ -228,6 +228,13 @@ def test_cli_bad_config_exit_4(tmp_path, capsys):
     assert code == EXIT_BAD_CONFIG
 
 
+def test_cli_config_without_rules_exit_4(tmp_path, capsys):
+    config = tmp_path / "no_rules.json"
+    config.write_text(json.dumps(dict(load_family_config("crypto").to_dict(), rules=[])))
+    assert main(["--rtl-dir", SPLITTER_DIR, "--config", str(config)]) == EXIT_BAD_CONFIG
+    assert "has no rules" in capsys.readouterr().err
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)

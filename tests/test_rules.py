@@ -6,8 +6,7 @@ from assetscout.design import build_database
 from assetscout.keywords import ClassificationRule, ConfigError, load_family_config
 from assetscout.matcher import match_elements
 from assetscout.patterns import classify_design
-from assetscout.keywords import FamilyConfig
-from assetscout.rules import RuleError, apply_family_rules, rule_applies
+from assetscout.rules import apply_family_rules, rule_applies
 
 from conftest import MINI_CORPUS, build_db, parse_tree
 
@@ -76,11 +75,6 @@ def test_unused_enable_without_control_pattern_is_dropped():
 def test_empty_important_list():
     config = load_family_config("crypto")
     assert apply_family_rules([], {}, config) == []
-
-
-def test_empty_rule_list_is_an_error():
-    with pytest.raises(RuleError, match="no rules"):
-        apply_family_rules([], {}, FamilyConfig("empty"))
 
 
 def test_candidates_narrow_important():

@@ -1,12 +1,11 @@
 """Whole-design elaboration: module index, top detection, connectivity graph."""
 
 from collections import deque
-from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .syntax import (
     ASSIGN_KINDS, TERNARY_STMT, WILDCARD,
-    Diagnostic, ModuleDef, SignalDecl, SourceUnit,
+    Diagnostic, ModuleDef, Record, SignalDecl, SourceUnit,
 )
 
 VIA_INSTANTIATION = "InstantiationConnection"
@@ -26,12 +25,18 @@ class ConnEdge(NamedTuple):
     via: str
 
 
-@dataclass
-class DesignDatabase:
-    modules_by_name: Dict[str, ModuleDef] = field(default_factory=dict)
-    top_modules: List[str] = field(default_factory=list)
-    instantiation_parents: Dict[str, Set[str]] = field(default_factory=dict)
-    diagnostics: List[Diagnostic] = field(default_factory=list)
+class DesignDatabase(Record):
+    _fields = ("modules_by_name", "top_modules", "instantiation_parents", "diagnostics")
+
+    def __init__(self, modules_by_name: Optional[Dict[str, ModuleDef]] = None,
+                 top_modules: Optional[List[str]] = None,
+                 instantiation_parents: Optional[Dict[str, Set[str]]] = None,
+                 diagnostics: Optional[List[Diagnostic]] = None) -> None:
+        self.modules_by_name = {} if modules_by_name is None else modules_by_name
+        self.top_modules = [] if top_modules is None else top_modules
+        self.instantiation_parents = \
+            {} if instantiation_parents is None else instantiation_parents
+        self.diagnostics = [] if diagnostics is None else diagnostics
 
     @property
     def signal_count(self) -> int:

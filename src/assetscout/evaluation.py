@@ -1,68 +1,83 @@
 """Confusion-matrix evaluation against a labeled ground-truth asset list."""
 
 import csv
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, Iterable, List, Set
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 from .design import SignalRef
 from .keywords import CLOCK_RESET_NAMES
+from .syntax import Record
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class GroundTruthError(Exception):
     pass
 
 
-@dataclass
-class GroundTruth:
-    entries: Dict[SignalRef, bool] = field(default_factory=dict)
-    source: str = ""
+class GroundTruth(Record):
+    _fields = ("entries", "source")
+
+    def __init__(self, entries: Optional[Dict[SignalRef, bool]] = None,
+                 source: str = "") -> None:
+        self.entries = {} if entries is None else entries
+        self.source = source
 
 
-@dataclass
-class EvalResult:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
-    degenerate: bool = False
-    ignored_entries: int = 0
+def _fraction(num: int, den: int) -> "Fraction":
+    # imported here, not at the top: a report needs the ratios as floats only
+    from fractions import Fraction
+    return Fraction(num, den) if den else Fraction(0)
+
+
+class EvalResult(Record):
+    """Confusion counts. Each ratio is exact, a `Fraction` that reads 0 when
+    its denominator is 0; `as_dict` gives it as the float `num / den`, which
+    an int-by-int division rounds correctly, as `float(Fraction)` does."""
+    _fields = ("tp", "fp", "fn", "tn", "degenerate", "ignored_entries")
+
+    def __init__(self, tp: int, fp: int, fn: int, tn: int, degenerate: bool = False,
+                 ignored_entries: int = 0) -> None:
+        self.tp = tp
+        self.fp = fp
+        self.fn = fn
+        self.tn = tn
+        self.degenerate = degenerate
+        self.ignored_entries = ignored_entries
 
     @property
     def total(self) -> int:
         return self.tp + self.fp + self.fn + self.tn
 
-    @property
-    def accuracy(self) -> Fraction:
-        if self.total == 0:
-            return Fraction(0)
-        return Fraction(self.tp + self.tn, self.total)
+    def _terms(self) -> Dict[str, Tuple[int, int]]:
+        """(numerator, denominator) of each ratio."""
+        tp, fp, fn = self.tp, self.fp, self.fn
+        return {"accuracy": (tp + self.tn, self.total), "precision": (tp, tp + fp),
+                "recall": (tp, tp + fn), "f1": (2 * tp, 2 * tp + fp + fn)}
 
     @property
-    def precision(self) -> Fraction:
-        denom = self.tp + self.fp
-        return Fraction(self.tp, denom) if denom else Fraction(0)
+    def accuracy(self) -> "Fraction":
+        return _fraction(*self._terms()["accuracy"])
 
     @property
-    def recall(self) -> Fraction:
-        denom = self.tp + self.fn
-        return Fraction(self.tp, denom) if denom else Fraction(0)
+    def precision(self) -> "Fraction":
+        return _fraction(*self._terms()["precision"])
 
     @property
-    def f1(self) -> Fraction:
-        denom = 2 * self.tp + self.fp + self.fn
-        return Fraction(2 * self.tp, denom) if denom else Fraction(0)
+    def recall(self) -> "Fraction":
+        return _fraction(*self._terms()["recall"])
+
+    @property
+    def f1(self) -> "Fraction":
+        return _fraction(*self._terms()["f1"])
 
     def as_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-            "accuracy": float(self.accuracy),
-            "precision": float(self.precision),
-            "recall": float(self.recall),
-            "f1": float(self.f1),
-            "degenerate": self.degenerate,
-            "ignored_entries": self.ignored_entries,
-        }
+        out = {"tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn}
+        for name, (num, den) in self._terms().items():
+            out[name] = num / den if den else 0.0
+        out["degenerate"] = self.degenerate
+        out["ignored_entries"] = self.ignored_entries
+        return out
 
     def confusion_text(self) -> str:
         w = max(len(str(v)) for v in (self.tp, self.fp, self.fn, self.tn))

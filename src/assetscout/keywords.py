@@ -7,11 +7,10 @@ and `FamilyConfig.to_dict` for the on-disk layout).
 """
 
 import json
-from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from .tokenizer import VERILOG_2005_KEYWORDS
-from .syntax import INPUT, NET, OUTPUT
+from .syntax import INPUT, NET, OUTPUT, Record
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -46,12 +45,16 @@ def clock_reset_closure() -> frozenset:
 CLOCK_RESET_NAMES = clock_reset_closure()
 
 
-@dataclass
-class PartialKeywordGroup:
-    name: str
-    fragments: List[str]
-    objectives: List[str] = field(default_factory=list)
-    exclude_fragments: List[str] = field(default_factory=list)
+class PartialKeywordGroup(Record):
+    _fields = ("name", "fragments", "objectives", "exclude_fragments")
+
+    def __init__(self, name: str, fragments: List[str],
+                 objectives: Optional[List[str]] = None,
+                 exclude_fragments: Optional[List[str]] = None) -> None:
+        self.name = name
+        self.fragments = fragments
+        self.objectives = [] if objectives is None else objectives
+        self.exclude_fragments = [] if exclude_fragments is None else exclude_fragments
 
     def validate(self) -> None:
         if not self.fragments:
@@ -76,15 +79,21 @@ class PartialKeywordGroup:
         }
 
 
-@dataclass
-class ClassificationRule:
-    name: str
-    groups: List[str]                  # any-of
-    patterns: List[str]                # any-of: Control/Configuration/Status/Data
-    directions: List[str] = field(default_factory=lambda: list(_DIRECTIONS))
-    min_width: int = 1
-    max_width: Optional[int] = None    # None = unbounded
-    objectives: List[str] = field(default_factory=list)
+class ClassificationRule(Record):
+    _fields = ("name", "groups", "patterns", "directions", "min_width", "max_width",
+               "objectives")
+
+    def __init__(self, name: str, groups: List[str], patterns: List[str],
+                 directions: Optional[List[str]] = None, min_width: int = 1,
+                 max_width: Optional[int] = None,
+                 objectives: Optional[List[str]] = None) -> None:
+        self.name = name
+        self.groups = groups                # any-of
+        self.patterns = patterns            # any-of: Control/Configuration/Status/Data
+        self.directions = list(_DIRECTIONS) if directions is None else directions
+        self.min_width = min_width
+        self.max_width = max_width          # None = unbounded
+        self.objectives = [] if objectives is None else objectives
 
     def validate(self) -> None:
         if not self.groups:
@@ -113,12 +122,16 @@ class ClassificationRule:
         }
 
 
-@dataclass
-class FamilyConfig:
-    family: str
-    groups: List[PartialKeywordGroup] = field(default_factory=list)
-    rules: List[ClassificationRule] = field(default_factory=list)
-    global_exclusions: List[str] = field(default_factory=list)
+class FamilyConfig(Record):
+    _fields = ("family", "groups", "rules", "global_exclusions")
+
+    def __init__(self, family: str, groups: Optional[List[PartialKeywordGroup]] = None,
+                 rules: Optional[List[ClassificationRule]] = None,
+                 global_exclusions: Optional[List[str]] = None) -> None:
+        self.family = family
+        self.groups = [] if groups is None else groups
+        self.rules = [] if rules is None else rules
+        self.global_exclusions = [] if global_exclusions is None else global_exclusions
 
     def validate(self) -> None:
         seen = set()

@@ -1,27 +1,26 @@
 """Partial-keyword matching: reduce all extracted signals to the important set."""
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .design import DesignDatabase
 from .keywords import FamilyConfig, PartialKeywordGroup
-from .syntax import SignalDecl
+from .syntax import Record, SignalDecl
 
 
-@dataclass
-class ImportantElement:
-    module: str
-    signal: SignalDecl
-    # (group name, fragment, offset of the match in the lowercased name)
-    matched_groups: List[Tuple[str, str, int]] = field(default_factory=list)
+class ImportantElement(Record):
+    """A matched signal. `matched_groups` is fixed once matched, so
+    `group_names`, its distinct groups in first-hit order, is computed here
+    once; the rules stage reads it for every rule it tries."""
+    _fields = ("module", "signal", "matched_groups")
 
-    @property
-    def group_names(self) -> List[str]:
-        seen = []
-        for group, _frag, _off in self.matched_groups:
-            if group not in seen:
-                seen.append(group)
-        return seen
+    def __init__(self, module: str, signal: SignalDecl,
+                 matched_groups: Optional[List[Tuple[str, str, int]]] = None) -> None:
+        self.module = module
+        self.signal = signal
+        # (group name, fragment, offset of the match in the lowercased name)
+        self.matched_groups = [] if matched_groups is None else matched_groups
+        self.group_names: List[str] = list(dict.fromkeys(
+            group for group, _frag, _off in self.matched_groups))
 
 
 def _occurrences(haystack: str, needle: str) -> List[int]:

@@ -48,8 +48,10 @@ _NET_TYPES.update(integer=32, time=64, int=32, byte=8, shortint=16, longint=64)
 _Range = Tuple[List[str], List[str]]  # the (msb, lsb) texts of `[msb:lsb]`
 _DIRECTIONS = {"input": INPUT, "output": OUTPUT, "inout": INOUT}
 _MODULE_KEYWORDS = frozenset(["module", "macromodule"])
-# what ends a declaration list that is not its own end: "" is the end of file
-_DECLARATION_ENDS = frozenset([";", "", "endmodule"]) | _MODULE_KEYWORDS
+# what no declaration or statement holds: "" is the end of file
+_MODULE_ENDS = frozenset(["", "endmodule"]) | _MODULE_KEYWORDS
+# what ends a declaration list that is not its own end
+_DECLARATION_ENDS = _MODULE_ENDS | {";"}
 _PROCESSES = frozenset(["always", "always_ff", "always_comb", "always_latch",
                         "initial", "final"])
 _CASE_STARTS = frozenset(["case", "casez", "casex", "unique", "priority"])
@@ -525,8 +527,9 @@ class _Parser:
                      ) -> Iterator[Tuple[str, int, Optional[_Range], str]]:
         """Each declared name up to the punctuation `end`, as (name, its
         line, the last packed range before it, the last direction before
-        it); the caller may consume what follows a name (`= value`,
-        unpacked dimensions) before it takes the next.
+        it). The unpacked dimensions right after a name are passed over;
+        the caller may consume a `= value` after them before it takes the
+        next name.
 
         A direction keyword sets the direction and drops the range; other
         keywords (net type, signing), commas and stray tokens are passed
@@ -551,7 +554,10 @@ class _Parser:
             if t in _DIRECTIONS:
                 direction, rng = _DIRECTIONS[t], None
             elif _is_name(t):
-                yield t, self.lines[self.pos - 1], rng, direction
+                line_of_name = self.lines[self.pos - 1]
+                while texts[self.pos] == "[":
+                    self._parse_range()
+                yield t, line_of_name, rng, direction
 
     def _declared_value(self, end: str) -> List[str]:
         """The texts of the `= value` after a declared name, up to the next
@@ -588,7 +594,9 @@ class _Parser:
             elif t in _NET_TYPES:
                 self._parse_net_decl(mod)
             elif t == "genvar" or t == "defparam":
-                self.collect_until(";")
+                self._rest_of_statement(
+                    "unterminated genvar declaration" if t == "genvar"
+                    else "unterminated defparam", self.lines[self.pos])
             elif t == "assign":
                 self._parse_continuous_assign(mod)
             elif t in _OTHER_PRIMITIVES:
@@ -640,9 +648,6 @@ class _Parser:
         default_width = _NET_TYPES[texts[self.pos]]
         for name, line, rng, _dir in self._declarators(
                 ";", "unterminated net declaration", self.lines[self.pos]):
-            # skip unpacked array dimensions after the name
-            while texts[self.pos] == "[":
-                self._parse_range()
             if mod.signal(name) is None:
                 mod.add_net(SignalDecl(name, NET, None if rng else default_width,
                                        decl_line=line, range_expr=rng))
@@ -653,6 +658,17 @@ class _Parser:
                     CONTINUOUS_ASSIGN, [name], rhs, [], line, continuous=True))
 
     # -- statements -----------------------------------------------------------
+    def _rest_of_statement(self, unterminated: str, line: int) -> List[str]:
+        """The texts up to the next top-level `;`, which is consumed. A
+        module keyword or the end of file, which no statement holds, raises
+        ParseError(`unterminated`) at `line`, so that a missing `;` does not
+        swallow the next module."""
+        texts = self.collect_until(";", *_MODULE_ENDS, consume=False)
+        if self.texts[self.pos] != ";":
+            raise ParseError(unterminated, line)
+        self.pos += 1
+        return texts
+
     def _skip_timing_control(self) -> None:
         """An `@` or `#` and what it controls by (IEEE 1364-2005 §9.7): one
         parenthesised group or one token, as in `@(posedge clk)`, `@*`,
@@ -681,17 +697,20 @@ class _Parser:
                          continuous=continuous)
 
     def _parse_continuous_assign(self, mod: ModuleDef) -> None:
+        """`assign [#...] lhs = rhs {, lhs = rhs};`. A module keyword or the
+        end of file before its `=` or `;` raises ParseError."""
         texts, lines = self.texts, self.lines
+        assign_line = lines[self.pos]
         self.pos += 1  # assign
         self._skip_timing_control()
         while True:
             start = self.pos
-            lhs = self.collect_until("=")
-            rhs = self.collect_until(",", ";", consume=False)
-            if lhs:
-                line = lines[start]
-            else:
-                line = lines[self.pos] if self.pos < self.end else 0
+            lhs = self.collect_until("=", *_MODULE_ENDS, consume=False)
+            if texts[self.pos] != "=":
+                raise ParseError("unterminated continuous assignment", assign_line)
+            self.pos += 1
+            rhs = self.collect_until(",", ";", *_MODULE_ENDS, consume=False)
+            line = lines[start] if lhs else lines[self.pos]
             mod.statements.append(self._make_assign(
                 CONTINUOUS_ASSIGN, collect_identifiers(lhs), rhs,
                 [], line, continuous=True))
@@ -701,7 +720,8 @@ class _Parser:
                 continue
             if sep == ";":
                 self.pos += 1
-            return
+                return
+            raise ParseError("unterminated continuous assignment", assign_line)
 
     def _parse_statement(self) -> List[Statement]:
         """One procedural statement as flat records, an if or case head
@@ -785,28 +805,31 @@ class _Parser:
         """A statement without nested ones: an assignment appends its record,
         guarded by the heads open on `frames`, to `out`; `;`, `disable`,
         `wait`, a `$task`, any other statement and the end of file ("", which
-        is no assignment) append none."""
+        is no assignment) append none. A statement that a module keyword or
+        the end of file cuts short raises ParseError."""
         texts, lines = self.texts, self.lines
         t = texts[self.pos]
         if t == ";":
             self.pos += 1
             return
+        if self.pos == self.end:
+            return
         if t == "disable" or t == "wait" or t[:1] == "$":
-            self.collect_until(";")
+            self._rest_of_statement("unterminated statement", lines[self.pos])
             return
         if t in _PROCEDURAL_ASSIGN_KEYWORDS:
             self.pos += 1
         start = self.pos
-        lhs = self.collect_until("=", "<=", consume=False)
+        lhs = self.collect_until("=", "<=", *_MODULE_ENDS, consume=False)
         op = texts[self.pos]
         if op != "=" and op != "<=":
             # not an assignment we understand; skip to ';'
-            self.collect_until(";")
+            self._rest_of_statement("unterminated statement", lines[start])
             return
         line = lines[start] if lhs else lines[self.pos]
         self.pos += 1
         self._skip_timing_control()
-        rhs = self.collect_until(";")
+        rhs = self._rest_of_statement("unterminated statement", line)
         kind = NONBLOCKING_ASSIGN if op == "<=" else BLOCKING_ASSIGN
         guards = [name for frame in frames if frame[1] is not None
                   for name in frame[1].cond_idents]

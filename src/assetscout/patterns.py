@@ -7,13 +7,12 @@ contribute Status (1-bit Output lhs) and Data (multi-bit Output lhs or
 multi-bit Input rhs).  Inout ports count as both Input and Output.
 """
 
-from dataclasses import dataclass, field
 from typing import Dict, List, Set, Tuple
 
 from .design import DesignDatabase
 from .syntax import (
     ASSIGN_KINDS, CASE_STMT, CONDITIONAL_KINDS, INOUT, INPUT, NET, OUTPUT,
-    ModuleDef, Statement,
+    ModuleDef, Record, Statement,
 )
 
 CONTROL = "Control"
@@ -25,21 +24,22 @@ PATTERNS = (CONTROL, CONFIGURATION, STATUS, DATA)
 Evidence = Tuple[int, str, str]  # (line, statement kind, role)
 
 
-@dataclass
-class BehaviorClassification:
+class BehaviorClassification(Record):
     """Pattern buckets of one module, each in first-seen signal order.
 
     Filled through `_add`, which also keeps the per-pattern member sets
-    behind `patterns_of`.
+    behind `patterns_of`; `==` and `repr` leave those sets out.
     """
-    module: str
-    control: List[str] = field(default_factory=list)
-    configuration: List[str] = field(default_factory=list)
-    status: List[str] = field(default_factory=list)
-    data: List[str] = field(default_factory=list)
-    evidence: Dict[str, List[Evidence]] = field(default_factory=dict)
-    _members: Dict[str, Set[str]] = field(
-        default_factory=lambda: {p: set() for p in PATTERNS}, repr=False, compare=False)
+    _fields = ("module", "control", "configuration", "status", "data", "evidence")
+
+    def __init__(self, module: str) -> None:
+        self.module = module
+        self.control: List[str] = []
+        self.configuration: List[str] = []
+        self.status: List[str] = []
+        self.data: List[str] = []
+        self.evidence: Dict[str, List[Evidence]] = {}
+        self._members: Dict[str, Set[str]] = {p: set() for p in PATTERNS}
 
     def patterns_of(self, signal: str) -> List[str]:
         return [p for p in PATTERNS if signal in self._members[p]]

@@ -17,7 +17,6 @@ asset is built once, from every contribution at its root, and each top that
 keeps it gets a copy that shares its lists.
 """
 
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .design import VIA_CONTINUOUS, VIA_INSTANTIATION
@@ -25,6 +24,7 @@ from .design import ConnEdge, DesignDatabase, DesignError, SignalRef
 from .keywords import AVAILABILITY, CLOCK_RESET_NAMES, INTEGRITY
 from .patterns import CONTROL, STATUS, BehaviorClassification
 from .rules import CandidateAsset
+from .syntax import Record
 
 MAX_BFS_DEPTH = 64
 
@@ -53,22 +53,30 @@ def traversal_graph(edges: Iterable[ConnEdge]) -> Graph:
     return graph
 
 
-@dataclass
-class PrimaryAsset:
+class PrimaryAsset(Record):
     """A root signal and the candidates traced to it under `top`. The
     `outside_top_tree` copies of one asset under several tops share their
     lists."""
+    _fields = ("module", "name", "direction", "width_bits", "contributors", "patterns",
+               "objectives", "trace_path", "outside_top_tree", "top")
 
-    module: str
-    name: str
-    direction: str
-    width_bits: Optional[int]
-    contributors: List[CandidateAsset] = field(default_factory=list)
-    patterns: List[str] = field(default_factory=list)
-    objectives: List[str] = field(default_factory=list)
-    trace_path: List[ConnEdge] = field(default_factory=list)
-    outside_top_tree: bool = False
-    top: str = ""
+    def __init__(self, module: str, name: str, direction: str,
+                 width_bits: Optional[int],
+                 contributors: Optional[List[CandidateAsset]] = None,
+                 patterns: Optional[List[str]] = None,
+                 objectives: Optional[List[str]] = None,
+                 trace_path: Optional[List[ConnEdge]] = None,
+                 outside_top_tree: bool = False, top: str = "") -> None:
+        self.module = module
+        self.name = name
+        self.direction = direction
+        self.width_bits = width_bits
+        self.contributors = [] if contributors is None else contributors
+        self.patterns = [] if patterns is None else patterns
+        self.objectives = [] if objectives is None else objectives
+        self.trace_path = [] if trace_path is None else trace_path
+        self.outside_top_tree = outside_top_tree
+        self.top = top
 
     @property
     def ref(self) -> SignalRef:

@@ -5,7 +5,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
@@ -20,7 +19,7 @@ from .parser import discover_rtl_files, parse_file
 from .patterns import classify_design
 from .refine import PrimaryAsset, link_status_to_control, refine, traversal_graph
 from .rules import apply_family_rules
-from .syntax import Diagnostic
+from .syntax import Diagnostic, Record
 
 SCHEMA_VERSION = 1
 FORMATS = ("json", "csv", "text")
@@ -30,18 +29,26 @@ class NoRtlFilesError(Exception):
     pass
 
 
-@dataclass
-class AssetReport:
-    tool_version: str
-    family: str
-    top_modules: List[str]
-    corpus_stats: Dict[str, int]
-    stage_counts: Dict[str, int]
-    assets: List[PrimaryAsset]
-    diagnostics: List[Diagnostic]
-    database: DesignDatabase = None
-    important: List[ImportantElement] = field(default_factory=list)
-    evaluation: Optional[EvalResult] = None
+class AssetReport(Record):
+    _fields = ("tool_version", "family", "top_modules", "corpus_stats", "stage_counts",
+               "assets", "diagnostics", "database", "important", "evaluation")
+
+    def __init__(self, tool_version: str, family: str, top_modules: List[str],
+                 corpus_stats: Dict[str, int], stage_counts: Dict[str, int],
+                 assets: List[PrimaryAsset], diagnostics: List[Diagnostic],
+                 database: Optional[DesignDatabase] = None,
+                 important: Optional[List[ImportantElement]] = None,
+                 evaluation: Optional[EvalResult] = None) -> None:
+        self.tool_version = tool_version
+        self.family = family
+        self.top_modules = top_modules
+        self.corpus_stats = corpus_stats
+        self.stage_counts = stage_counts
+        self.assets = assets
+        self.diagnostics = diagnostics
+        self.database = database
+        self.important = [] if important is None else important
+        self.evaluation = evaluation
 
     # -- serialization -------------------------------------------------------
 

@@ -1,22 +1,26 @@
 """Stage 4: family-specific classification rules over matched elements."""
 
-from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from .keywords import ClassificationRule, FamilyConfig
 from .matcher import ImportantElement
 from .patterns import BehaviorClassification
-from .syntax import INOUT, INPUT, OUTPUT, SignalDecl
+from .syntax import INOUT, INPUT, OUTPUT, Record, SignalDecl
 
 
-@dataclass
-class CandidateAsset:
-    module: str
-    signal: SignalDecl
-    matched_rule: str
-    patterns: List[str]
-    objectives: List[str]
-    matched_groups: List[str]
+class CandidateAsset(Record):
+    _fields = ("module", "signal", "matched_rule", "patterns", "objectives",
+               "matched_groups")
+
+    def __init__(self, module: str, signal: SignalDecl, matched_rule: str,
+                 patterns: List[str], objectives: List[str],
+                 matched_groups: List[str]) -> None:
+        self.module = module
+        self.signal = signal
+        self.matched_rule = matched_rule
+        self.patterns = patterns
+        self.objectives = objectives
+        self.matched_groups = matched_groups
 
     @property
     def ref(self):

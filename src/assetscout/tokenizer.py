@@ -13,8 +13,9 @@ a comment opener.
 """
 
 import re
-from dataclasses import dataclass
 from typing import List, Tuple
+
+from .syntax import Record
 
 # IEEE 1364-2005 keywords plus the SystemVerilog constructs the parser knows.
 VERILOG_2005_KEYWORDS = frozenset("""
@@ -123,13 +124,16 @@ def is_number(text: str) -> bool:
     return first.isdecimal() or (first == "'" and len(text) > 1)
 
 
-@dataclass(slots=True)
-class Tokens:
+class Tokens(Record):
     """A tokenized text: each token's text and line, in order, plus the
     (message, line) pairs of what could not be a token."""
-    texts: List[str]
-    lines: List[int]
-    diagnostics: List[Tuple[str, int]]
+    __slots__ = _fields = ("texts", "lines", "diagnostics")
+
+    def __init__(self, texts: List[str], lines: List[int],
+                 diagnostics: List[Tuple[str, int]]) -> None:
+        self.texts = texts
+        self.lines = lines
+        self.diagnostics = diagnostics
 
     def __len__(self) -> int:
         return len(self.texts)

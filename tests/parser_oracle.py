@@ -12,7 +12,7 @@ stacks in `assetscout.parser` replaced, kept as test oracles.
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from assetscout.parser import (
-    _CASE_STARTS, _PROCEDURAL_ASSIGN_KEYWORDS, ParseError, _is_name,
+    _CASE_STARTS, _MODULE_ENDS, _PROCEDURAL_ASSIGN_KEYWORDS, ParseError, _is_name,
     _number_value, _Parser, collect_identifiers, preprocess,
 )
 from assetscout.syntax import (
@@ -69,20 +69,20 @@ class RecursiveStatementParser(_Parser):
             self.pos += 1
             return self._parse_statement(guards)
         if t == "disable" or t == "wait" or t[0] == "$":
-            self.collect_until(";")
+            self._rest_of_statement("unterminated statement", lines[self.pos])
             return []
         if t in _PROCEDURAL_ASSIGN_KEYWORDS:
             self.pos += 1
         start = self.pos
-        lhs = self.collect_until("=", "<=", consume=False)
+        lhs = self.collect_until("=", "<=", *_MODULE_ENDS, consume=False)
         op = texts[self.pos]
         if op != "=" and op != "<=":
-            self.collect_until(";")
+            self._rest_of_statement("unterminated statement", lines[start])
             return []
         line = lines[start] if lhs else lines[self.pos]
         self.pos += 1
         self._skip_timing_control()
-        rhs = self.collect_until(";")
+        rhs = self._rest_of_statement("unterminated statement", line)
         kind = NONBLOCKING_ASSIGN if op == "<=" else BLOCKING_ASSIGN
         return [self._make_assign(kind, collect_identifiers(lhs), rhs, guards, line)]
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assetscout.evaluation import (
@@ -56,6 +56,21 @@ def test_metric_identities(tp, fp, fn, tn):
     if tp:
         p, r = result.precision, result.recall
         assert result.f1 == 2 * p * r / (p + r)
+
+
+@settings(max_examples=300, deadline=None)
+@example(tp=0, fp=0, fn=0, tn=0)
+@given(tp=st.integers(min_value=0, max_value=10**30), fp=counts, fn=counts,
+       tn=st.integers(min_value=0, max_value=10**30))
+def test_report_floats_are_the_exact_ratios_rounded(tp, fp, fn, tn):
+    result = EvalResult(tp, fp, fn, tn)
+    exact = {"accuracy": Fraction(tp + tn, result.total) if result.total else Fraction(0),
+             "precision": Fraction(tp, tp + fp) if tp + fp else Fraction(0),
+             "recall": Fraction(tp, tp + fn) if tp + fn else Fraction(0),
+             "f1": Fraction(2 * tp, 2 * tp + fp + fn) if 2 * tp + fp + fn else Fraction(0)}
+    floats = result.as_dict()
+    for name, ratio in exact.items():
+        assert floats[name].hex() == float(ratio).hex(), name
 
 
 def test_swapping_labels_swaps_fp_and_fn():

@@ -4,7 +4,6 @@ import json
 import os
 import time
 import tracemalloc
-from dataclasses import asdict
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +23,7 @@ from assetscout.report import run_pipeline
 from assetscout.rules import apply_family_rules
 from assetscout.syntax import (
     CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT, WILDCARD,
+    Record,
 )
 from assetscout.tokenizer import RESERVED_WORDS, tokenize
 
@@ -584,6 +584,20 @@ def _cut(src, how, at):
     return src
 
 
+def _attributes(value):
+    """`value` with each record, recursively, as its class name and every
+    attribute it holds, derived ones such as `ModuleDef._signals` included."""
+    if isinstance(value, Record):
+        names = vars(value) if hasattr(value, "__dict__") else type(value).__slots__
+        return type(value).__name__, {name: _attributes(getattr(value, name))
+                                      for name in names}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_attributes, value))
+    if isinstance(value, dict):
+        return {key: _attributes(item) for key, item in value.items()}
+    return value
+
+
 @settings(max_examples=300, deadline=None)
 @given(body=st.one_of(_STATEMENTS[1:]),
        how=st.sampled_from(["whole", "cut", "drop"]), at=st.integers(0, 10**4))
@@ -591,7 +605,7 @@ def test_statement_nests_match_recursive_oracle(body, how, at):
     src = _cut("module m (input clk, input s, input t, input u, output reg x,"
                " output reg y);\nalways @(posedge clk)\n"
                f"{body}\nendmodule\nmodule sib (input a);\nendmodule\n", how, at)
-    assert asdict(parse_source(src)) == asdict(recursive_parse_source(src))
+    assert _attributes(parse_source(src)) == _attributes(recursive_parse_source(src))
 
 
 # a dependency map over P0..P4: forward references, cycles, self-references,
@@ -921,7 +935,9 @@ def test_range_running_to_end_of_file_is_unterminated(keyword, what):
 
 @pytest.mark.parametrize("item, what", [
     ("wire w", "net declaration"), ("input y", "port declaration"),
-    ("parameter P = 1", "parameter declaration")])
+    ("parameter P = 1", "parameter declaration"),
+    ("assign w = x", "continuous assignment"), ("always @* w = x", "statement"),
+    ("genvar i", "genvar declaration")])
 def test_declaration_without_its_semicolon_spares_the_next_module(item, what):
     unit = parse_source(f"module a(input x);\n  {item}\nendmodule\n"
                         "module b(input y, output z);\n  assign z = y;\nendmodule\n")
@@ -942,13 +958,15 @@ _HEADER_PARAM = st.tuples(st.sampled_from(["", "parameter ", "localparam "]),
                           _PARAM_TYPE, _PARAM_VALUE)
 _BODY_PARAM = st.tuples(st.sampled_from(["parameter", "localparam"]), _PARAM_TYPE,
                         st.lists(_PARAM_VALUE, min_size=1, max_size=3))
+# each name with its unpacked dimensions, which leave the packed range to the next name
+_UNPACKED = st.sampled_from(["", " [0:3]", " [0:1][0:7]"])
 _PORT_DECL = st.tuples(st.sampled_from(["input", "output", "inout"]),
                        st.sampled_from(["", "wire ", "reg ", "signed ", "reg signed "]),
-                       _DECL_RANGE, st.integers(min_value=1, max_value=3))
+                       _DECL_RANGE, st.lists(_UNPACKED, min_size=1, max_size=3))
 _NET_DECL = st.tuples(
     st.sampled_from(["wire", "reg", "integer"]), st.sampled_from(["", "signed "]),
     _DECL_RANGE,
-    st.lists(st.tuples(st.sampled_from(["", " [0:3]", " [0:1][0:7]"]),
+    st.lists(st.tuples(_UNPACKED,
                        st.sampled_from([("", None), (" = {x, y}", ["x", "y"]),
                                         (" = (x + 1)", ["x"])])),
              min_size=1, max_size=3))
@@ -958,7 +976,12 @@ _DIRECTION = {"input": "Input", "output": "Output", "inout": "Inout"}
 @settings(max_examples=300, deadline=None)
 # a direction keyword drops the range before it: a1 is one bit wide
 @example(header_params=[], header_ports="ANSI",
-         body=[("input", "", ("[7:0] ", 8), 1), ("output", "", ("", None), 1)])
+         body=[("input", "", ("[7:0] ", 8), [""]), ("output", "", ("", None), [""])])
+# an unpacked dimension is not the next name's range: a1 is 8 bits wide
+@example(header_params=[], header_ports="ANSI",
+         body=[("input", "", ("[7:0] ", 8), [" [0:3]", ""])])
+@example(header_params=[], header_ports="non-ANSI",
+         body=[("input", "", ("[7:0] ", 8), [" [0:1]", ""])])
 @given(header_params=st.lists(_HEADER_PARAM, max_size=3),
        body=st.lists(st.one_of(_BODY_PARAM, _PORT_DECL, _NET_DECL), max_size=8),
        header_ports=st.sampled_from(["", "non-ANSI", "ANSI"]))
@@ -977,10 +1000,11 @@ def test_declaration_lists_parse_as_declared(header_params, body, header_ports):
             kw, typ, values = item
             lines.append(f"{kw} {typ}" + ", ".join(map(param, values)))
         elif item[0] in _DIRECTION:
-            direction, typ, (rng, width), count = item
-            names = [f"a{len(ports) + k}" for k in range(count)]
+            direction, typ, (rng, width), dims = item
+            names = [f"a{len(ports) + k}" for k in range(len(dims))]
             ports += [(name, _DIRECTION[direction], width or 1) for name in names]
-            port_lines.append(f"{direction} {typ}{rng}" + ", ".join(names))
+            port_lines.append(f"{direction} {typ}{rng}"
+                              + ", ".join(map(str.__add__, names, dims)))
             if header_ports != "ANSI":
                 lines.append(port_lines[-1])
         else:

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import types
 
@@ -401,6 +402,17 @@ def test_workload_reports_match_pinned_digests(tmp_path, capsys):
         assert main(["--rtl-dir", manifest["rtl_dir"], "--out", str(out)]
                     + manifest["args"]) == EXIT_OK
         assert hashlib.sha256(out.read_bytes()).hexdigest() == pinned[name], name
+
+
+def test_cli_import_skips_dataclasses_and_fractions():
+    # every run pays for its imports; -S keeps site's own imports out of the count
+    src = os.path.dirname(os.path.dirname(os.path.abspath(assetscout.cli.__file__)))
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import assetscout.cli; "
+             "print(' '.join(m for m in ('dataclasses', 'inspect', 'fractions', 'decimal')"
+             " if m in sys.modules))")
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe, src], check=True,
+                            capture_output=True, text=True, timeout=60).stdout.split()
+    assert loaded == []
 
 
 def _cyclic_garbage_of_ours():

@@ -24,4 +24,4 @@ from .refine import PrimaryAsset, link_status_to_control  # noqa: F401
 from .evaluation import (  # noqa: F401
     EvalResult, GroundTruth, GroundTruthError, evaluate, load_ground_truth,
 )
-from .report import AssetReport, emit_keyword_stats, run_pipeline  # noqa: F401
+from .report import AssetReport, keyword_stats, run_pipeline  # noqa: F401

@@ -28,23 +28,16 @@ class ConnEdge(NamedTuple):
 class DesignDatabase(Record):
     _fields = ("modules_by_name", "top_modules", "instantiation_parents", "diagnostics")
 
-    def __init__(self, modules_by_name: Optional[Dict[str, ModuleDef]] = None,
-                 top_modules: Optional[List[str]] = None,
-                 instantiation_parents: Optional[Dict[str, Set[str]]] = None,
-                 diagnostics: Optional[List[Diagnostic]] = None) -> None:
-        self.modules_by_name = {} if modules_by_name is None else modules_by_name
-        self.top_modules = [] if top_modules is None else top_modules
-        self.instantiation_parents = \
-            {} if instantiation_parents is None else instantiation_parents
-        self.diagnostics = [] if diagnostics is None else diagnostics
+    def __init__(self) -> None:  # build_database fills it in
+        self.modules_by_name: Dict[str, ModuleDef] = {}
+        self.top_modules: List[str] = []
+        self.instantiation_parents: Dict[str, Set[str]] = {}
+        self.diagnostics: List[Diagnostic] = []
 
     @property
     def signal_count(self) -> int:
         """Distinct signal names, summed over the modules."""
         return sum(len(mod.signals()) for mod in self.modules_by_name.values())
-
-    def module(self, name: str) -> ModuleDef:
-        return self.modules_by_name[name]
 
     def signal(self, ref: SignalRef) -> Optional[SignalDecl]:
         """`ModuleDef.signal` of `ref`'s module, or None for an unknown module."""

@@ -131,7 +131,7 @@ def preprocess(text: str, path: str = "<string>",
                 out_lines.append("")
                 joined = joined[:-1] + " " + lines[i].strip()
             stripped = joined
-        active = all(level[0] for level in cond_stack)
+        active = not cond_stack or cond_stack[-1][0]
         if stripped.startswith("`"):
             parts = stripped.split(None, 2)
             word = parts[0][1:]
@@ -142,7 +142,7 @@ def preprocess(text: str, path: str = "<string>",
             elif word in ("else", "elsif"):
                 if cond_stack:
                     level = cond_stack[-1]
-                    parent = all(outer[0] for outer in cond_stack[:-1])
+                    parent = len(cond_stack) < 2 or cond_stack[-2][0]
                     level[0] = parent and not level[1] and (word == "else" or defined)
                     level[1] = level[1] or level[0]
                 else:
@@ -208,9 +208,12 @@ def _read_include(target: str, from_path: str,
     candidates.append(target)
     for cand in candidates:
         if os.path.isfile(cand):
-            with open(cand, "rb") as fh:
-                return (os.path.realpath(cand),
-                        fh.read().decode("utf-8", errors="replace"))
+            try:
+                with open(cand, "rb") as fh:
+                    return (os.path.realpath(cand),
+                            fh.read().decode("utf-8", errors="replace"))
+            except OSError:
+                continue  # as if it were missing
     return None
 
 
@@ -697,23 +700,26 @@ class _Parser:
                          continuous=continuous)
 
     def _parse_continuous_assign(self, mod: ModuleDef) -> None:
-        """`assign [#...] lhs = rhs {, lhs = rhs};`. A module keyword or the
-        end of file before its `=` or `;` raises ParseError."""
+        """`assign [#...] lhs = rhs {, lhs = rhs};`. An lhs without `=` is a
+        warning and is skipped. A module keyword or the end of file before
+        its `=` or `;` raises ParseError."""
         texts, lines = self.texts, self.lines
         assign_line = lines[self.pos]
         self.pos += 1  # assign
         self._skip_timing_control()
         while True:
             start = self.pos
-            lhs = self.collect_until("=", *_MODULE_ENDS, consume=False)
-            if texts[self.pos] != "=":
-                raise ParseError("unterminated continuous assignment", assign_line)
-            self.pos += 1
-            rhs = self.collect_until(",", ";", *_MODULE_ENDS, consume=False)
-            line = lines[start] if lhs else lines[self.pos]
-            mod.statements.append(self._make_assign(
-                CONTINUOUS_ASSIGN, collect_identifiers(lhs), rhs,
-                [], line, continuous=True))
+            lhs = self.collect_until("=", ";", *_MODULE_ENDS, consume=False)
+            if texts[self.pos] == "=":
+                self.pos += 1
+                rhs = self.collect_until(",", ";", *_MODULE_ENDS, consume=False)
+                line = lines[start] if lhs else lines[self.pos]
+                mod.statements.append(self._make_assign(
+                    CONTINUOUS_ASSIGN, collect_identifiers(lhs), rhs,
+                    [], line, continuous=True))
+            elif texts[self.pos] == ";":
+                self.diagnostics.append(Diagnostic(
+                    "continuous assignment without '=' skipped", "warning", lines[start]))
             sep = texts[self.pos]
             if sep == ",":
                 self.pos += 1
@@ -820,7 +826,7 @@ class _Parser:
         if t in _PROCEDURAL_ASSIGN_KEYWORDS:
             self.pos += 1
         start = self.pos
-        lhs = self.collect_until("=", "<=", *_MODULE_ENDS, consume=False)
+        lhs = self.collect_until("=", "<=", ";", *_MODULE_ENDS, consume=False)
         op = texts[self.pos]
         if op != "=" and op != "<=":
             # not an assignment we understand; skip to ';'

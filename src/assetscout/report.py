@@ -1,17 +1,13 @@
-"""Pipeline orchestration and report emission (JSON / CSV / text)."""
+"""Pipeline orchestration and report rendering (JSON / CSV / text)."""
 
 import csv
 import io
 import json
 import os
-import sys
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .design import (
-    DesignDatabase, DesignError, build_connectivity, build_database,
-    find_top_modules,
-)
+from .design import DesignError, build_connectivity, build_database, find_top_modules
 from .evaluation import EvalResult, GroundTruth, evaluate
 from .keywords import load_family_config
 from .matcher import ImportantElement, count_keyword_occurrences, match_elements
@@ -31,12 +27,11 @@ class NoRtlFilesError(Exception):
 
 class AssetReport(Record):
     _fields = ("tool_version", "family", "top_modules", "corpus_stats", "stage_counts",
-               "assets", "diagnostics", "database", "important", "evaluation")
+               "assets", "diagnostics", "important", "evaluation")
 
     def __init__(self, tool_version: str, family: str, top_modules: List[str],
                  corpus_stats: Dict[str, int], stage_counts: Dict[str, int],
                  assets: List[PrimaryAsset], diagnostics: List[Diagnostic],
-                 database: Optional[DesignDatabase] = None,
                  important: Optional[List[ImportantElement]] = None,
                  evaluation: Optional[EvalResult] = None) -> None:
         self.tool_version = tool_version
@@ -46,7 +41,6 @@ class AssetReport(Record):
         self.stage_counts = stage_counts
         self.assets = assets
         self.diagnostics = diagnostics
-        self.database = database
         self.important = [] if important is None else important
         self.evaluation = evaluation
 
@@ -183,32 +177,37 @@ def _asset_json(a: PrimaryAsset) -> Tuple[str, str]:
 
 
 def _load_design(rtl_dir: str):
-    """Parse every RTL file under `rtl_dir`: (files, database, line count)."""
+    """Parse every readable RTL file under `rtl_dir`: (files read, database,
+    line count). A file that cannot be read is an error diagnostic."""
     if not os.path.isdir(rtl_dir):
         raise NoRtlFilesError(f"RTL directory not found: {rtl_dir}")
     files = discover_rtl_files(rtl_dir)
     if not files:
         raise NoRtlFilesError(f"no RTL files (.v/.sv/.vh/.svh) under {rtl_dir}")
-    units = [parse_file(path, include_dirs=[rtl_dir]) for path in files]
+    units, unread = [], []
+    for path in files:
+        try:
+            units.append(parse_file(path, include_dirs=[rtl_dir]))
+        except OSError as err:
+            unread.append(Diagnostic(f"cannot read {path}: {err.strerror or err}", "error", 0))
+    if not units:
+        raise NoRtlFilesError(f"no RTL file under {rtl_dir} can be read: {unread[0].message}")
     try:
         db = build_database(units)
     except DesignError as err:
         # files exist but no module parsed: treat as an unusable corpus
         raise NoRtlFilesError(str(err)) from err
-    return files, db, sum(unit.line_count for unit in units)
+    db.diagnostics[:0] = unread
+    return len(units), db, sum(unit.line_count for unit in units)
 
 
 def run_pipeline(rtl_dir: str,
                  top: Optional[str] = None,
                  family: str = "crypto",
-                 out_path: Optional[str] = None,
-                 fmt: str = "json",
                  ground_truth: Optional[GroundTruth] = None) -> AssetReport:
-    """Execute all five stages over an RTL tree and optionally write a report."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    """Execute all five stages over an RTL tree; the caller renders the report."""
     config = load_family_config(family)
-    files, db, line_count = _load_design(rtl_dir)
+    file_count, db, line_count = _load_design(rtl_dir)
     tops = find_top_modules(db, top)
     graph = traversal_graph(build_connectivity(db))
 
@@ -224,7 +223,7 @@ def run_pipeline(rtl_dir: str,
         family=config.family,
         top_modules=tops,
         corpus_stats={
-            "file_count": len(files),
+            "file_count": file_count,
             "module_count": len(db.modules_by_name),
             "signal_count": db.signal_count,
             "line_count": line_count,
@@ -237,7 +236,6 @@ def run_pipeline(rtl_dir: str,
         },
         assets=assets,
         diagnostics=list(db.diagnostics),
-        database=db,
         important=important,
     )
     if ground_truth is not None:
@@ -247,24 +245,11 @@ def run_pipeline(rtl_dir: str,
         report.evaluation = evaluate(assets, ground_truth, universe, warnings)
         for msg in warnings:
             report.diagnostics.append(Diagnostic(msg, "warning", 0))
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(report.render(fmt))
     return report
 
 
-def emit_keyword_stats(rtl_dir: str, family: str,
-                       out_path: Optional[str] = None) -> Dict[str, int]:
-    """Write per-group keyword occurrence counts as `group,count` CSV to
-    `out_path`, or to stdout when it is None."""
+def keyword_stats(rtl_dir: str, family: str) -> Dict[str, int]:
+    """Per-group keyword occurrence counts over the RTL tree. The config is
+    loaded first, so a bad config is reported before a bad tree."""
     config = load_family_config(family)
-    _files, db, _lines = _load_design(rtl_dir)
-    counts = count_keyword_occurrences(db, config)
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows([("group", "count"), *counts.items()])
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    return counts
+    return count_keyword_occurrences(_load_design(rtl_dir)[1], config)

@@ -74,7 +74,7 @@ class RecursiveStatementParser(_Parser):
         if t in _PROCEDURAL_ASSIGN_KEYWORDS:
             self.pos += 1
         start = self.pos
-        lhs = self.collect_until("=", "<=", *_MODULE_ENDS, consume=False)
+        lhs = self.collect_until("=", "<=", ";", *_MODULE_ENDS, consume=False)
         op = texts[self.pos]
         if op != "=" and op != "<=":
             self._rest_of_statement("unterminated statement", lines[start])

@@ -10,6 +10,7 @@ import random
 import time
 from fractions import Fraction
 
+from assetscout.cli import EXIT_OK, main
 from assetscout.design import build_connectivity, build_database
 from assetscout.evaluation import EvalResult
 from assetscout.keywords import load_family_config
@@ -21,7 +22,7 @@ from assetscout.report import run_pipeline
 from assetscout.rules import CandidateAsset
 from assetscout.tokenizer import RESERVED_WORDS
 
-from conftest import CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR
+from conftest import CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, parse_tree
 from fixtures_rtl import AB_SOURCE, BEHAVIOR_CASES, NET_EXPANSION_SOURCE, SECONDARY_NET_SOURCE
 from test_matcher import match_oracle
 
@@ -31,13 +32,13 @@ def _verdict(name, ok):
     assert ok, name
 
 
-def test_golden_splitter_pipeline():
+def test_golden_splitter_pipeline(splitter_db):
     """Full pipeline on the four-bank splitter fixture: exact sets and roots."""
     started = time.perf_counter()
     report = run_pipeline(SPLITTER_DIR, top="data_splitter", family="crypto")
     elapsed = time.perf_counter() - started
 
-    module = report.database.modules_by_name["data_splitter"]
+    module = splitter_db.modules_by_name["data_splitter"]
     behavior = classify_behaviors(module)
     sets_ok = (
         set(behavior.control) == {"load", "done0", "done1", "done2", "done3"}
@@ -193,8 +194,8 @@ def test_determinism_on_mini_corpus(tmp_path):
     started = time.perf_counter()
     first = tmp_path / "first.json"
     second = tmp_path / "second.json"
-    run_pipeline(MINI_CORPUS, family="crypto", out_path=str(first))
-    run_pipeline(MINI_CORPUS, family="crypto", out_path=str(second))
+    for out in (first, second):
+        assert main(["--rtl-dir", MINI_CORPUS, "--out", str(out)]) == EXIT_OK
     elapsed = time.perf_counter() - started
     identical = first.read_bytes() == second.read_bytes()
     json.loads(first.read_text())  # must be valid JSON as well
@@ -217,5 +218,6 @@ def test_narrowing_monotonicity():
                      <= counts["extracted"])
         # the recorded stage counts reflect the actual stage outputs
         ok = ok and counts["important"] == len(report.important)
-        ok = ok and counts["extracted"] == report.database.signal_count
+        ok = ok and counts["extracted"] == \
+            build_database(parse_tree(rtl_dir)).signal_count
     _verdict("stage narrowing monotonicity and stageCounts consistency", ok)

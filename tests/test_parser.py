@@ -22,12 +22,12 @@ from assetscout.patterns import classify_design
 from assetscout.report import run_pipeline
 from assetscout.rules import apply_family_rules
 from assetscout.syntax import (
-    CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT, WILDCARD,
-    Record,
+    BLOCKING_ASSIGN, CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, NONBLOCKING_ASSIGN, TERNARY_STMT,
+    WILDCARD, Record,
 )
 from assetscout.tokenizer import RESERVED_WORDS, tokenize
 
-from conftest import MINI_CORPUS, SPLITTER_FILE, parse_tree
+from conftest import MINI_CORPUS, SPLITTER_FILE, build_db, parse_tree
 from fixtures_rtl import AB_SOURCE
 from parser_oracle import recursive_parse_source, recursive_resolve_parameters
 
@@ -218,6 +218,21 @@ def test_missing_include_is_diagnosed(tmp_path):
     unit = parse_file(str(top))
     assert len(unit.modules) == 1
     assert any("nope.vh" in d.message for d in unit.diagnostics)
+
+
+def test_include_that_cannot_be_opened_is_diagnosed_as_missing(tmp_path, monkeypatch):
+    (tmp_path / "locked.vh").write_text("wire w;\n")
+    top = str(tmp_path / "top.v")
+
+    def refusing(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", path)
+    monkeypatch.setattr(assetscout.parser, "open", refusing, raising=False)
+    diags = []
+    text = preprocess('`include "locked.vh"\nmodule m (input a);\nendmodule\n',
+                      top, diagnostics=diags)
+    assert "wire" not in text
+    assert [(d.message, d.severity, d.line) for d in diags] == [
+        ("include file not found: locked.vh", "warning", 1)]
 
 
 def test_include_cycle_is_diagnosed_not_expanded(tmp_path):
@@ -472,7 +487,7 @@ def test_every_stage_resolves_names_through_the_module(header, body):
     head, items, _ports = _header_and_items(header, body, _KEYWORD_NAMES.get)
     db = build_database([parse_source(
         f"module m {head};\n{items}{_KEYWORD_BEHAVIOURS}endmodule\n")])
-    mod = db.module("m")
+    mod = db.modules_by_name["m"]
     for name in _KEYWORD_NAMES.values():
         assert db.signal(("m", name)) is mod.signal(name), name
     config = load_family_config("crypto")
@@ -947,6 +962,24 @@ def test_declaration_without_its_semicolon_spares_the_next_module(item, what):
         (f"malformed module: unterminated {what}", 2)]
 
 
+def test_statement_lhs_stops_at_its_semicolon():
+    # a task call is no assignment: its arguments are not the next one's targets
+    mod = parse_source("module m (input x, input c, output reg y);\n"
+                       "  always @* begin foo(x); y = c; end\nendmodule\n").modules[0]
+    assert [(s.kind, s.lhs_idents, s.rhs_idents) for s in mod.statements] == [
+        (BLOCKING_ASSIGN, ["y"], ["c"])]
+
+
+def test_continuous_assign_without_equals_is_skipped_with_a_warning():
+    unit = parse_source("module m (input c, output w, output y);\n"
+                        "  assign w;\n  assign y = c;\nendmodule\n")
+    assert [m.name for m in unit.modules] == ["m"]
+    assert [(s.kind, s.lhs_idents, s.rhs_idents) for s in unit.modules[0].statements] == [
+        (CONTINUOUS_ASSIGN, ["y"], ["c"])]
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        ("continuous assignment without '=' skipped", "warning", 2)]
+
+
 # Declaration lists for the walker: each choice carries what it declares.
 # Ranges and parameter values may use the header's `parameter P = 6`.
 _DECL_RANGE = st.sampled_from([("", None), ("[7:0] ", 8), ("[0:0] ", 1),
@@ -1071,8 +1104,8 @@ def test_gate_primitive_is_its_continuous_assign(gate, assign, tmp_path):
         reports.append(run_pipeline(str(tmp_path / name)))
     gates, assigns = reports
     assert gates.diagnostics == []
-    assert gates.database.module("gated").statements == \
-        assigns.database.module("gated").statements
+    assert build_db(_GATE_CELL.format(item=gate)).modules_by_name["gated"].statements == \
+        build_db(_GATE_CELL.format(item=assign)).modules_by_name["gated"].statements
     for fmt in ("json", "csv", "text"):
         assert gates.render(fmt) == assigns.render(fmt)
 

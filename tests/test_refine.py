@@ -574,7 +574,7 @@ def port_searches(candidates, db, graph, tops):
         expanded = []
         if db.signal(start).is_port:
             under = [top for top in tops
-                     if any(accept((top, s.name)) for s in db.module(top).ports)]
+                     if any(accept((top, s.name)) for s in db.modules_by_name[top].ports)]
             searches.append((start, expanded, under))
         return original(start, ExpansionLog(adj, expanded), accept, *args)
     with pytest.MonkeyPatch.context() as patch:
@@ -601,7 +601,7 @@ def hop_counts(adj, sources):
 def assert_port_searches_walk_shortest_paths(candidates, db, edges, tops):
     port_adj = adjacency(traversal_edges(edges), _PORT_SEARCH_VIAS)
     to_top = {top: hop_counts(port_adj, [
-        (top, s.name) for s in db.module(top).ports
+        (top, s.name) for s in db.modules_by_name[top].ports
         if not _is_clock_reset((top, s.name))]) for top in tops}
     searches = port_searches(candidates, db, traversal_graph(edges), tops)
     for start, expanded, under in searches:

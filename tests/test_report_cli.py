@@ -17,11 +17,11 @@ import assetscout.cli
 import assetscout.patterns
 import assetscout.report
 from assetscout.cli import (
-    EXIT_BAD_CONFIG, EXIT_BAD_TOP, EXIT_NO_RTL, EXIT_OK, main,
+    EXIT_BAD_CONFIG, EXIT_BAD_OUTPUT, EXIT_BAD_TOP, EXIT_NO_RTL, EXIT_OK, main,
 )
 from assetscout.keywords import load_family_config
 from assetscout.report import (
-    FORMATS, SCHEMA_VERSION, NoRtlFilesError, emit_keyword_stats, run_pipeline,
+    FORMATS, SCHEMA_VERSION, NoRtlFilesError, keyword_stats, run_pipeline,
 )
 from assetscout.syntax import SignalDecl, Statement
 from assetscout.tokenizer import Tokens
@@ -54,15 +54,19 @@ def test_stage_counts_monotonic_everywhere():
         assert counts["extracted"] == report.corpus_stats["signal_count"]
 
 
-def test_name_declared_twice_is_its_first_port_in_every_stage(tmp_path):
+def test_name_declared_twice_is_its_first_port_in_every_stage(tmp_path, monkeypatch):
     # invalid Verilog: key_in is declared twice; the 128-bit port wins
     (tmp_path / "t.v").write_text(
         "module t (input [127:0] key_in, input key_in, output [127:0] data_out);"
         " assign data_out = key_in; endmodule\n")
+    built = []
+    build = assetscout.report.build_database
+    monkeypatch.setattr(assetscout.report, "build_database",
+                        lambda units: built.append(build(units)) or built[-1])
     report = run_pipeline(str(tmp_path), family="crypto")
     counts = report.stage_counts
     assert counts["candidates"] <= counts["important"] <= counts["extracted"] == 2
-    mod = report.database.module("t")
+    mod = built[0].modules_by_name["t"]
     for asset in report.assets:
         assert asset.width_bits == mod.signal(asset.name).width_bits
         for c in asset.contributors:
@@ -82,14 +86,25 @@ def test_corpus_stats():
 def test_json_report_is_deterministic(tmp_path):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"
-    run_pipeline(MINI_CORPUS, family="crypto", out_path=str(out1))
-    run_pipeline(MINI_CORPUS, family="crypto", out_path=str(out2))
+    for out in (out1, out2):
+        assert main(["--rtl-dir", MINI_CORPUS, "--family", "crypto",
+                     "--out", str(out)]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cli_out_file_is_the_rendered_report(tmp_path, capsys, fmt):
+    out = tmp_path / f"r.{fmt}"
+    assert main(["--rtl-dir", MINI_CORPUS, "--format", fmt, "--out", str(out)]) == EXIT_OK
+    rendered = run_pipeline(MINI_CORPUS, family="crypto").render(fmt)
+    assert out.read_bytes() == rendered.encode("utf-8")
+    assert main(["--rtl-dir", MINI_CORPUS, "--format", fmt]) == EXIT_OK
+    assert capsys.readouterr().out == rendered
 
 
 def test_json_report_round_trips(tmp_path):
     out = tmp_path / "r.json"
-    run_pipeline(SPLITTER_DIR, out_path=str(out))
+    assert main(["--rtl-dir", SPLITTER_DIR, "--out", str(out)]) == EXIT_OK
     raw = out.read_bytes()
     data = json.loads(raw)
     assert data["schema_version"] == SCHEMA_VERSION
@@ -112,7 +127,7 @@ def test_all_formats_render():
     assert report.render("csv").splitlines()[0] == \
         "top,module,signal,direction,width_bits,patterns,objectives,contributors"
     with pytest.raises(ValueError):
-        run_pipeline(SPLITTER_DIR, fmt="yaml")
+        report.render("yaml")
 
 
 def test_no_rtl_files_raises(tmp_path):
@@ -128,11 +143,12 @@ def test_files_without_modules_raise(tmp_path):
 
 def test_keyword_stats_csv(tmp_path):
     out = tmp_path / "stats.csv"
-    counts = emit_keyword_stats(SPLITTER_DIR, "crypto", str(out))
+    counts = keyword_stats(SPLITTER_DIR, "crypto")
+    assert main(["--rtl-dir", SPLITTER_DIR, "--stats", "--out", str(out)]) == EXIT_OK
     lines = out.read_text().splitlines()
     assert lines[0] == "group,count"
     assert counts["data"] >= 2
-    assert any(line.startswith("data,") for line in lines[1:])
+    assert lines[1:] == [f"{group},{count}" for group, count in counts.items()]
 
 
 def test_cli_success(tmp_path, capsys):
@@ -201,7 +217,7 @@ def test_pipeline_refines_and_links_once_for_many_tops(monkeypatch):
     assert {a.top for a in report.assets} <= set(report.top_modules)
 
 
-def test_pipeline_renders_once_per_report(tmp_path, monkeypatch):
+def test_pipeline_renders_once_per_report(tmp_path, capsys, monkeypatch):
     # the benchmark's `report.render` span times serialisation through this call
     original = assetscout.report.AssetReport.render
     calls = []
@@ -211,9 +227,12 @@ def test_pipeline_renders_once_per_report(tmp_path, monkeypatch):
         return original(self, fmt)
     monkeypatch.setattr(assetscout.report.AssetReport, "render", counting)
     out = tmp_path / "r.json"
-    run_pipeline(MINI_CORPUS, family="crypto", out_path=str(out))
+    assert main(["--rtl-dir", MINI_CORPUS, "--out", str(out)]) == EXIT_OK
     assert calls == ["json"]
     assert out.stat().st_size > 0
+    assert main(["--rtl-dir", SPLITTER_DIR, "--format", "text", "--verbose",
+                 "--ground-truth", SPLITTER_TRUTH]) == EXIT_OK
+    assert calls == ["json", "text"]
 
 
 def test_cli_unknown_top_exit_3(capsys):
@@ -227,6 +246,13 @@ def test_cli_bad_config_exit_4(tmp_path, capsys):
     bad.write_text('{"version": 99}')
     code = main(["--rtl-dir", SPLITTER_DIR, "--config", str(bad)])
     assert code == EXIT_BAD_CONFIG
+
+
+@pytest.mark.parametrize("mode", [[], ["--stats"]])
+def test_cli_bad_config_is_reported_before_a_bad_rtl_dir(tmp_path, capsys, mode):
+    args = ["--rtl-dir", str(tmp_path / "missing"), "--family", str(tmp_path / "no.json")]
+    assert main(args + mode) == EXIT_BAD_CONFIG
+    assert "no.json" in capsys.readouterr().err
 
 
 def test_cli_config_without_rules_exit_4(tmp_path, capsys):
@@ -360,6 +386,59 @@ def test_cli_stats_stdout_is_the_file_bytes(tmp_path, capsys):
     lines = out.read_bytes().splitlines()
     assert lines[0] == b"group,count"
     assert b'"k,ey",0' in lines and b'"d""at",7' in lines
+
+
+def test_cli_config_is_a_second_spelling_of_family(tmp_path, capsys):
+    gpio = tmp_path / "gpio.json"
+    gpio.write_text(json.dumps(load_family_config("gpio").to_dict()))
+    reports = {}
+    for flags in (["--family", "gpio"], ["--config", "gpio"],
+                  ["--family", str(gpio)], ["--config", str(gpio)],
+                  ["--family", "crypto"],
+                  ["--config", str(gpio), "--family", "crypto"],
+                  ["--family", "crypto", "--config", "gpio"]):
+        out = tmp_path / "r.json"
+        assert main(["--rtl-dir", MINI_CORPUS, "--out", str(out)] + flags) == EXIT_OK
+        reports[" ".join(flags)] = out.read_bytes()
+    gpio_report = reports["--family gpio"]
+    assert gpio_report != reports["--family crypto"]
+    for flags in ("--config gpio", f"--family {gpio}", f"--config {gpio}",
+                  "--family crypto --config gpio"):
+        assert reports[flags] == gpio_report, flags
+    assert reports[f"--config {gpio} --family crypto"] == reports["--family crypto"]
+
+
+@pytest.mark.parametrize("mode", [[], ["--stats"]])
+def test_cli_unwritable_out_exit_5(tmp_path, capsys, mode):
+    for out in (tmp_path / "missing" / "r.json", tmp_path):
+        code = main(["--rtl-dir", SPLITTER_DIR, "--out", str(out)] + mode)
+        assert code == EXIT_BAD_OUTPUT, out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, \
+            captured.err
+        assert str(out) in captured.err
+
+
+def test_unreadable_rtl_file_is_an_error_diagnostic(tmp_path, capsys):
+    (tmp_path / "t.v").write_text("module t (input key, output y);\n"
+                                  "  assign y = key;\nendmodule\n")
+    gone = tmp_path / "gone.v"
+    gone.symlink_to(tmp_path / "nowhere.v")
+    report = run_pipeline(str(tmp_path))
+    assert report.corpus_stats["file_count"] == 1
+    assert report.corpus_stats["line_count"] == 3
+    assert report.top_modules == ["t"]
+    assert [(d.severity, d.line) for d in report.diagnostics] == [("error", 0)]
+    assert str(gone) in report.diagnostics[0].message
+    assert main(["--rtl-dir", str(tmp_path), "--verbose", "--stats"]) == EXIT_OK
+    assert main(["--rtl-dir", str(tmp_path), "--verbose"]) == EXIT_OK
+    assert f"[error] line 0: cannot read {gone}" in capsys.readouterr().err
+    (tmp_path / "t.v").unlink()
+    for mode in ([], ["--stats"]):
+        assert main(["--rtl-dir", str(tmp_path)] + mode) == EXIT_NO_RTL
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(gone) in err, err
 
 
 def test_cli_version(capsys):

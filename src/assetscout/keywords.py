@@ -175,11 +175,6 @@ class FamilyConfig(Record):
             "rules": [r.to_dict() for r in self.rules],
         }
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)

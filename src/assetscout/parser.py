@@ -8,6 +8,11 @@ Unsupported constructs (generate, function, task, switch primitives, ...)
 are skipped with a diagnostic.  Errors never abort sibling modules:
 recovery happens at the next `module` keyword.
 
+No scan passes a module edge: `collect_until`, which every scan runs
+through, stops at `module`, `macromodule`, `endmodule` and the end of
+file at any bracket depth and leaves that token, so a missing `;`, `)`
+or end keyword cuts short the module it is in and spares the next one.
+
 Every declaration list (header parameters, ANSI ports, body ports, nets,
 body parameters) is read by one walker, `_declarators`, and every instance
 list (modules, UDPs, gates) by one reader, `_parse_instantiation`.
@@ -23,6 +28,7 @@ dependencies on the resolver's stack.
 import operator
 import os
 import re
+import stat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .tokenizer import (
@@ -48,7 +54,7 @@ _NET_TYPES.update(integer=32, time=64, int=32, byte=8, shortint=16, longint=64)
 _Range = Tuple[List[str], List[str]]  # the (msb, lsb) texts of `[msb:lsb]`
 _DIRECTIONS = {"input": INPUT, "output": OUTPUT, "inout": INOUT}
 _MODULE_KEYWORDS = frozenset(["module", "macromodule"])
-# what no declaration or statement holds: "" is the end of file
+# the module edges, which no declaration or statement holds: "" is the end of file
 _MODULE_ENDS = frozenset(["", "endmodule"]) | _MODULE_KEYWORDS
 # what ends a declaration list that is not its own end
 _DECLARATION_ENDS = _MODULE_ENDS | {";"}
@@ -199,22 +205,28 @@ def preprocess(text: str, path: str = "<string>",
 
 def _read_include(target: str, from_path: str,
                   include_dirs: Sequence[str]) -> Optional[Tuple[str, str]]:
-    """(real path, text) of the first file `target` names, or None."""
-    candidates = []
+    """(real path, text) of the first readable file `target` names in the
+    including file's directory, then in `include_dirs`, or None."""
+    dirs = list(include_dirs)
     if from_path and from_path != "<string>":
-        candidates.append(os.path.join(os.path.dirname(from_path), target))
-    for d in include_dirs:
-        candidates.append(os.path.join(d, target))
-    candidates.append(target)
-    for cand in candidates:
-        if os.path.isfile(cand):
-            try:
-                with open(cand, "rb") as fh:
-                    return (os.path.realpath(cand),
-                            fh.read().decode("utf-8", errors="replace"))
-            except OSError:
-                continue  # as if it were missing
+        dirs.insert(0, os.path.dirname(from_path))
+    for d in dirs:
+        cand = os.path.join(d, target)
+        try:
+            return os.path.realpath(cand), _read_text(cand)
+        except OSError:
+            continue  # as if it were missing
     return None
+
+
+def _read_text(path: str) -> str:
+    """The text of the RTL file or header at `path`, its bytes decoded as
+    UTF-8 with replacement. Raises OSError when it cannot be read, and for
+    anything but a regular file before opening it: opening a FIFO blocks."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError("not a regular file")
+    with open(path, "rb") as fh:
+        return fh.read().decode("utf-8", errors="replace")
 
 
 # A string literal holds no macro use, so it matches whole and stays as it
@@ -420,7 +432,8 @@ class _Parser:
         return self.lines[pos]
 
     def collect_until(self, *values: str, consume: bool = True) -> List[str]:
-        """Texts up to (not including) a top-level occurrence of `values`.
+        """Texts up to (not including) a top-level occurrence of `values`,
+        or up to the next module edge at any depth, which is never consumed.
 
         A stray closer makes the depth negative, which counts as top level:
         one extra `)` cannot carry the search to the end of the file.
@@ -438,6 +451,8 @@ class _Parser:
                 depth += 1
             elif t in _CLOSE:
                 depth -= 1
+            elif t in _MODULE_ENDS:
+                break
             i += 1
         self.pos = i
         return texts[start:i]
@@ -565,12 +580,12 @@ class _Parser:
     def _declared_value(self, end: str) -> List[str]:
         """The texts of the `= value` after a declared name, up to the next
         declarator or the end of its list, or [] without one. The value
-        stops at a module keyword too, so that a missing `end` is reported
-        by `_declarators` and does not swallow the next module."""
+        stops at a `;` too, so that a missing `end` is reported by
+        `_declarators`."""
         if self.texts[self.pos] != "=":
             return []
         self.pos += 1
-        return self.collect_until(",", end, *_DECLARATION_ENDS, consume=False)
+        return self.collect_until(",", end, ";", consume=False)
 
     def _parse_param_decl(self, params: Dict[str, List[str]], end: str,
                           unterminated: str) -> None:
@@ -611,26 +626,12 @@ class _Parser:
                 self.diagnostics.append(Diagnostic(
                     f"unsupported construct '{t}' skipped", "warning", self.lines[self.pos]))
                 self.pos += 1
-                self._skip_to_keyword(_SKIP_BLOCKS[t])
+                self.collect_until(_SKIP_BLOCKS[t])
             elif _is_name(t) or t in _GATE_OUTPUTS:
                 self._parse_instantiation(mod)
             else:  # directives, system ids, stray tokens
                 self.pos += 1
         raise ParseError("unexpected end of file inside module", mod.line)
-
-    def _skip_to_keyword(self, end_kw: str) -> None:
-        """Past the next `end_kw`, or up to (not past) the next `endmodule`
-        so that _parse_body terminates normally."""
-        texts = self.texts
-        i = self.pos
-        while i < self.end:
-            t = texts[i]
-            if t == "endmodule":
-                break
-            i += 1
-            if t == end_kw:
-                break
-        self.pos = i
 
     def _parse_body_port_decl(self, mod: ModuleDef) -> None:
         for name, line, rng, direction in self._declarators(
@@ -663,10 +664,9 @@ class _Parser:
     # -- statements -----------------------------------------------------------
     def _rest_of_statement(self, unterminated: str, line: int) -> List[str]:
         """The texts up to the next top-level `;`, which is consumed. A
-        module keyword or the end of file, which no statement holds, raises
-        ParseError(`unterminated`) at `line`, so that a missing `;` does not
-        swallow the next module."""
-        texts = self.collect_until(";", *_MODULE_ENDS, consume=False)
+        module edge, which no statement holds, raises
+        ParseError(`unterminated`) at `line`."""
+        texts = self.collect_until(";", consume=False)
         if self.texts[self.pos] != ";":
             raise ParseError(unterminated, line)
         self.pos += 1
@@ -701,18 +701,18 @@ class _Parser:
 
     def _parse_continuous_assign(self, mod: ModuleDef) -> None:
         """`assign [#...] lhs = rhs {, lhs = rhs};`. An lhs without `=` is a
-        warning and is skipped. A module keyword or the end of file before
-        its `=` or `;` raises ParseError."""
+        warning and is skipped. A module edge before its `=` or `;` raises
+        ParseError."""
         texts, lines = self.texts, self.lines
         assign_line = lines[self.pos]
         self.pos += 1  # assign
         self._skip_timing_control()
         while True:
             start = self.pos
-            lhs = self.collect_until("=", ";", *_MODULE_ENDS, consume=False)
+            lhs = self.collect_until("=", ";", consume=False)
             if texts[self.pos] == "=":
                 self.pos += 1
-                rhs = self.collect_until(",", ";", *_MODULE_ENDS, consume=False)
+                rhs = self.collect_until(",", ";", consume=False)
                 line = lines[start] if lhs else lines[self.pos]
                 mod.statements.append(self._make_assign(
                     CONTINUOUS_ASSIGN, collect_identifiers(lhs), rhs,
@@ -811,8 +811,8 @@ class _Parser:
         """A statement without nested ones: an assignment appends its record,
         guarded by the heads open on `frames`, to `out`; `;`, `disable`,
         `wait`, a `$task`, any other statement and the end of file ("", which
-        is no assignment) append none. A statement that a module keyword or
-        the end of file cuts short raises ParseError."""
+        is no assignment) append none. A statement that a module edge cuts
+        short raises ParseError."""
         texts, lines = self.texts, self.lines
         t = texts[self.pos]
         if t == ";":
@@ -826,7 +826,7 @@ class _Parser:
         if t in _PROCEDURAL_ASSIGN_KEYWORDS:
             self.pos += 1
         start = self.pos
-        lhs = self.collect_until("=", "<=", ";", *_MODULE_ENDS, consume=False)
+        lhs = self.collect_until("=", "<=", ";", consume=False)
         op = texts[self.pos]
         if op != "=" and op != "<=":
             # not an assignment we understand; skip to ';'
@@ -870,7 +870,7 @@ class _Parser:
                 self._skip_instantiation(f"no port list after '{target} {name}'")
                 return
             self.pos += 1
-            connections = self._parse_connections()
+            connections = self._parse_connections(line)
             if split is None:
                 mod.instantiations.append(Instantiation(target, connections, line))
             else:
@@ -893,29 +893,30 @@ class _Parser:
             f"{why}, skipped to ';'", "warning", self.lines[self.pos]))
         self.collect_until(";")
 
-    def _parse_connections(self) -> List[Connection]:
+    def _parse_connections(self, line: int) -> List[Connection]:
         """The connections up to the `)` that closes an instance's list. An
         ordered connection is keyed by its slot, an empty one included
         (IEEE 1364-2005 §12.3), so `u(a, , b)` connects `b` to the third
-        port; `u()` has no connections."""
+        port; `u()` has no connections. A module edge before the `)`
+        raises ParseError at `line`, the instance's."""
         texts = self.texts
         connections: List[Connection] = []
         if texts[self.pos] == ")":
             self.pos += 1
             return connections
         slot = 0
-        while self.pos < self.end:
+        while texts[self.pos] not in _MODULE_ENDS:
             t = texts[self.pos]
             if t == ".*" or (t == "." and texts[self.pos + 1] == "*"):
                 self.pos += 1 if t == ".*" else 2
                 connections.append((WILDCARD, []))
             elif t == ".":
-                line = self.lines[self.pos]
+                dot_line = self.lines[self.pos]
                 self.pos += 1
                 formal = texts[self.pos]
                 if not _is_name(formal):
                     got = "end of file" if self.pos == self.end else repr(formal)
-                    raise ParseError(f"expected port name, got {got}", line)
+                    raise ParseError(f"expected port name, got {got}", dot_line)
                 self.pos += 1
                 if texts[self.pos] == "(":
                     self.pos += 1
@@ -931,8 +932,8 @@ class _Parser:
                 self.pos += 1
             elif texts[self.pos] == ")":
                 self.pos += 1
-                break
-        return connections
+                return connections
+        raise ParseError("unterminated instance connections", line)
 
 
 def _resolve_parameters(raw: Dict[str, List[str]]) -> Dict[str, Optional[int]]:
@@ -987,10 +988,8 @@ def parse_source(text: str, path: str = "<string>",
 
 
 def parse_file(path: str, include_dirs: Sequence[str] = ()) -> SourceUnit:
-    """Parse one RTL file; raises OSError only when the file is unreadable."""
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8", errors="replace")
-    return parse_source(text, path, include_dirs)
+    """Parse one RTL file; raises OSError only when it cannot be read."""
+    return parse_source(_read_text(path), path, include_dirs)
 
 
 def discover_rtl_files(root: str) -> List[str]:

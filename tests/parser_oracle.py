@@ -12,7 +12,7 @@ stacks in `assetscout.parser` replaced, kept as test oracles.
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from assetscout.parser import (
-    _CASE_STARTS, _MODULE_ENDS, _PROCEDURAL_ASSIGN_KEYWORDS, ParseError, _is_name,
+    _CASE_STARTS, _PROCEDURAL_ASSIGN_KEYWORDS, ParseError, _is_name,
     _number_value, _Parser, collect_identifiers, preprocess,
 )
 from assetscout.syntax import (
@@ -74,7 +74,7 @@ class RecursiveStatementParser(_Parser):
         if t in _PROCEDURAL_ASSIGN_KEYWORDS:
             self.pos += 1
         start = self.pos
-        lhs = self.collect_until("=", "<=", ";", *_MODULE_ENDS, consume=False)
+        lhs = self.collect_until("=", "<=", ";", consume=False)
         op = texts[self.pos]
         if op != "=" and op != "<=":
             self._rest_of_statement("unterminated statement", lines[start])

@@ -272,6 +272,21 @@ def test_nested_include_resolves_against_including_file(tmp_path, monkeypatch):
     assert unit.modules[0].signal("d").width_bits == 8
 
 
+def test_include_never_resolves_against_the_working_directory(tmp_path, monkeypatch):
+    (tmp_path / "rtl").mkdir()
+    (tmp_path / "cwd").mkdir()
+    (tmp_path / "cwd" / "defs.vh").write_text("`define KW 128\n")
+    (tmp_path / "rtl" / "top.v").write_text(
+        '`include "defs.vh"\nmodule top (input [`KW-1:0] key_in, input [`KW-1:0] din,\n'
+        "  output [`KW-1:0] dout);\n  assign dout = din ^ key_in;\nendmodule\n")
+    monkeypatch.chdir(tmp_path / "cwd")
+    (unit,) = parse_tree(str(tmp_path / "rtl"))
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        ("include file not found: defs.vh", "warning", 1)]
+    assert [(p.name, p.width_bits) for p in unit.modules[0].ports] == [
+        ("key_in", None), ("din", None), ("dout", None)]
+
+
 def test_macro_uses_in_strings_and_escaped_identifiers_stay():
     text = preprocess('`define A 1\n'
                       'initial $display("`A \\" `A", `A);\n'
@@ -952,7 +967,8 @@ def test_range_running_to_end_of_file_is_unterminated(keyword, what):
     ("wire w", "net declaration"), ("input y", "port declaration"),
     ("parameter P = 1", "parameter declaration"),
     ("assign w = x", "continuous assignment"), ("always @* w = x", "statement"),
-    ("genvar i", "genvar declaration")])
+    ("genvar i", "genvar declaration"),
+    ("sub u (.p(x), y", "instance connections")])
 def test_declaration_without_its_semicolon_spares_the_next_module(item, what):
     unit = parse_source(f"module a(input x);\n  {item}\nendmodule\n"
                         "module b(input y, output z);\n  assign z = y;\nendmodule\n")
@@ -960,6 +976,53 @@ def test_declaration_without_its_semicolon_spares_the_next_module(item, what):
             for m in unit.modules] == [("b", [(["z"], ["y"])])]
     assert [(d.message, d.line) for d in unit.diagnostics] == [
         (f"malformed module: unterminated {what}", 2)]
+
+
+_MODULE_B = "module b(input y, output z); assign z = y; endmodule\n"
+
+
+@pytest.mark.parametrize("item, warning", [
+    ("pullup (x)", "unsupported primitive 'pullup'"),
+    ("nmos n1 (a, b, c)", "unsupported primitive 'nmos'"),
+    ("and (strong0, weak1) g (y, a, b)", "unsupported drive strength 'strong0'"),
+    ("typedef_t foo", "no port list after 'typedef_t foo'")])
+def test_item_skipped_to_its_semicolon_spares_the_next_module(item, warning):
+    # the skip to the missing `;` stops at `endmodule`
+    unit = parse_source(f"module a(input x);\n  {item}\nendmodule\n{_MODULE_B}")
+    assert [(m.name, [(s.lhs_idents, s.rhs_idents) for s in m.statements])
+            for m in unit.modules] == [("a", []), ("b", [(["z"], ["y"])])]
+    assert [(d.message, d.severity) for d in unit.diagnostics] == [
+        (f"{warning}, skipped to ';'", "warning")]
+
+
+def test_block_without_its_end_keyword_spares_the_next_module():
+    unit = parse_source(f"module a(input x);\n  task t;\n{_MODULE_B}")
+    assert [(m.name, [(s.lhs_idents, s.rhs_idents) for s in m.statements])
+            for m in unit.modules] == [("b", [(["z"], ["y"])])]
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        ("unsupported construct 'task' skipped", "warning", 2),
+        ("malformed module: missing endmodule", "error", 3)]
+
+
+def test_skipped_block_with_unbalanced_brackets_runs_to_the_module_edge():
+    # the skip counts brackets, so the unclosed `(` hides `endfunction`
+    unit = parse_source("module a(input x, output w);\n  function f; f = (x; endfunction\n"
+                        f"  assign w = x;\nendmodule\n{_MODULE_B}")
+    assert [(m.name, [(s.lhs_idents, s.rhs_idents) for s in m.statements])
+            for m in unit.modules] == [("a", []), ("b", [(["z"], ["y"])])]
+    assert [(d.message, d.line) for d in unit.diagnostics] == [
+        ("unsupported construct 'function' skipped", 2)]
+
+
+_BODY_SOUP = [w for w in _SOUP if w not in ("module", "macromodule", "endmodule")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(words=st.lists(st.sampled_from(_BODY_SOUP), max_size=40))
+def test_no_scan_passes_a_module_edge(words):
+    # on one line, so that `b` has the same lines as when it is parsed alone
+    unit = parse_source(f"module a(input x); {' '.join(words)} endmodule {_MODULE_B}")
+    assert unit.modules[-1:] == parse_source(_MODULE_B).modules
 
 
 def test_statement_lhs_stops_at_its_semicolon():

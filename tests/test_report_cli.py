@@ -5,6 +5,7 @@ import gc
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -27,8 +28,8 @@ from assetscout.syntax import SignalDecl, Statement
 from assetscout.tokenizer import Tokens
 
 from conftest import (
-    BENCH_DIR, CORPUS_FAMILIES, FIXTURES, MINI_CORPUS, SPLITTER_DIR, SPLITTER_TRUTH,
-    bench_gen,
+    BENCH_DIR, CORPUS_FAMILIES, FIXTURES, MINI_CORPUS, SPLITTER_DIR, SPLITTER_FILE,
+    SPLITTER_TRUTH, bench_gen,
 )
 
 GOLDEN_ROOTS = {
@@ -439,6 +440,55 @@ def test_unreadable_rtl_file_is_an_error_diagnostic(tmp_path, capsys):
         assert main(["--rtl-dir", str(tmp_path)] + mode) == EXIT_NO_RTL
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(gone) in err, err
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+def test_fifo_in_the_tree_is_an_error_diagnostic(tmp_path):
+    # opening a FIFO with no writer blocks: run the CLI apart, under a timeout
+    shutil.copy(SPLITTER_FILE, tmp_path)
+    os.mkfifo(tmp_path / "pipe.v")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(assetscout.cli.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "assetscout.cli", "--rtl-dir", str(tmp_path),
+         "--top", "data_splitter", "--verbose"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == EXIT_OK, run.stderr
+    assert f"[error] line 0: cannot read {tmp_path / 'pipe.v'}: not a regular file" \
+        in run.stderr
+
+
+def _writes(node: ast.AST) -> bool:
+    """A print, a use of sys.stdout or sys.stderr, or an open whose mode
+    may write (one that is not a constant counts)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in ("stdout", "stderr") and getattr(node.value, "id", "") == "sys"
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "sys" and any(
+            a.name in ("stdout", "stderr", "*") for a in node.names)
+    if not isinstance(node, ast.Call):
+        return False
+    func = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+    if func == "print":
+        return True
+    if func != "open":
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (k.value for k in node.keywords if k.arg == "mode"), ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or not isinstance(mode.value, str) \
+        or bool(set(mode.value) & set("wax+"))
+
+
+def test_only_the_cli_writes_a_file_or_a_stream():
+    package = os.path.dirname(os.path.abspath(assetscout.cli.__file__))
+    writers = []
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "cli.py":
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), path)
+            writers += [f"{name}:{n.lineno}" for n in ast.walk(tree) if _writes(n)]
+    assert writers == []
 
 
 def test_cli_version(capsys):

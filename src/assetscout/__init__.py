@@ -22,6 +22,6 @@ from .patterns import (  # noqa: F401
 from .rules import CandidateAsset, apply_family_rules  # noqa: F401
 from .refine import PrimaryAsset, link_status_to_control  # noqa: F401
 from .evaluation import (  # noqa: F401
-    EvalResult, GroundTruth, GroundTruthError, evaluate, load_ground_truth,
+    EvalResult, GroundTruthError, evaluate, load_ground_truth,
 )
 from .report import AssetReport, keyword_stats, run_pipeline  # noqa: F401

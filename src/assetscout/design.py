@@ -26,12 +26,11 @@ class ConnEdge(NamedTuple):
 
 
 class DesignDatabase(Record):
-    _fields = ("modules_by_name", "top_modules", "instantiation_parents", "diagnostics")
+    _fields = ("modules_by_name", "top_modules", "diagnostics")
 
     def __init__(self) -> None:  # build_database fills it in
         self.modules_by_name: Dict[str, ModuleDef] = {}
         self.top_modules: List[str] = []
-        self.instantiation_parents: Dict[str, Set[str]] = {}
         self.diagnostics: List[Diagnostic] = []
 
     @property
@@ -75,15 +74,14 @@ def build_database(units: Sequence[SourceUnit]) -> DesignDatabase:
     if not db.modules_by_name:
         raise DesignError("empty design: no modules found in any source unit")
 
+    parents: Dict[str, Set[str]] = {}
     for parent_name, mod in db.modules_by_name.items():
         for inst in mod.instantiations:
             if inst.target_module in db.modules_by_name:
-                db.instantiation_parents.setdefault(
-                    inst.target_module, set()).add(parent_name)
+                parents.setdefault(inst.target_module, set()).add(parent_name)
     db.top_modules = sorted(
         name for name in db.modules_by_name
-        if name not in db.instantiation_parents
-        or db.instantiation_parents[name] == {name})
+        if name not in parents or parents[name] == {name})
     if not db.top_modules:
         # fully cyclic instantiation graph: fall back to all modules
         db.top_modules = sorted(db.modules_by_name)

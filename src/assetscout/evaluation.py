@@ -1,7 +1,7 @@
 """Confusion-matrix evaluation against a labeled ground-truth asset list."""
 
 import csv
-from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Set, Tuple
 
 from .design import SignalRef
 from .keywords import CLOCK_RESET_NAMES
@@ -13,15 +13,6 @@ if TYPE_CHECKING:
 
 class GroundTruthError(Exception):
     pass
-
-
-class GroundTruth(Record):
-    _fields = ("entries", "source")
-
-    def __init__(self, entries: Optional[Dict[SignalRef, bool]] = None,
-                 source: str = "") -> None:
-        self.entries = {} if entries is None else entries
-        self.source = source
 
 
 def _fraction(num: int, den: int) -> "Fraction":
@@ -94,9 +85,9 @@ _TRUE_VALUES = {"1", "true", "yes"}
 _FALSE_VALUES = {"0", "false", "no"}
 
 
-def load_ground_truth(path: str) -> GroundTruth:
-    """Read a `module,signal,is_asset` CSV into a GroundTruth table."""
-    truth = GroundTruth(source=path)
+def load_ground_truth(path: str) -> Dict[SignalRef, bool]:
+    """Read a `module,signal,is_asset` CSV: each labelled signal, asset or not."""
+    truth: Dict[SignalRef, bool] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -117,14 +108,14 @@ def load_ground_truth(path: str) -> GroundTruth:
             raise GroundTruthError(f"{path}:{lineno}: expected 3 columns")
         module, signal, flag = (cell.strip() for cell in row)
         key = (module, signal)
-        if key in truth.entries:
+        if key in truth:
             raise GroundTruthError(
                 f"{path}:{lineno}: duplicate entry for {module}.{signal}")
         low = flag.lower()
         if low in _TRUE_VALUES:
-            truth.entries[key] = True
+            truth[key] = True
         elif low in _FALSE_VALUES:
-            truth.entries[key] = False
+            truth[key] = False
         else:
             raise GroundTruthError(
                 f"{path}:{lineno}: bad is_asset value {flag!r}")
@@ -141,7 +132,7 @@ def predicted_positives(assets: Iterable) -> Set[SignalRef]:
     return positives
 
 
-def evaluate(assets: Iterable, truth: GroundTruth,
+def evaluate(assets: Iterable, truth: Dict[SignalRef, bool],
              universe: Iterable[SignalRef],
              warnings: List[str] = None) -> EvalResult:
     """Confusion counts over the signal universe.
@@ -154,7 +145,7 @@ def evaluate(assets: Iterable, truth: GroundTruth,
                     if ref[1].lower() not in CLOCK_RESET_NAMES}
     predicted = predicted_positives(assets) & universe_set
     ignored = 0
-    for ref in truth.entries:
+    for ref in truth:
         if ref not in universe_set:
             ignored += 1
             if warnings is not None:
@@ -162,7 +153,7 @@ def evaluate(assets: Iterable, truth: GroundTruth,
                     f"ground truth references unknown signal {ref[0]}.{ref[1]}")
     tp = fp = fn = tn = 0
     for ref in universe_set:
-        actual = truth.entries.get(ref, False)
+        actual = truth.get(ref, False)
         pred = ref in predicted
         if actual and pred:
             tp += 1

@@ -1,13 +1,14 @@
 """Partial-keyword group configuration for IP families.
 
 Bundled defaults for the crypto / gpio / peripheral families are
-reconstructions assembled from typical open-source RTL naming practice;
-users can supply their own JSON config instead (see CONFIG_SCHEMA_VERSION
-and `FamilyConfig.to_dict` for the on-disk layout).
+reconstructions assembled from typical open-source RTL naming practice.
+They live in `BUILTIN_FAMILIES` in the on-disk JSON layout (see
+CONFIG_SCHEMA_VERSION), and one checked loader reads them and a user's
+JSON config alike.
 """
 
 import json
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from .tokenizer import VERILOG_2005_KEYWORDS
 from .syntax import INPUT, NET, OUTPUT, Record
@@ -19,9 +20,7 @@ INTEGRITY = "Integrity"
 AVAILABILITY = "Availability"
 OBJECTIVES = (CONFIDENTIALITY, INTEGRITY, AVAILABILITY)
 
-BUILTIN_FAMILIES = ("crypto", "gpio", "peripheral")
-
-_DIRECTIONS = (INPUT, OUTPUT, NET)
+_CLOCK_RESET_BASES = ("clk", "clock", "rst", "reset")
 
 
 class ConfigError(Exception):
@@ -34,7 +33,7 @@ def clock_reset_closure() -> frozenset:
     Exact base names plus the common negation suffixes and i_/o_ prefixes.
     """
     names = set()
-    for base in ("clk", "clock", "rst", "reset"):
+    for base in _CLOCK_RESET_BASES:
         for variant in (base, base + "_n", base + "n"):
             names.add(variant)
             names.add("i_" + variant)
@@ -48,13 +47,12 @@ CLOCK_RESET_NAMES = clock_reset_closure()
 class PartialKeywordGroup(Record):
     _fields = ("name", "fragments", "objectives", "exclude_fragments")
 
-    def __init__(self, name: str, fragments: List[str],
-                 objectives: Optional[List[str]] = None,
-                 exclude_fragments: Optional[List[str]] = None) -> None:
+    def __init__(self, name: str, fragments: List[str], objectives: List[str],
+                 exclude_fragments: List[str]) -> None:
         self.name = name
         self.fragments = fragments
-        self.objectives = [] if objectives is None else objectives
-        self.exclude_fragments = [] if exclude_fragments is None else exclude_fragments
+        self.objectives = objectives
+        self.exclude_fragments = exclude_fragments
 
     def validate(self) -> None:
         if not self.fragments:
@@ -70,30 +68,21 @@ class PartialKeywordGroup(Record):
             if obj not in OBJECTIVES:
                 raise ConfigError(f"group '{self.name}': unknown objective {obj!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "fragments": list(self.fragments),
-            "objectives": list(self.objectives),
-            "exclude_fragments": list(self.exclude_fragments),
-        }
-
 
 class ClassificationRule(Record):
     _fields = ("name", "groups", "patterns", "directions", "min_width", "max_width",
                "objectives")
 
     def __init__(self, name: str, groups: List[str], patterns: List[str],
-                 directions: Optional[List[str]] = None, min_width: int = 1,
-                 max_width: Optional[int] = None,
-                 objectives: Optional[List[str]] = None) -> None:
+                 directions: List[str], min_width: int, max_width: Optional[int],
+                 objectives: List[str]) -> None:
         self.name = name
         self.groups = groups                # any-of
         self.patterns = patterns            # any-of: Control/Configuration/Status/Data
-        self.directions = list(_DIRECTIONS) if directions is None else directions
+        self.directions = directions
         self.min_width = min_width
         self.max_width = max_width          # None = unbounded
-        self.objectives = [] if objectives is None else objectives
+        self.objectives = objectives
 
     def validate(self) -> None:
         if not self.groups:
@@ -110,28 +99,16 @@ class ClassificationRule(Record):
                 f"rule '{self.name}': min_width {self.min_width} exceeds "
                 f"max_width {self.max_width}")
 
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "groups": list(self.groups),
-            "patterns": list(self.patterns),
-            "directions": list(self.directions),
-            "min_width": self.min_width,
-            "max_width": self.max_width,
-            "objectives": list(self.objectives),
-        }
-
 
 class FamilyConfig(Record):
     _fields = ("family", "groups", "rules", "global_exclusions")
 
-    def __init__(self, family: str, groups: Optional[List[PartialKeywordGroup]] = None,
-                 rules: Optional[List[ClassificationRule]] = None,
-                 global_exclusions: Optional[List[str]] = None) -> None:
+    def __init__(self, family: str, groups: List[PartialKeywordGroup],
+                 rules: List[ClassificationRule], global_exclusions: List[str]) -> None:
         self.family = family
-        self.groups = [] if groups is None else groups
-        self.rules = [] if rules is None else rules
-        self.global_exclusions = [] if global_exclusions is None else global_exclusions
+        self.groups = groups
+        self.rules = rules
+        self.global_exclusions = global_exclusions
 
     def validate(self) -> None:
         seen = set()
@@ -166,15 +143,6 @@ class FamilyConfig(Record):
                 return g
         return None
 
-    def to_dict(self) -> dict:
-        return {
-            "version": CONFIG_SCHEMA_VERSION,
-            "family": self.family,
-            "global_exclusions": list(self.global_exclusions),
-            "groups": [g.to_dict() for g in self.groups],
-            "rules": [r.to_dict() for r in self.rules],
-        }
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -190,17 +158,47 @@ _FIELD_TYPES = {
 }
 _REQUIRED = object()
 
+# (key, JSON type, default) of each record's fields read by `_field`; a
+# `_REQUIRED` default makes the key mandatory
+_GROUP_FIELDS = (
+    ("name", "a string", _REQUIRED),
+    ("fragments", "a list of strings", _REQUIRED),
+    ("objectives", "a list of strings", []),
+    ("exclude_fragments", "a list of strings", []),
+)
+_RULE_FIELDS = (
+    ("name", "a string", _REQUIRED),
+    ("groups", "a list of strings", _REQUIRED),
+    ("patterns", "a list of strings", _REQUIRED),
+    ("directions", "a list of strings", [INPUT, OUTPUT, NET]),
+    ("min_width", "an integer", 1),
+    ("max_width", "an integer or null", None),
+    ("objectives", "a list of strings", []),
+)
+_CONFIG_FIELDS = (
+    ("family", "a string", "user-defined"),
+    ("global_exclusions", "a list of strings", list(_CLOCK_RESET_BASES)),
+)
 
-def _field(entry: dict, key: str, kind: str, what: str, default=_REQUIRED):
-    """`entry[key]` checked to be `kind`, or `default` when it is absent."""
-    if key not in entry:
-        if default is _REQUIRED:
-            raise ConfigError(f"{what} missing field '{key}'")
-        return default
-    value = entry[key]
-    if not _FIELD_TYPES[kind](value):
-        raise ConfigError(f"{what}: '{key}' must be {kind}, not {value!r}")
+
+def _field(entry: dict, key: str, kind: str, what: str, default):
+    """`entry[key]` checked to be `kind`, or `default` when it is absent; a
+    list comes back as a fresh copy."""
+    if key in entry:
+        value = entry[key]
+        if not _FIELD_TYPES[kind](value):
+            raise ConfigError(f"{what}: '{key}' must be {kind}, not {value!r}")
+    elif default is _REQUIRED:
+        raise ConfigError(f"{what} missing field '{key}'")
+    else:
+        value = default
     return list(value) if isinstance(value, list) else value
+
+
+def _arguments(entry: dict, table: tuple, what: str) -> dict:
+    """The constructor arguments that `table` reads from `entry`."""
+    return {key: _field(entry, key, kind, what, default)
+            for key, kind, default in table}
 
 
 def _entries(data: dict, key: str) -> List[dict]:
@@ -216,36 +214,12 @@ def _config_from_dict(data: dict) -> FamilyConfig:
     version = data.get("version")
     if version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version: {version!r}")
-    group, rule = "group entry", "rule entry"
-    groups = [
-        PartialKeywordGroup(
-            name=_field(gd, "name", "a string", group),
-            fragments=_field(gd, "fragments", "a list of strings", group),
-            objectives=_field(gd, "objectives", "a list of strings", group, []),
-            exclude_fragments=_field(gd, "exclude_fragments",
-                                     "a list of strings", group, []),
-        )
-        for gd in _entries(data, "groups")
-    ]
-    rules = [
-        ClassificationRule(
-            name=_field(rd, "name", "a string", rule),
-            groups=_field(rd, "groups", "a list of strings", rule),
-            patterns=_field(rd, "patterns", "a list of strings", rule),
-            directions=_field(rd, "directions", "a list of strings", rule,
-                              list(_DIRECTIONS)),
-            min_width=_field(rd, "min_width", "an integer", rule, 1),
-            max_width=_field(rd, "max_width", "an integer or null", rule, None),
-            objectives=_field(rd, "objectives", "a list of strings", rule, []),
-        )
-        for rd in _entries(data, "rules")
-    ]
     cfg = FamilyConfig(
-        family=str(data.get("family", "user-defined")),
-        groups=groups,
-        rules=rules,
-        global_exclusions=_field(data, "global_exclusions", "a list of strings",
-                                 "config", ["clk", "clock", "rst", "reset"]),
+        groups=[PartialKeywordGroup(**_arguments(gd, _GROUP_FIELDS, "group entry"))
+                for gd in _entries(data, "groups")],
+        rules=[ClassificationRule(**_arguments(rd, _RULE_FIELDS, "rule entry"))
+               for rd in _entries(data, "rules")],
+        **_arguments(data, _CONFIG_FIELDS, "config"),
     )
     cfg.validate()
     return cfg
@@ -254,9 +228,7 @@ def _config_from_dict(data: dict) -> FamilyConfig:
 def load_family_config(name_or_path: str) -> FamilyConfig:
     """Load a builtin family ('crypto', 'gpio', 'peripheral') or a JSON file."""
     if name_or_path in BUILTIN_FAMILIES:
-        cfg = _builtin_config(name_or_path)
-        cfg.validate()
-        return cfg
+        return _config_from_dict(BUILTIN_FAMILIES[name_or_path])
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -271,115 +243,100 @@ def load_family_config(name_or_path: str) -> FamilyConfig:
 
 
 # ---------------------------------------------------------------------------
-# Bundled family definitions (reconstructions, user-overridable)
+# Bundled family definitions (reconstructions, user-overridable), in the
+# JSON layout with each field left out where it has its default
 # ---------------------------------------------------------------------------
 
-def _g(name: str, fragments: Sequence[str], objectives: Sequence[str],
-       exclude: Sequence[str] = ()) -> PartialKeywordGroup:
-    return PartialKeywordGroup(name, list(fragments), list(objectives), list(exclude))
+_C, _I, _A = CONFIDENTIALITY, INTEGRITY, AVAILABILITY
+_NO_EN = ["end", "gen", "len"]  # words that hold the fragment "en"
 
-
-def _r(name: str, groups: Sequence[str], patterns: Sequence[str],
-       min_width: int = 1, max_width: Optional[int] = None,
-       directions: Sequence[str] = _DIRECTIONS,
-       objectives: Sequence[str] = ()) -> ClassificationRule:
-    return ClassificationRule(name, list(groups), list(patterns),
-                              list(directions), min_width, max_width,
-                              list(objectives))
-
-
-def _builtin_config(family: str) -> FamilyConfig:
-    if family == "crypto":
-        groups = [
-            _g("key", ["key"], [CONFIDENTIALITY]),
-            _g("text", ["text", "plain", "cipher", "msg"], [CONFIDENTIALITY]),
-            _g("data", ["data", "din", "dout", "bank", "word", "block"],
-               [CONFIDENTIALITY], exclude=["ding"]),
-            _g("iv", ["iv", "nonce"], [CONFIDENTIALITY, INTEGRITY]),
-            _g("seed", ["seed", "random", "rng"], [CONFIDENTIALITY]),
-            _g("round", ["round", "rnd"], [INTEGRITY]),
-            _g("enable", ["en", "wen", "ren"], [AVAILABILITY],
-               exclude=["end", "gen", "len"]),
-            _g("start", ["start", "init", "go"], [AVAILABILITY]),
-            _g("done", ["done", "finish", "complete"], [INTEGRITY]),
-            _g("ready", ["ready", "rdy"], [INTEGRITY]),
-            _g("busy", ["busy"], [INTEGRITY]),
-            _g("valid", ["valid", "vld"], [INTEGRITY]),
-            _g("load", ["load"], [AVAILABILITY], exclude=["upload", "download"]),
-            _g("mode", ["mode", "sel", "cfg", "ctl", "ctrl"],
-               [AVAILABILITY, INTEGRITY]),
-        ]
-        rules = [
-            _r("encryption-key", ["key"], ["Data"], min_width=64,
-               objectives=[CONFIDENTIALITY]),
-            _r("iv-seed", ["iv", "seed"], ["Data"], min_width=8,
-               objectives=[CONFIDENTIALITY, INTEGRITY]),
-            _r("text-data", ["text", "data", "key", "round"], ["Data"],
-               min_width=8, objectives=[CONFIDENTIALITY]),
-            _r("crypto-control", ["enable", "start", "load", "done", "ready",
-                                  "valid", "busy", "mode"], ["Control"],
-               min_width=1, max_width=1, objectives=[AVAILABILITY]),
-            _r("crypto-config", ["mode", "round", "data"], ["Configuration"],
-               min_width=2, max_width=8, objectives=[AVAILABILITY, INTEGRITY]),
-            _r("crypto-status", ["done", "ready", "busy", "valid"], ["Status"],
-               min_width=1, max_width=1, objectives=[INTEGRITY]),
-        ]
-    elif family == "gpio":
-        groups = [
-            _g("data", ["data", "rdata", "wdata"], [CONFIDENTIALITY, INTEGRITY]),
-            _g("pad", ["pad"], [INTEGRITY]),
-            _g("port", ["port", "pin", "gpio"], [INTEGRITY]),
-            _g("oe", ["oe", "oen"], [AVAILABILITY, INTEGRITY]),
-            _g("enable", ["en", "ena"], [AVAILABILITY],
-               exclude=["end", "gen", "len"]),
-            _g("dir", ["dir"], [AVAILABILITY, INTEGRITY]),
-            _g("irq", ["irq", "intr"], [AVAILABILITY]),
-            _g("out", ["out"], [INTEGRITY], exclude=["timeout"]),
-            _g("in", ["in"], [INTEGRITY], exclude=["int", "init"]),
-        ]
-        rules = [
-            _r("port-data", ["data", "pad", "port", "out", "in"], ["Data"],
-               min_width=8, max_width=64,
-               objectives=[CONFIDENTIALITY, INTEGRITY]),
-            _r("direction-oe", ["oe", "dir", "enable"],
-               ["Control", "Configuration", "Data"],
-               objectives=[AVAILABILITY, INTEGRITY]),
-            _r("gpio-control", ["enable", "irq", "port", "pad"], ["Control"],
-               min_width=1, max_width=1, objectives=[AVAILABILITY]),
-            _r("gpio-config", ["dir", "oe", "port"], ["Configuration"],
-               min_width=2, objectives=[AVAILABILITY, INTEGRITY]),
-            _r("gpio-status", ["irq", "out", "in", "port", "pad"], ["Status"],
-               objectives=[INTEGRITY]),
-        ]
-    elif family == "peripheral":
-        groups = [
-            _g("tx", ["tx"], [CONFIDENTIALITY, INTEGRITY]),
-            _g("rx", ["rx"], [CONFIDENTIALITY, INTEGRITY]),
-            _g("data", ["data", "din", "dout"], [CONFIDENTIALITY],
-               exclude=["ding"]),
-            _g("enable", ["en"], [AVAILABILITY], exclude=["end", "gen", "len"]),
-            _g("busy", ["busy"], [INTEGRITY]),
-            _g("ready", ["ready", "rdy"], [INTEGRITY]),
-            _g("valid", ["valid", "vld"], [INTEGRITY]),
-            _g("addr", ["addr", "adr"], [INTEGRITY]),
-            _g("cs", ["cs", "ss"], [AVAILABILITY]),
-            _g("sel", ["sel"], [AVAILABILITY, INTEGRITY]),
-            _g("irq", ["irq", "intr"], [AVAILABILITY]),
-        ]
-        rules = [
-            _r("txrx-data", ["tx", "rx", "data"], ["Data"], min_width=2,
-               objectives=[CONFIDENTIALITY]),
-            _r("bus-address", ["addr"], ["Data", "Configuration"], min_width=2,
-               objectives=[INTEGRITY]),
-            _r("bus-control", ["enable", "cs", "sel", "irq", "ready", "valid",
-                               "busy", "tx", "rx"], ["Control"],
-               min_width=1, max_width=1, objectives=[AVAILABILITY]),
-            _r("bus-config", ["sel", "cs", "addr", "data"], ["Configuration"],
-               min_width=2, max_width=8, objectives=[AVAILABILITY, INTEGRITY]),
-            _r("bus-status", ["ready", "busy", "valid", "irq", "tx", "rx"],
-               ["Status"], objectives=[INTEGRITY]),
-        ]
-    else:
-        raise ConfigError(f"unknown builtin family {family!r}")
-    return FamilyConfig(family=family, groups=groups, rules=rules,
-                        global_exclusions=["clk", "clock", "rst", "reset"])
+BUILTIN_FAMILIES = {
+    "crypto": {"version": 1, "family": "crypto", "groups": [
+        {"name": "key", "fragments": ["key"], "objectives": [_C]},
+        {"name": "text", "fragments": ["text", "plain", "cipher", "msg"], "objectives": [_C]},
+        {"name": "data", "fragments": ["data", "din", "dout", "bank", "word", "block"],
+         "objectives": [_C], "exclude_fragments": ["ding"]},
+        {"name": "iv", "fragments": ["iv", "nonce"], "objectives": [_C, _I]},
+        {"name": "seed", "fragments": ["seed", "random", "rng"], "objectives": [_C]},
+        {"name": "round", "fragments": ["round", "rnd"], "objectives": [_I]},
+        {"name": "enable", "fragments": ["en", "wen", "ren"], "objectives": [_A],
+         "exclude_fragments": _NO_EN},
+        {"name": "start", "fragments": ["start", "init", "go"], "objectives": [_A]},
+        {"name": "done", "fragments": ["done", "finish", "complete"], "objectives": [_I]},
+        {"name": "ready", "fragments": ["ready", "rdy"], "objectives": [_I]},
+        {"name": "busy", "fragments": ["busy"], "objectives": [_I]},
+        {"name": "valid", "fragments": ["valid", "vld"], "objectives": [_I]},
+        {"name": "load", "fragments": ["load"], "objectives": [_A],
+         "exclude_fragments": ["upload", "download"]},
+        {"name": "mode", "fragments": ["mode", "sel", "cfg", "ctl", "ctrl"],
+         "objectives": [_A, _I]},
+    ], "rules": [
+        {"name": "encryption-key", "groups": ["key"], "patterns": ["Data"],
+         "min_width": 64, "objectives": [_C]},
+        {"name": "iv-seed", "groups": ["iv", "seed"], "patterns": ["Data"],
+         "min_width": 8, "objectives": [_C, _I]},
+        {"name": "text-data", "groups": ["text", "data", "key", "round"],
+         "patterns": ["Data"], "min_width": 8, "objectives": [_C]},
+        {"name": "crypto-control", "groups": ["enable", "start", "load", "done", "ready",
+                                              "valid", "busy", "mode"],
+         "patterns": ["Control"], "max_width": 1, "objectives": [_A]},
+        {"name": "crypto-config", "groups": ["mode", "round", "data"],
+         "patterns": ["Configuration"], "min_width": 2, "max_width": 8,
+         "objectives": [_A, _I]},
+        {"name": "crypto-status", "groups": ["done", "ready", "busy", "valid"],
+         "patterns": ["Status"], "max_width": 1, "objectives": [_I]},
+    ]},
+    "gpio": {"version": 1, "family": "gpio", "groups": [
+        {"name": "data", "fragments": ["data", "rdata", "wdata"], "objectives": [_C, _I]},
+        {"name": "pad", "fragments": ["pad"], "objectives": [_I]},
+        {"name": "port", "fragments": ["port", "pin", "gpio"], "objectives": [_I]},
+        {"name": "oe", "fragments": ["oe", "oen"], "objectives": [_A, _I]},
+        {"name": "enable", "fragments": ["en", "ena"], "objectives": [_A],
+         "exclude_fragments": _NO_EN},
+        {"name": "dir", "fragments": ["dir"], "objectives": [_A, _I]},
+        {"name": "irq", "fragments": ["irq", "intr"], "objectives": [_A]},
+        {"name": "out", "fragments": ["out"], "objectives": [_I],
+         "exclude_fragments": ["timeout"]},
+        {"name": "in", "fragments": ["in"], "objectives": [_I],
+         "exclude_fragments": ["int", "init"]},
+    ], "rules": [
+        {"name": "port-data", "groups": ["data", "pad", "port", "out", "in"],
+         "patterns": ["Data"], "min_width": 8, "max_width": 64, "objectives": [_C, _I]},
+        {"name": "direction-oe", "groups": ["oe", "dir", "enable"],
+         "patterns": ["Control", "Configuration", "Data"], "objectives": [_A, _I]},
+        {"name": "gpio-control", "groups": ["enable", "irq", "port", "pad"],
+         "patterns": ["Control"], "max_width": 1, "objectives": [_A]},
+        {"name": "gpio-config", "groups": ["dir", "oe", "port"],
+         "patterns": ["Configuration"], "min_width": 2, "objectives": [_A, _I]},
+        {"name": "gpio-status", "groups": ["irq", "out", "in", "port", "pad"],
+         "patterns": ["Status"], "objectives": [_I]},
+    ]},
+    "peripheral": {"version": 1, "family": "peripheral", "groups": [
+        {"name": "tx", "fragments": ["tx"], "objectives": [_C, _I]},
+        {"name": "rx", "fragments": ["rx"], "objectives": [_C, _I]},
+        {"name": "data", "fragments": ["data", "din", "dout"], "objectives": [_C],
+         "exclude_fragments": ["ding"]},
+        {"name": "enable", "fragments": ["en"], "objectives": [_A],
+         "exclude_fragments": _NO_EN},
+        {"name": "busy", "fragments": ["busy"], "objectives": [_I]},
+        {"name": "ready", "fragments": ["ready", "rdy"], "objectives": [_I]},
+        {"name": "valid", "fragments": ["valid", "vld"], "objectives": [_I]},
+        {"name": "addr", "fragments": ["addr", "adr"], "objectives": [_I]},
+        {"name": "cs", "fragments": ["cs", "ss"], "objectives": [_A]},
+        {"name": "sel", "fragments": ["sel"], "objectives": [_A, _I]},
+        {"name": "irq", "fragments": ["irq", "intr"], "objectives": [_A]},
+    ], "rules": [
+        {"name": "txrx-data", "groups": ["tx", "rx", "data"], "patterns": ["Data"],
+         "min_width": 2, "objectives": [_C]},
+        {"name": "bus-address", "groups": ["addr"], "patterns": ["Data", "Configuration"],
+         "min_width": 2, "objectives": [_I]},
+        {"name": "bus-control", "groups": ["enable", "cs", "sel", "irq", "ready", "valid",
+                                           "busy", "tx", "rx"],
+         "patterns": ["Control"], "max_width": 1, "objectives": [_A]},
+        {"name": "bus-config", "groups": ["sel", "cs", "addr", "data"],
+         "patterns": ["Configuration"], "min_width": 2, "max_width": 8,
+         "objectives": [_A, _I]},
+        {"name": "bus-status", "groups": ["ready", "busy", "valid", "irq", "tx", "rx"],
+         "patterns": ["Status"], "objectives": [_I]},
+    ]},
+}

@@ -618,7 +618,7 @@ class _Parser:
             elif t == "assign":
                 self._parse_continuous_assign(mod)
             elif t in _OTHER_PRIMITIVES:
-                self._skip_instantiation(f"unsupported primitive '{t}'")
+                self._skip_instantiation(f"unsupported primitive '{t}'", self.lines[self.pos])
             elif t in _PROCESSES:
                 self.pos += 1
                 mod.statements.extend(self._parse_statement())
@@ -848,12 +848,13 @@ class _Parser:
         for a gate primitive (§7.1). A gate instance reads as one continuous
         assignment, whose outputs are driven by its other terminals."""
         texts = self.texts
-        target = texts[self.pos]
+        target, target_line = texts[self.pos], self.lines[self.pos]
         split = _GATE_OUTPUTS.get(target)
         self.pos += 1
         if texts[self.pos] == "(" and texts[self.pos + 1] in _STRENGTHS:
             self.pos += 1
-            self._skip_instantiation(f"unsupported drive strength '{texts[self.pos]}'")
+            self._skip_instantiation(f"unsupported drive strength '{texts[self.pos]}'",
+                                     target_line)
             return
         if texts[self.pos] == "#":
             self._skip_timing_control()
@@ -864,10 +865,10 @@ class _Parser:
                 while texts[self.pos] == "[":
                     self._parse_range()
             elif split is None or name != "(":
-                self._skip_instantiation(f"no instance name after '{target}'")
+                self._skip_instantiation(f"no instance name after '{target}'", target_line)
                 return
             if texts[self.pos] != "(":
-                self._skip_instantiation(f"no port list after '{target} {name}'")
+                self._skip_instantiation(f"no port list after '{target} {name}'", line)
                 return
             self.pos += 1
             connections = self._parse_connections(line)
@@ -886,11 +887,11 @@ class _Parser:
         if texts[self.pos] == ";":
             self.pos += 1
 
-    def _skip_instantiation(self, why: str) -> None:
+    def _skip_instantiation(self, why: str, line: int) -> None:
         """Not an instantiation after all (a user-defined type declaration,
-        or an unsupported construct): warn at this line and skip to ';'."""
-        self.diagnostics.append(Diagnostic(
-            f"{why}, skipped to ';'", "warning", self.lines[self.pos]))
+        or an unsupported construct): warn at the item's `line` and skip to
+        ';'."""
+        self.diagnostics.append(Diagnostic(f"{why}, skipped to ';'", "warning", line))
         self.collect_until(";")
 
     def _parse_connections(self, line: int) -> List[Connection]:

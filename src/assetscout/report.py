@@ -7,8 +7,10 @@ import os
 from typing import Dict, List, Optional, Tuple
 
 from . import __version__
-from .design import DesignError, build_connectivity, build_database, find_top_modules
-from .evaluation import EvalResult, GroundTruth, evaluate
+from .design import (
+    DesignError, SignalRef, build_connectivity, build_database, find_top_modules,
+)
+from .evaluation import EvalResult, evaluate
 from .keywords import load_family_config
 from .matcher import ImportantElement, count_keyword_occurrences, match_elements
 from .parser import discover_rtl_files, parse_file
@@ -204,7 +206,7 @@ def _load_design(rtl_dir: str):
 def run_pipeline(rtl_dir: str,
                  top: Optional[str] = None,
                  family: str = "crypto",
-                 ground_truth: Optional[GroundTruth] = None) -> AssetReport:
+                 ground_truth: Optional[Dict[SignalRef, bool]] = None) -> AssetReport:
     """Execute all five stages over an RTL tree; the caller renders the report."""
     config = load_family_config(family)
     file_count, db, line_count = _load_design(rtl_dir)

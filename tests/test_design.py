@@ -21,7 +21,8 @@ def test_splitter_database(splitter_db):
 
 def test_ab_parents_and_top():
     db = build_db(AB_SOURCE)
-    assert db.instantiation_parents["child_a"] == {"top_b"}
+    # child_a's one parent is top_b: it lies under top_b and is no top itself
+    assert db.modules_under("top_b") == {"top_b", "child_a"}
     assert db.top_modules == ["top_b"]
 
 

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from assetscout.evaluation import (
-    EvalResult, GroundTruth, GroundTruthError, evaluate, load_ground_truth,
+    EvalResult, GroundTruthError, evaluate, load_ground_truth,
     predicted_positives,
 )
 from assetscout.report import run_pipeline
@@ -78,17 +78,17 @@ def test_swapping_labels_swaps_fp_and_fn():
     predicted = {("m", "s0"), ("m", "s1"), ("m", "s2")}
     actual = {("m", "s2"), ("m", "s3")}
     assets = [FakeAsset(*ref) for ref in predicted]
-    truth = GroundTruth(entries={ref: True for ref in actual})
+    truth = {ref: True for ref in actual}
     forward = evaluate(assets, truth, universe)
     swapped = evaluate([FakeAsset(*ref) for ref in actual],
-                       GroundTruth(entries={ref: True for ref in predicted}),
+                       {ref: True for ref in predicted},
                        universe)
     assert (forward.tp, forward.tn) == (swapped.tp, swapped.tn)
     assert (forward.fp, forward.fn) == (swapped.fn, swapped.fp)
 
 
 def test_degenerate_flag():
-    result = evaluate([], GroundTruth(), [("m", "a"), ("m", "b")])
+    result = evaluate([], {}, [("m", "a"), ("m", "b")])
     assert (result.tp, result.fp, result.fn) == (0, 0, 0)
     assert result.tn == 2
     assert result.degenerate
@@ -98,14 +98,14 @@ def test_degenerate_flag():
 def test_clock_reset_removed_from_universe():
     universe = [("m", "clk"), ("m", "rst_n"), ("m", "key")]
     result = evaluate([FakeAsset("m", "key")],
-                      GroundTruth(entries={("m", "key"): True}), universe)
+                      {("m", "key"): True}, universe)
     assert result.total == 1
     assert result.tp == 1
 
 
 def test_out_of_universe_truth_is_ignored_with_warning():
     warnings = []
-    truth = GroundTruth(entries={("m", "key"): True, ("m", "ghost"): True})
+    truth = {("m", "key"): True, ("m", "ghost"): True}
     result = evaluate([FakeAsset("m", "key")], truth,
                       [("m", "key")], warnings)
     assert result.ignored_entries == 1
@@ -125,16 +125,15 @@ def test_load_ground_truth(tmp_path):
                     "m,debug,false\n"
                     "m,irq,TRUE\n")
     truth = load_ground_truth(str(path))
-    assert truth.entries == {
+    assert truth == {
         ("m", "key"): True, ("m", "debug"): False, ("m", "irq"): True,
     }
-    assert truth.source == str(path)
 
 
 def test_load_ground_truth_header_only(tmp_path):
     path = tmp_path / "truth.csv"
     path.write_text("module,signal,is_asset\n")
-    assert load_ground_truth(str(path)).entries == {}
+    assert load_ground_truth(str(path)) == {}
 
 
 def test_load_ground_truth_duplicate_row(tmp_path):

@@ -1,12 +1,16 @@
 """Family config loading, validation, and keyword occurrence counts."""
 
+import copy
 import json
+import os
+import re
 
 import pytest
 
 from assetscout.keywords import (
     BUILTIN_FAMILIES, CLOCK_RESET_NAMES, CONFIG_SCHEMA_VERSION, ConfigError,
-    FamilyConfig, PartialKeywordGroup, clock_reset_closure, load_family_config,
+    FamilyConfig, PartialKeywordGroup, _config_from_dict, clock_reset_closure,
+    load_family_config,
 )
 from assetscout.matcher import (
     count_keyword_occurrences, fragment_matches, match_elements,
@@ -57,20 +61,21 @@ def test_exclusions_always_cover_clock_reset():
 
 def test_empty_fragment_list_rejected():
     group = PartialKeywordGroup(name="bad", fragments=[],
-                                objectives=["Integrity"])
+                                objectives=["Integrity"], exclude_fragments=[])
     with pytest.raises(ConfigError, match="empty fragment"):
         group.validate()
 
 
 def test_uppercase_fragment_rejected():
     group = PartialKeywordGroup(name="bad", fragments=["Key"],
-                                objectives=["Integrity"])
+                                objectives=["Integrity"], exclude_fragments=[])
     with pytest.raises(ConfigError, match="lowercase"):
         group.validate()
 
 
 def test_missing_objectives_rejected():
-    group = PartialKeywordGroup(name="bad", fragments=["key"], objectives=[])
+    group = PartialKeywordGroup(name="bad", fragments=["key"], objectives=[],
+                                exclude_fragments=[])
     with pytest.raises(ConfigError, match="objectives"):
         group.validate()
 
@@ -79,7 +84,9 @@ def test_fragment_colliding_with_exclusion_rejected():
     cfg = FamilyConfig(
         family="user-defined",
         groups=[PartialKeywordGroup(name="g", fragments=["wire"],
-                                    objectives=["Integrity"])],
+                                    objectives=["Integrity"], exclude_fragments=[])],
+        rules=[],
+        global_exclusions=[],
     )
     with pytest.raises(ConfigError, match="collides"):
         cfg.validate()
@@ -87,37 +94,50 @@ def test_fragment_colliding_with_exclusion_rejected():
 
 def test_duplicate_group_names_rejected():
     group = PartialKeywordGroup(name="g", fragments=["ab"],
-                                objectives=["Integrity"])
-    cfg = FamilyConfig(family="user-defined", groups=[group, group])
+                                objectives=["Integrity"], exclude_fragments=[])
+    cfg = FamilyConfig(family="user-defined", groups=[group, group], rules=[],
+                       global_exclusions=[])
     with pytest.raises(ConfigError, match="duplicate"):
         cfg.validate()
 
 
-def test_save_load_round_trip(tmp_path):
-    for name in BUILTIN_FAMILIES:
-        cfg = load_family_config(name)
-        text = json.dumps(cfg.to_dict(), indent=2, sort_keys=True)
+def test_builtin_is_the_config_file_of_its_data(tmp_path):
+    records = lambda data: [data] + data["groups"] + data["rules"]
+    for name, data in BUILTIN_FAMILIES.items():
         path = tmp_path / f"{name}.json"
-        path.write_text(text, encoding="utf-8")
-        reloaded = load_family_config(str(path))
-        assert reloaded.to_dict() == cfg.to_dict()
-        # the reload dumps to the same bytes
-        assert json.dumps(reloaded.to_dict(), indent=2, sort_keys=True) == text
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert load_family_config(str(path)) == load_family_config(name)
+        # the loader reads every key of the data: an object in its place is refused
+        for index, record in enumerate(records(data)):
+            for key in record:
+                damaged = copy.deepcopy(data)
+                records(damaged)[index][key] = {}
+                with pytest.raises(ConfigError, match=key):
+                    _config_from_dict(damaged)
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("## Custom family configs", 1)[1]
+    example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
+    path = tmp_path / "example.json"
+    path.write_text(example, encoding="utf-8")
+    assert load_family_config(str(path)).family == json.loads(example)["family"]
 
 
 def test_old_group_keys_are_ignored(tmp_path):
-    data = load_family_config("crypto").to_dict()
+    data = copy.deepcopy(BUILTIN_FAMILIES["crypto"])
     for group in data["groups"]:
         group["directions"] = ["Input", "Net"]
         group["width_classes"] = ["Single"]
     path = tmp_path / "old.json"
     path.write_text(json.dumps(data))
-    assert load_family_config(str(path)).to_dict() == load_family_config("crypto").to_dict()
+    assert load_family_config(str(path)) == load_family_config("crypto")
 
 
 def test_wrong_schema_version_rejected(tmp_path):
-    cfg = load_family_config("crypto")
-    data = cfg.to_dict()
+    data = copy.deepcopy(BUILTIN_FAMILIES["crypto"])
     data["version"] = CONFIG_SCHEMA_VERSION + 1
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))

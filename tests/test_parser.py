@@ -985,14 +985,16 @@ _MODULE_B = "module b(input y, output z); assign z = y; endmodule\n"
     ("pullup (x)", "unsupported primitive 'pullup'"),
     ("nmos n1 (a, b, c)", "unsupported primitive 'nmos'"),
     ("and (strong0, weak1) g (y, a, b)", "unsupported drive strength 'strong0'"),
-    ("typedef_t foo", "no port list after 'typedef_t foo'")])
+    ("typedef_t foo", "no port list after 'typedef_t foo'"),
+    ("sub\n  ;", "no instance name after 'sub'")])
 def test_item_skipped_to_its_semicolon_spares_the_next_module(item, warning):
-    # the skip to the missing `;` stops at `endmodule`
+    # the skip to the missing `;` stops at `endmodule`; the warning is at
+    # the item's line, not at the token the skip stopped on
     unit = parse_source(f"module a(input x);\n  {item}\nendmodule\n{_MODULE_B}")
     assert [(m.name, [(s.lhs_idents, s.rhs_idents) for s in m.statements])
             for m in unit.modules] == [("a", []), ("b", [(["z"], ["y"])])]
-    assert [(d.message, d.severity) for d in unit.diagnostics] == [
-        (f"{warning}, skipped to ';'", "warning")]
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        (f"{warning}, skipped to ';'", "warning", 2)]
 
 
 def test_block_without_its_end_keyword_spares_the_next_module():

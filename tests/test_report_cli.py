@@ -1,6 +1,7 @@
 """End-to-end pipeline runs, report formats, and CLI exit codes."""
 
 import ast
+import copy
 import gc
 import hashlib
 import json
@@ -20,7 +21,7 @@ import assetscout.report
 from assetscout.cli import (
     EXIT_BAD_CONFIG, EXIT_BAD_OUTPUT, EXIT_BAD_TOP, EXIT_NO_RTL, EXIT_OK, main,
 )
-from assetscout.keywords import load_family_config
+from assetscout.keywords import BUILTIN_FAMILIES
 from assetscout.report import (
     FORMATS, SCHEMA_VERSION, NoRtlFilesError, keyword_stats, run_pipeline,
 )
@@ -258,7 +259,7 @@ def test_cli_bad_config_is_reported_before_a_bad_rtl_dir(tmp_path, capsys, mode)
 
 def test_cli_config_without_rules_exit_4(tmp_path, capsys):
     config = tmp_path / "no_rules.json"
-    config.write_text(json.dumps(dict(load_family_config("crypto").to_dict(), rules=[])))
+    config.write_text(json.dumps(dict(BUILTIN_FAMILIES["crypto"], rules=[])))
     assert main(["--rtl-dir", SPLITTER_DIR, "--config", str(config)]) == EXIT_BAD_CONFIG
     assert "has no rules" in capsys.readouterr().err
 
@@ -372,7 +373,7 @@ def test_cli_stats_mode(capsys):
 def test_cli_stats_stdout_is_the_file_bytes(tmp_path, capsys):
     # group names that a CSV writer must quote
     rename = {"key": "k,ey", "data": 'd"at'}
-    data = load_family_config("crypto").to_dict()
+    data = copy.deepcopy(BUILTIN_FAMILIES["crypto"])
     for group in data["groups"]:
         group["name"] = rename.get(group["name"], group["name"])
     for rule in data["rules"]:
@@ -391,7 +392,7 @@ def test_cli_stats_stdout_is_the_file_bytes(tmp_path, capsys):
 
 def test_cli_config_is_a_second_spelling_of_family(tmp_path, capsys):
     gpio = tmp_path / "gpio.json"
-    gpio.write_text(json.dumps(load_family_config("gpio").to_dict()))
+    gpio.write_text(json.dumps(BUILTIN_FAMILIES["gpio"]))
     reports = {}
     for flags in (["--family", "gpio"], ["--config", "gpio"],
                   ["--family", str(gpio)], ["--config", str(gpio)],

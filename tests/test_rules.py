@@ -148,9 +148,13 @@ def test_unresolved_width_passes_small_minimum_only():
     key_element = next(e for e in important if e.signal.name == "key")
     assert key_element.signal.width_bits is None
     wide_rule = ClassificationRule(
-        name="wide", groups=["key"], patterns=["Data"], min_width=64)
+        name="wide", groups=["key"], patterns=["Data"],
+        directions=["Input", "Output", "Net"], min_width=64, max_width=None,
+        objectives=[])
     narrow_rule = ClassificationRule(
-        name="narrow", groups=["key"], patterns=["Data"], min_width=2)
+        name="narrow", groups=["key"], patterns=["Data"],
+        directions=["Input", "Output", "Net"], min_width=2, max_width=None,
+        objectives=[])
     patterns = behaviors["u"].patterns_of("key")
     assert "Data" in patterns
     assert not rule_applies(wide_rule, key_element, patterns)

@@ -3,6 +3,7 @@
 from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
+from .keywords import CLOCK_RESET_NAMES
 from .syntax import (
     ASSIGN_KINDS, TERNARY_STMT, WILDCARD,
     Diagnostic, ModuleDef, Record, SignalDecl, SourceUnit,
@@ -13,6 +14,7 @@ VIA_CONTINUOUS = "ContinuousAssign"
 VIA_PROCEDURAL = "ProceduralAssign"
 
 SignalRef = Tuple[str, str]  # (module name, signal name)
+Graph = Dict[SignalRef, List[Tuple[SignalRef, str]]]  # signal -> (neighbour, via)
 
 
 class DesignError(Exception):
@@ -20,6 +22,7 @@ class DesignError(Exception):
 
 
 class ConnEdge(NamedTuple):
+    """One step of a trace path."""
     src: SignalRef
     dst: SignalRef
     via: str
@@ -99,24 +102,34 @@ def find_top_modules(db: DesignDatabase, user_top: Optional[str] = None) -> List
     return list(db.top_modules)
 
 
-def build_connectivity(db: DesignDatabase) -> List[ConnEdge]:
-    """Undirected signal-connectivity edges (each emitted in both directions).
+def build_connectivity(db: DesignDatabase) -> Graph:
+    """The traversal graph: signal -> the (neighbour, via) of each link at
+    it, in link order. Each link is entered both ways, and one tuple per
+    signal is its key and every neighbour naming it.
 
     Instantiation connections link parent actuals to child formals;
     assignments link every rhs (and guarding condition) identifier to every
-    lhs identifier.  Endpoints must be known signals, otherwise the edge is
+    lhs identifier.  Endpoints must be known signals, otherwise the link is
     skipped and counted in the diagnostics.  A wildcard `.*` connects each
     child port the instance does not name to the same-named parent signal,
-    if there is one (IEEE 1800-2017 §23.3.2.4).
+    if there is one (IEEE 1800-2017 §23.3.2.4).  Clock/reset signals are
+    known but linked to nothing: reset guards touch nearly every register,
+    so paths through them carry no dataflow meaning.
     """
-    edges: List[ConnEdge] = []
+    graph: Graph = {}
     skipped = 0
+    # module -> signal name -> its one ref, or None for a clock/reset
+    refs = {name: {decl.name: None if decl.name.lower() in CLOCK_RESET_NAMES
+                   else (name, decl.name) for decl in mod.signals()}
+            for name, mod in db.modules_by_name.items()}
 
-    def add(a: SignalRef, b: SignalRef, via: str) -> None:
-        edges.append(ConnEdge(a, b, via))
-        edges.append(ConnEdge(b, a, via))
+    def add(a: Optional[SignalRef], b: Optional[SignalRef], via: str) -> None:
+        if a is not None and b is not None:
+            graph.setdefault(a, []).append((b, via))
+            graph.setdefault(b, []).append((a, via))
 
     for mod_name, mod in sorted(db.modules_by_name.items()):
+        own = refs[mod_name]
         for stmt in mod.statements:
             if stmt.kind not in ASSIGN_KINDS and stmt.kind != TERNARY_STMT:
                 continue
@@ -125,25 +138,25 @@ def build_connectivity(db: DesignDatabase) -> List[ConnEdge]:
             via = VIA_CONTINUOUS if stmt.continuous else VIA_PROCEDURAL
             sources = list(dict.fromkeys(stmt.rhs_idents + stmt.cond_idents))
             for lhs in stmt.lhs_idents:
-                if mod.signal(lhs) is None:
+                if lhs not in own:
                     skipped += 1
                     continue
                 for src in sources:
-                    if mod.signal(src) is None:
+                    if src not in own:
                         skipped += 1
                         continue
-                    add((mod_name, src), (mod_name, lhs), via)
+                    add(own[src], own[lhs], via)
         for inst in mod.instantiations:
             child = db.modules_by_name.get(inst.target_module)
             if child is None:
                 continue
+            theirs = refs[inst.target_module]
             for formal, actual_ids in inst.connections:
                 if formal == WILDCARD:
                     named = {f for f, _ids in inst.connections}
                     for port in dict.fromkeys(p.name for p in child.ports):
-                        if port not in named and mod.signal(port) is not None:
-                            add((mod_name, port), (inst.target_module, port),
-                                VIA_INSTANTIATION)
+                        if port not in named and port in own:
+                            add(own[port], theirs[port], VIA_INSTANTIATION)
                     continue
                 if isinstance(formal, int):
                     if formal >= len(child.ports):
@@ -155,20 +168,19 @@ def build_connectivity(db: DesignDatabase) -> List[ConnEdge]:
                     formal_name = child.ports[formal].name
                 else:
                     formal_name = formal
-                if child.signal(formal_name) is None:
+                if formal_name not in theirs:
                     skipped += 1
                     db.diagnostics.append(Diagnostic(
                         f"connection to unknown port "
                         f"'{inst.target_module}.{formal_name}'", "warning", inst.line))
                     continue
                 for actual in actual_ids:
-                    if mod.signal(actual) is None:
+                    if actual not in own:
                         skipped += 1
                         continue
-                    add((mod_name, actual), (inst.target_module, formal_name),
-                        VIA_INSTANTIATION)
+                    add(own[actual], theirs[formal_name], VIA_INSTANTIATION)
     if skipped:
         db.diagnostics.append(Diagnostic(
             f"{skipped} connectivity endpoints did not resolve to declared "
             "signals and were skipped", "info", 0))
-    return edges
+    return graph

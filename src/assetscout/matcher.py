@@ -1,5 +1,6 @@
 """Partial-keyword matching: reduce all extracted signals to the important set."""
 
+import re
 from typing import Dict, List, Optional, Tuple
 
 from .design import DesignDatabase
@@ -61,19 +62,28 @@ def match_elements(db: DesignDatabase, config: FamilyConfig) -> List[ImportantEl
 
     Each name is seen once, as `ModuleDef.signal` resolves it. Clock/reset
     variants and reserved words are excluded up front; output is ordered by
-    (module name, declaration line, signal name).
+    (module name, declaration line, signal name). A group is tried, in
+    config order, only on a name that contains one of its fragments.
     """
     exclusions = config.exclusion_set()
+    holders: Dict[str, List[int]] = {}  # fragment -> indices of its groups
+    for index, group in enumerate(config.groups):
+        for frag in group.fragments:
+            holders.setdefault(frag, []).append(index)
+    any_fragment = re.compile("|".join(map(re.escape, holders)))
     out: List[ImportantElement] = []
     for mod_name in sorted(db.modules_by_name):
         mod = db.modules_by_name[mod_name]
         decls = sorted(mod.signals(), key=lambda d: (d.decl_line, d.name))
         for decl in decls:
             lower = decl.name.lower()
-            if lower in exclusions:
+            if lower in exclusions or any_fragment.search(lower) is None:
                 continue
+            tried = {index for frag, indices in holders.items() if frag in lower
+                     for index in indices}
             matched: List[Tuple[str, str, int]] = []
-            for group in config.groups:
+            for index in sorted(tried):
+                group = config.groups[index]
                 for frag, off in fragment_matches(lower, group):
                     matched.append((group.name, frag, off))
             if matched:

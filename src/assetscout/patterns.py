@@ -28,7 +28,8 @@ class BehaviorClassification(Record):
     """Pattern buckets of one module, each in first-seen signal order.
 
     Filled through `_add`, which also keeps the per-pattern member sets
-    behind `patterns_of`; `==` and `repr` leave those sets out.
+    behind `patterns_of` and the pattern -> bucket map it appends through;
+    `==` and `repr` leave both out.
     """
     _fields = ("module", "control", "configuration", "status", "data", "evidence")
 
@@ -40,6 +41,9 @@ class BehaviorClassification(Record):
         self.data: List[str] = []
         self.evidence: Dict[str, List[Evidence]] = {}
         self._members: Dict[str, Set[str]] = {p: set() for p in PATTERNS}
+        self._buckets: Dict[str, List[str]] = {
+            CONTROL: self.control, CONFIGURATION: self.configuration,
+            STATUS: self.status, DATA: self.data}
 
     def patterns_of(self, signal: str) -> List[str]:
         return [p for p in PATTERNS if signal in self._members[p]]
@@ -48,9 +52,7 @@ class BehaviorClassification(Record):
         members = self._members[pattern]
         if signal not in members:
             members.add(signal)
-            buckets = {CONTROL: self.control, CONFIGURATION: self.configuration,
-                       STATUS: self.status, DATA: self.data}
-            buckets[pattern].append(signal)
+            self._buckets[pattern].append(signal)
         self.evidence.setdefault(signal, []).append(ev)
 
 

@@ -1,7 +1,7 @@
 """Stage 5: trace candidates to their roots at TOP-module I/O and deduplicate.
 
-Every search walks one graph, `traversal_graph`, built once per run: one
-shared tuple per signal, mapped to its (neighbour, link kind) pairs.
+Every search walks one graph, `build_connectivity(db)`, built once per run:
+one shared tuple per signal, mapped to its (neighbour, link kind) pairs.
 Case 1: a candidate that is already a top-module port roots at itself.
 Case 2: a port of another module is traced through instantiation and
 continuous-assignment links to a reachable top port; unreachable candidates
@@ -17,10 +17,10 @@ asset is built once, from every contribution at its root, and each top that
 keeps it gets a copy that shares its lists.
 """
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .design import VIA_CONTINUOUS, VIA_INSTANTIATION
-from .design import ConnEdge, DesignDatabase, DesignError, SignalRef
+from .design import ConnEdge, DesignDatabase, DesignError, Graph, SignalRef
 from .keywords import AVAILABILITY, CLOCK_RESET_NAMES, INTEGRITY
 from .patterns import CONTROL, STATUS, BehaviorClassification
 from .rules import CandidateAsset
@@ -29,28 +29,6 @@ from .syntax import Record
 MAX_BFS_DEPTH = 64
 
 _PORT_SEARCH_VIAS = {VIA_INSTANTIATION, VIA_CONTINUOUS}
-Graph = Dict[SignalRef, List[Tuple[SignalRef, str]]]  # signal -> (neighbour, via)
-
-
-def traversal_graph(edges: Iterable[ConnEdge]) -> Graph:
-    """Signal -> the (neighbour, via) of each edge from it, in edge order,
-    from `build_connectivity(db)`; one tuple per signal is its key and every
-    neighbour naming it. Clock/reset signals are excluded both as endpoints
-    and as hops: reset guards touch nearly every register, so paths through
-    them carry no dataflow meaning. Each signal is tested once."""
-    graph: Graph = {}
-    kept: Dict[SignalRef, Optional[SignalRef]] = {}  # None: a clock/reset
-
-    def one(ref: SignalRef) -> Optional[SignalRef]:
-        if ref not in kept:
-            kept[ref] = None if ref[1].lower() in CLOCK_RESET_NAMES else ref
-        return kept[ref]
-
-    for src, dst, via in edges:
-        src, dst = one(src), one(dst)
-        if src is not None and dst is not None:
-            graph.setdefault(src, []).append((dst, via))
-    return graph
 
 
 class PrimaryAsset(Record):
@@ -181,8 +159,8 @@ def refine(candidates: Sequence[CandidateAsset],
 
     The assets come top by top in the order of `tops`, each top's sorted by
     signal. Net candidates are expanded to ports once, for all tops, over
-    every link of `graph`, which is `traversal_graph(build_connectivity(db))`;
-    port searches follow its instantiation and continuous-assignment links.
+    every link of `graph`, which is `build_connectivity(db)`; port searches
+    follow its instantiation and continuous-assignment links.
     """
     trees = {}
     for top in tops:
@@ -261,8 +239,8 @@ def link_status_to_control(assets: Sequence[PrimaryAsset],
     Reachability through the instantiation links of `graph` to a
     Control-classified signal of a different module adds Availability;
     otherwise Integrity is guaranteed present. `graph` is
-    `traversal_graph(build_connectivity(db))` and `behaviors` is
-    `classify_design(db)`; one search runs per distinct Status ref.
+    `build_connectivity(db)` and `behaviors` is `classify_design(db)`; one
+    search runs per distinct Status ref.
     """
     verdicts: Dict[SignalRef, str] = {}  # one per ref: copies share it
     for asset in assets:

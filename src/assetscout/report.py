@@ -15,7 +15,7 @@ from .keywords import load_family_config
 from .matcher import ImportantElement, count_keyword_occurrences, match_elements
 from .parser import discover_rtl_files, parse_file
 from .patterns import classify_design
-from .refine import PrimaryAsset, link_status_to_control, refine, traversal_graph
+from .refine import PrimaryAsset, link_status_to_control, refine
 from .rules import apply_family_rules
 from .syntax import Diagnostic, Record
 
@@ -211,7 +211,7 @@ def run_pipeline(rtl_dir: str,
     config = load_family_config(family)
     file_count, db, line_count = _load_design(rtl_dir)
     tops = find_top_modules(db, top)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
 
     important = match_elements(db, config)
     behaviors = classify_design(db)

@@ -1,6 +1,6 @@
 """Stage 4: family-specific classification rules over matched elements."""
 
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .keywords import ClassificationRule, FamilyConfig
 from .matcher import ImportantElement
@@ -57,37 +57,52 @@ def rule_applies(rule: ClassificationRule, element: ImportantElement,
     return _width_matches(element.signal, rule)
 
 
+def _first_rule(element: ImportantElement, patterns: Sequence[str],
+                config: FamilyConfig) -> Optional[Tuple[str, List[str]]]:
+    """The first rule `element` satisfies and its sorted objectives: the
+    rule's plus those of every matched keyword group."""
+    for rule in config.rules:
+        if not rule_applies(rule, element, patterns):
+            continue
+        objectives = list(rule.objectives)
+        for gname in element.group_names:
+            group = config.group(gname)
+            if group is None:
+                continue
+            for obj in group.objectives:
+                if obj not in objectives:
+                    objectives.append(obj)
+        return rule.name, sorted(objectives)
+    return None
+
+
 def apply_family_rules(important: Sequence[ImportantElement],
                        behaviors: Dict[str, BehaviorClassification],
                        config: FamilyConfig) -> List[CandidateAsset]:
     """Emit one CandidateAsset per element satisfying at least one rule.
 
     Rules are ordered; the first satisfied rule is recorded and a signal is
-    emitted at most once.  Objectives are the rule's plus those of every
-    matched keyword group.
+    emitted at most once.  The verdict depends on the element's groups,
+    patterns, direction and width alone, so it is decided once per shape.
     """
+    verdicts: Dict[tuple, Optional[Tuple[str, List[str]]]] = {}
     out: List[CandidateAsset] = []
     for element in important:
         behavior = behaviors.get(element.module)
         patterns = behavior.patterns_of(element.signal.name) if behavior else []
-        for rule in config.rules:
-            if not rule_applies(rule, element, patterns):
-                continue
-            objectives = list(rule.objectives)
-            for gname in element.group_names:
-                group = config.group(gname)
-                if group is None:
-                    continue
-                for obj in group.objectives:
-                    if obj not in objectives:
-                        objectives.append(obj)
+        decl = element.signal
+        shape = (tuple(element.group_names), tuple(patterns),
+                 decl.direction, decl.width_bits)
+        if shape not in verdicts:
+            verdicts[shape] = _first_rule(element, patterns, config)
+        verdict = verdicts[shape]
+        if verdict is not None:
             out.append(CandidateAsset(
                 module=element.module,
-                signal=element.signal,
-                matched_rule=rule.name,
+                signal=decl,
+                matched_rule=verdict[0],
                 patterns=patterns,
-                objectives=sorted(objectives),
+                objectives=list(verdict[1]),
                 matched_groups=element.group_names,
             ))
-            break
     return out

@@ -44,6 +44,21 @@ def build_db(text, path="<test>"):
 
 
 @pytest.fixture(scope="session")
+def seed1_workload(tmp_path_factory):
+    """Workload name -> (CLI args, parsed units) of its seed-1 benchmark
+    corpus, generated and parsed on first use."""
+    gen = bench_gen()
+    loaded = {}
+
+    def load(name):
+        if name not in loaded:
+            manifest = gen.generate(name, 1, str(tmp_path_factory.mktemp(name)))
+            loaded[name] = (manifest["args"], parse_tree(manifest["rtl_dir"]))
+        return loaded[name]
+    return load
+
+
+@pytest.fixture(scope="session")
 def splitter_unit():
     return parse_file(SPLITTER_FILE)
 

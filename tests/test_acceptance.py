@@ -17,7 +17,7 @@ from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
 from assetscout.parser import parse_source
 from assetscout.patterns import classify_behaviors
-from assetscout.refine import refine, traversal_graph
+from assetscout.refine import refine
 from assetscout.report import run_pipeline
 from assetscout.rules import CandidateAsset
 from assetscout.tokenizer import RESERVED_WORDS
@@ -78,7 +78,7 @@ def test_refinement_cases_suite():
     """Top-port, child-port, net-expansion and secondary-drop fixtures."""
     # Case 1: top-port candidate roots at itself with an empty path
     db1 = build_database([parse_source(AB_SOURCE, "ab.v")])
-    graph1 = traversal_graph(build_connectivity(db1))
+    graph1 = build_connectivity(db1)
     a1 = refine([_fake_candidate(db1, "top_b", "top_in")], db1, graph1, ["top_b"])
     case1 = [(x.ref, len(x.trace_path)) for x in a1] == [(("top_b", "top_in"), 0)]
 
@@ -88,7 +88,7 @@ def test_refinement_cases_suite():
 
     # Case 3: net expands to a child port, then one hop to each top port
     db3 = build_database([parse_source(NET_EXPANSION_SOURCE, "net.v")])
-    graph3 = traversal_graph(build_connectivity(db3))
+    graph3 = build_connectivity(db3)
     a3 = refine([_fake_candidate(db3, "leaf", "key_mix")], db3, graph3, ["wrap"])
     case3 = ({x.ref for x in a3} ==
              {("wrap", "secret_in"), ("wrap", "secret_out")}
@@ -96,7 +96,7 @@ def test_refinement_cases_suite():
 
     # Secondary: unconnected deep net inside the top tree produces nothing
     db4 = build_database([parse_source(SECONDARY_NET_SOURCE, "deep.v")])
-    graph4 = traversal_graph(build_connectivity(db4))
+    graph4 = build_connectivity(db4)
     a4 = refine([_fake_candidate(db4, "deep", "key_buf")], db4, graph4, ["roof"])
     secondary = a4 == []
 
@@ -127,13 +127,10 @@ def test_matcher_oracle_equivalence():
         db = build_database([parse_source(
             f"module gen (\n{ports}\n);\nendmodule\n", "gen.v")])
         for config in configs.values():
-            excl = config.exclusion_set()
-            produced = {e.signal.name: set(e.group_names)
+            produced = {e.signal.name: e.matched_groups
                         for e in match_elements(db, config)}
             for name in batch:
-                oracle = {g for g, _f in match_oracle(name, config)}
-                expected = set() if name.lower() in excl else oracle
-                if produced.get(name, set()) != expected:
+                if produced.get(name, []) != match_oracle(name, config):
                     mismatches += 1
     _verdict("matcher oracle equivalence (10,000 names x 3 families, 0 mismatches)",
              mismatches == 0)

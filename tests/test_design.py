@@ -2,6 +2,7 @@
 
 import pytest
 
+import assetscout.design
 from assetscout.design import (
     VIA_CONTINUOUS, VIA_INSTANTIATION, DesignError,
     build_connectivity, build_database, find_top_modules,
@@ -9,8 +10,14 @@ from assetscout.design import (
 from assetscout.parser import parse_source
 from assetscout.syntax import WILDCARD
 
-from conftest import MINI_CORPUS, build_db, parse_tree
+from conftest import MINI_CORPUS, SPLITTER_DIR, build_db, parse_tree
+from connectivity_oracle import connectivity_edges, traversal_graph
 from fixtures_rtl import AB_SOURCE
+
+
+def links(graph):
+    """(src, dst, via) of each entry of `graph`, in graph order."""
+    return [(src, dst, via) for src, steps in graph.items() for dst, via in steps]
 
 
 def test_splitter_database(splitter_db):
@@ -68,8 +75,8 @@ def test_instantiation_connection_edges():
           child u0 (.din(bus));
         endmodule
     """)
-    edges = build_connectivity(db)
-    pairs = {(e.src, e.dst) for e in edges if e.via == VIA_INSTANTIATION}
+    pairs = {(src, dst) for src, dst, via in links(build_connectivity(db))
+             if via == VIA_INSTANTIATION}
     assert (("parent", "bus"), ("child", "din")) in pairs
     assert (("child", "din"), ("parent", "bus")) in pairs
 
@@ -83,7 +90,8 @@ def test_empty_ordered_connection_keeps_its_slot():
           c u (p, , q);
         endmodule
     """)
-    assert sorted((e.src, e.dst) for e in build_connectivity(db) if e.src[0] == "t") == [
+    assert sorted((src, dst) for src, dst, _via in links(build_connectivity(db))
+                  if src[0] == "t") == [
         (("t", "p"), ("c", "a")), (("t", "q"), ("c", "x"))]
     assert not db.diagnostics
 
@@ -94,14 +102,14 @@ def test_continuous_assign_edges():
           assign y = a & b;
         endmodule
     """)
-    edges = build_connectivity(db)
-    pairs = {(e.src[1], e.dst[1]) for e in edges if e.via == VIA_CONTINUOUS}
+    pairs = {(src[1], dst[1]) for src, dst, via in links(build_connectivity(db))
+             if via == VIA_CONTINUOUS}
     assert {("a", "y"), ("y", "a"), ("b", "y"), ("y", "b")} <= pairs
 
 
 def test_empty_body_has_no_edges():
     db = build_db("module m (input a, output y);\nendmodule\n")
-    assert build_connectivity(db) == []
+    assert build_connectivity(db) == {}
 
 
 def test_unknown_formal_port_is_diagnosed():
@@ -112,8 +120,9 @@ def test_unknown_formal_port_is_diagnosed():
           child u0 (.nope(x));
         endmodule
     """)
-    edges = build_connectivity(db)
-    assert not any(e.dst == ("child", "nope") for e in edges)
+    graph = build_connectivity(db)
+    assert ("child", "nope") not in graph
+    assert not any(dst == ("child", "nope") for _src, dst, _via in links(graph))
     assert any("nope" in d.message for d in db.diagnostics)
 
 
@@ -136,24 +145,24 @@ def test_wildcard_connection_forms_are_one_connection():
 
 def test_wildcard_connects_same_named_ports():
     db = build_db(WILDCARD_SOURCE)
-    edges = sorted((e.src, e.dst) for e in build_connectivity(db)
-                   if e.src[0] == "top")
+    graph = build_connectivity(db)
+    edges = sorted((src, dst) for src, dst, _via in links(graph) if src[0] == "top")
     # u and v connect a and b by name; w names a itself and leaves b to .*;
     # only_sub has no parent signal of its name
     assert edges == sorted(
         [(("top", "a"), ("sub", "a"))] * 2 + [(("top", "b"), ("sub", "b"))] * 3
         + [(("top", "x"), ("sub", "a"))])
-    assert all(e.via == VIA_INSTANTIATION for e in build_connectivity(db))
+    assert all(via == VIA_INSTANTIATION for _src, _dst, via in links(graph))
     assert not db.diagnostics
 
 
-def net_adjacency(edges):
+def net_adjacency(graph):
     """node -> the neighbours it reaches over instantiation and continuous
-    links, clock/reset included, in edge order."""
+    links, in graph order."""
     adj = {}
-    for edge in edges:
-        if edge.via in {VIA_INSTANTIATION, VIA_CONTINUOUS}:
-            adj.setdefault(edge.src, []).append(edge.dst)
+    for src, dst, via in links(graph):
+        if via in {VIA_INSTANTIATION, VIA_CONTINUOUS}:
+            adj.setdefault(src, []).append(dst)
     return adj
 
 
@@ -192,3 +201,47 @@ def test_modules_under_top():
     tree = db.modules_under("uart_top")
     assert {"uart_top", "uart_tx", "uart_rx", "uart_fifo", "uart_filter"} <= tree
     assert "cipher_top" not in tree
+
+
+DIAGNOSED_SOURCE = """
+    module c (input a, input b, input clk);
+    endmodule
+    module t (input p, input q, input clk, input Rst_N, output y);
+      c u0 (p, q, clk, y);
+      c u1 (.a(p), .nope(q), .b(ghost), .clk(clk));
+      c u2 (.*);
+      assign y = p & ghost & Rst_N;
+      always @(posedge clk) if (Rst_N) undeclared <= q;
+    endmodule
+"""
+
+
+@pytest.mark.parametrize("case", ["diagnosed", "data_splitter", "mini_corpus",
+                                  "hier_soc", "ip_library", "wide_regfile"])
+def test_graph_equals_the_folded_edge_list_oracle(case, seed1_workload):
+    if case == "diagnosed":
+        units = [parse_source(DIAGNOSED_SOURCE, "diagnosed.v")]
+    elif case in ("data_splitter", "mini_corpus"):
+        units = parse_tree(SPLITTER_DIR if case == "data_splitter" else MINI_CORPUS)
+    else:
+        units = seed1_workload(case)[1]
+    db, oracle_db = build_database(units), build_database(units)
+    graph = build_connectivity(db)
+    expected = traversal_graph(connectivity_edges(oracle_db))
+    assert list(graph) == list(expected)
+    assert list(graph.items()) == list(expected.items())
+    assert db.diagnostics == oracle_db.diagnostics
+    if case == "diagnosed":
+        assert [d.message for d in db.diagnostics] == [
+            "positional connection 3 out of range for 'c'",
+            "connection to unknown port 'c.nope'",
+            "5 connectivity endpoints did not resolve to declared signals "
+            "and were skipped"]
+
+
+def test_build_connectivity_makes_no_edge_records(seed1_workload, monkeypatch):
+    made = []
+    monkeypatch.setattr(assetscout.design, "ConnEdge", lambda *args: made.append(args))
+    graph = build_connectivity(build_database(seed1_workload("hier_soc")[1]))
+    assert len(graph) > 1000
+    assert made == []

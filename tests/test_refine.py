@@ -16,7 +16,7 @@ import assetscout.refine
 import assetscout.report
 from assetscout.refine import (
     _PORT_SEARCH_VIAS, MAX_BFS_DEPTH, PrimaryAsset, _bfs_paths,
-    link_status_to_control, refine, traversal_graph,
+    link_status_to_control, refine,
 )
 from assetscout.report import AssetReport, run_pipeline
 from assetscout.rules import CandidateAsset, apply_family_rules
@@ -24,6 +24,7 @@ from assetscout.rules import CandidateAsset, apply_family_rules
 from conftest import (
     CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, bench_gen, build_db, parse_tree,
 )
+from connectivity_oracle import connectivity_edges, traversal_graph
 from fixtures_rtl import (
     AB_SOURCE, NET_EXPANSION_SOURCE, SECONDARY_NET_SOURCE, STATUS_LINK_SOURCE,
 )
@@ -31,7 +32,7 @@ from fixtures_rtl import (
 
 def stage_outputs(db, family, top):
     config = load_family_config(family)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     important = match_elements(db, config)
     behaviors = classify_design(db)
     candidates = apply_family_rules(important, behaviors, config)
@@ -54,7 +55,7 @@ def test_case1_top_port_roots_at_itself():
 
 def test_case2_child_port_traced_one_hop():
     db = build_db(AB_SOURCE)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     cand = candidate_for(db, "child_a", "din", ["Data"])
     assets = refine([cand], db, graph, ["top_b"])
     assert [(a.module, a.name) for a in assets] == [("top_b", "top_in")]
@@ -63,7 +64,7 @@ def test_case2_child_port_traced_one_hop():
 
 def test_case3_net_expands_then_traces():
     db = build_db(NET_EXPANSION_SOURCE)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     cand = candidate_for(db, "leaf", "key_mix", ["Data"])
     assets = refine([cand], db, graph, ["wrap"])
     roots = {(a.module, a.name) for a in assets}
@@ -74,7 +75,7 @@ def test_case3_net_expands_then_traces():
 
 def test_secondary_net_is_dropped():
     db = build_db(SECONDARY_NET_SOURCE)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     cand = candidate_for(db, "deep", "key_buf", ["Data"])
     assert refine([cand], db, graph, ["roof"]) == []
 
@@ -89,7 +90,7 @@ module stray (
 endmodule
 """
     db = build_db(source)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     cand = candidate_for(db, "stray", "key_word", ["Data"])
     assets = refine([cand], db, graph, ["roof"])
     assert [(a.module, a.name) for a in assets] == [("stray", "key_word")]
@@ -150,7 +151,7 @@ def test_clock_reset_never_roots():
 
 def test_status_linked_to_foreign_control_gains_availability():
     db = build_db(STATUS_LINK_SOURCE)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     decl = db.signal(("worker", "done"))
     asset = PrimaryAsset(module="worker", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
@@ -167,7 +168,7 @@ def test_status_without_consumer_keeps_integrity_only():
           end
         endmodule
     """)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     decl = db.signal(("solo", "done"))
     asset = PrimaryAsset(module="solo", name="done",
                          direction=decl.direction, width_bits=decl.width_bits,
@@ -179,7 +180,7 @@ def test_status_without_consumer_keeps_integrity_only():
 
 def test_link_ignores_non_status_assets():
     db = build_db(STATUS_LINK_SOURCE)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     asset = PrimaryAsset(module="boss", name="go_in", direction="Input",
                          width_bits=1, patterns=["Control"],
                          objectives=["Availability"])
@@ -199,7 +200,7 @@ def count_calls(monkeypatch, module, name, counts):
 
 def test_link_on_shared_lists_equals_link_on_independent_copies(monkeypatch):
     db = build_db(STATUS_LINK_SOURCE)
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     behaviors = classify_design(db)
     done = db.signal(("worker", "done"))
     go = db.signal(("boss", "go_in"))
@@ -230,7 +231,7 @@ def test_cross_top_copies_are_searched_linked_and_rendered_once(tmp_path,
     args = manifest["args"]
     db = build_database(parse_tree(manifest["rtl_dir"]))
     config = load_family_config(args[args.index("--family") + 1])
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     behaviors = classify_design(db)
     candidates = apply_family_rules(match_elements(db, config), behaviors, config)
     tops = find_top_modules(db, None)
@@ -253,7 +254,7 @@ def test_refine_all_tops_equals_one_top_at_a_time():
     tops = find_top_modules(db, None)
     assert len(tops) == 3
     config = load_family_config("crypto")
-    graph = traversal_graph(build_connectivity(db))
+    graph = build_connectivity(db)
     candidates = apply_family_rules(match_elements(db, config),
                                     classify_design(db), config)
     per_top = []
@@ -276,6 +277,13 @@ def traversal_edges(edges):
     excluded = {name for name in names if name.lower() in CLOCK_RESET_NAMES}
     return [e for e in edges
             if e.src[1] not in excluded and e.dst[1] not in excluded]
+
+
+def edge_graph(edges):
+    """Oracle: the traversal graph of `edges`, node -> [(neighbour, via)],
+    from `adjacency(traversal_edges(edges))`."""
+    return {node: [(edge.dst, edge.via) for _neighbor, edge in steps]
+            for node, steps in adjacency(traversal_edges(edges)).items()}
 
 
 def adjacency(edges, vias=None):
@@ -337,7 +345,7 @@ _NODE = st.builds(lambda m, s: (m, s), st.sampled_from("ab"), st.sampled_from("p
        via=st.sampled_from([None, "x"]))
 def test_parent_pointer_bfs_matches_path_copying_oracle(edges, accepted, start,
                                                         max_depth, via):
-    assert _bfs_paths(start, traversal_graph(edges), accepted.__contains__,
+    assert _bfs_paths(start, edge_graph(edges), accepted.__contains__,
                       max_depth, via) == \
         copying_bfs_paths(start, adjacency(edges, via and {via}),
                           accepted.__contains__, max_depth)
@@ -360,16 +368,15 @@ def test_traversal_edges_drop_every_clock_reset_end(edges):
 @given(edges=st.lists(st.builds(ConnEdge, _NAMED_NODE, _NAMED_NODE,
                                 st.sampled_from("xy")), max_size=16))
 def test_traversal_graph_is_adjacency_of_traversal_edges(edges):
-    assert list(traversal_graph(edges).items()) == [
-        (node, [(e.dst, e.via) for _neighbor, e in steps])
-        for node, steps in adjacency(traversal_edges(edges)).items()]
+    assert list(traversal_graph(edges).items()) == list(edge_graph(edges).items())
 
 
-def test_graph_holds_one_tuple_per_signal_and_one_entry_per_link(tmp_path):
-    # seed-1 hier_soc: a neighbour is its signal's key, not a tuple per link
-    manifest = bench_gen().generate("hier_soc", 1, str(tmp_path))
-    edges = build_connectivity(build_database(parse_tree(manifest["rtl_dir"])))
-    graph = traversal_graph(edges)
+def test_graph_holds_one_tuple_per_signal_and_one_entry_per_link(seed1_workload):
+    # seed-1 hier_soc: a neighbour is its signal's key, not a tuple per
+    # link, and each of the oracle's 10,502 clock/reset-free edges is one entry
+    units = seed1_workload("hier_soc")[1]
+    graph = build_connectivity(build_database(units))
+    edges = connectivity_edges(build_database(units))
     key = {node: node for node in graph}
     assert len(graph) > 1000
     assert all(neighbor is key[neighbor]
@@ -379,7 +386,7 @@ def test_graph_holds_one_tuple_per_signal_and_one_entry_per_link(tmp_path):
 
 def unpruned_refine(candidates, db, edges, tops):
     """Oracle: `refine` with a port search for every start under every top,
-    each a path-copying BFS over the `adjacency` of `build_connectivity`'s
+    each a path-copying BFS over the `adjacency` of `connectivity_edges`'s
     `edges`."""
     for top in tops:
         if top not in db.modules_by_name:
@@ -507,8 +514,8 @@ def _drawn_candidates(db, data):
 @given(source=_forests(), data=st.data())
 def test_guided_refine_matches_unpruned_oracle(source, data):
     db = build_db(source)
-    edges = build_connectivity(db)
-    graph = traversal_graph(edges)
+    graph = build_connectivity(db)
+    edges = connectivity_edges(build_db(source))
     candidates = _drawn_candidates(db, data)
     assert len(db.top_modules) >= 2
     for tops in [db.top_modules] + [[top] for top in db.top_modules]:
@@ -535,12 +542,12 @@ def test_port_of_one_top_reaching_another_tops_io_is_no_copy():
     # it gets no outside_top_tree copy under top_b; key_spare reaches
     # nothing there, so it does
     db = build_db(SHARED_CHILD_SOURCE)
-    edges = build_connectivity(db)
+    edges = connectivity_edges(build_db(SHARED_CHILD_SOURCE))
     candidates = [candidate_for(db, "shared", "key_in", ["Data"]),
                   candidate_for(db, "top_a", "key_a", ["Data"]),
                   candidate_for(db, "top_a", "key_spare", ["Data"])]
     tops = ["top_a", "top_b"]
-    assets = refine(candidates, db, traversal_graph(edges), tops)
+    assets = refine(candidates, db, build_connectivity(db), tops)
     key_in, key_a, key_spare = [c.ref for c in candidates]
     assert [(a.top, a.module, a.name, a.outside_top_tree,
              [c.ref for c in a.contributors]) for a in assets] == [
@@ -598,12 +605,12 @@ def hop_counts(adj, sources):
     return dist
 
 
-def assert_port_searches_walk_shortest_paths(candidates, db, edges, tops):
-    port_adj = adjacency(traversal_edges(edges), _PORT_SEARCH_VIAS)
+def assert_port_searches_walk_shortest_paths(candidates, db, tops):
+    port_adj = adjacency(traversal_edges(connectivity_edges(db)), _PORT_SEARCH_VIAS)
     to_top = {top: hop_counts(port_adj, [
         (top, s.name) for s in db.modules_by_name[top].ports
         if not _is_clock_reset((top, s.name))]) for top in tops}
-    searches = port_searches(candidates, db, traversal_graph(edges), tops)
+    searches = port_searches(candidates, db, build_connectivity(db), tops)
     for start, expanded, under in searches:
         assert len(under) <= 1
         dist = to_top[under[0]] if under else {}
@@ -620,10 +627,9 @@ def test_port_searches_walk_shortest_paths_on_mini_corpus():
     db = build_database(parse_tree(MINI_CORPUS))
     tops = find_top_modules(db, None)
     config = load_family_config("crypto")
-    edges = build_connectivity(db)
     candidates = apply_family_rules(match_elements(db, config),
                                     classify_design(db), config)
-    searches = assert_port_searches_walk_shortest_paths(candidates, db, edges, tops)
+    searches = assert_port_searches_walk_shortest_paths(candidates, db, tops)
     assert {top for _start, _expanded, under in searches for top in under} == set(tops)
 
 
@@ -632,9 +638,8 @@ def test_port_searches_walk_shortest_paths_on_mini_corpus():
 @given(source=_forests(), data=st.data())
 def test_port_searches_walk_shortest_paths_on_forests(source, data):
     db = build_db(source)
-    edges = build_connectivity(db)
     assert_port_searches_walk_shortest_paths(
-        _drawn_candidates(db, data), db, edges, db.top_modules)
+        _drawn_candidates(db, data), db, db.top_modules)
 
 
 def test_port_search_work_grows_as_modules_times_depth(tmp_path, monkeypatch):
@@ -646,7 +651,7 @@ def test_port_search_work_grows_as_modules_times_depth(tmp_path, monkeypatch):
         args = manifest["args"]
         db = build_database(parse_tree(manifest["rtl_dir"]))
         config = load_family_config(args[args.index("--family") + 1])
-        graph = traversal_graph(build_connectivity(db))
+        graph = build_connectivity(db)
         candidates = apply_family_rules(match_elements(db, config),
                                         classify_design(db), config)
         tops = [args[args.index("--top") + 1]]

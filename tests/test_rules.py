@@ -1,12 +1,18 @@
 """Family rule filtering over important elements."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import assetscout.rules
 from assetscout.design import build_database
-from assetscout.keywords import ClassificationRule, ConfigError, load_family_config
-from assetscout.matcher import match_elements
-from assetscout.patterns import classify_design
-from assetscout.rules import apply_family_rules, rule_applies
+from assetscout.keywords import (
+    BUILTIN_FAMILIES, ClassificationRule, ConfigError, load_family_config,
+)
+from assetscout.matcher import ImportantElement, match_elements
+from assetscout.patterns import PATTERNS, BehaviorClassification, classify_design
+from assetscout.rules import CandidateAsset, apply_family_rules, rule_applies
+from assetscout.syntax import INOUT, INPUT, NET, OUTPUT, SignalDecl
 
 from conftest import MINI_CORPUS, build_db, parse_tree
 
@@ -169,3 +175,95 @@ def test_objectives_union_rule_and_groups():
     for gname in key.matched_groups:
         expected |= set(config.group(gname).objectives)
     assert set(key.objectives) == expected
+
+
+def first_match_oracle(important, behaviors, config):
+    """The per-element loop that `apply_family_rules` replaced: every rule
+    tried on every element until one applies."""
+    out = []
+    for element in important:
+        behavior = behaviors.get(element.module)
+        patterns = behavior.patterns_of(element.signal.name) if behavior else []
+        for rule in config.rules:
+            if not rule_applies(rule, element, patterns):
+                continue
+            objectives = list(rule.objectives)
+            for gname in element.group_names:
+                group = config.group(gname)
+                if group is None:
+                    continue
+                for obj in group.objectives:
+                    if obj not in objectives:
+                        objectives.append(obj)
+            out.append(CandidateAsset(element.module, element.signal, rule.name,
+                                      patterns, sorted(objectives),
+                                      element.group_names))
+            break
+    return out
+
+
+def _gate_widths(config):
+    """None, 1, and each width bound of the config's rules with its two
+    neighbours."""
+    bounds = {w for rule in config.rules for w in (rule.min_width, rule.max_width)
+              if w is not None}
+    return [None] + sorted({1} | {b + d for b in bounds for d in (-1, 0, 1) if b + d > 0})
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(sorted(BUILTIN_FAMILIES)), data=st.data())
+def test_one_verdict_per_shape_equals_first_match_per_element(family, data):
+    # small pools of group lists, pattern lists and widths make elements
+    # that share a shape, or differ from one in a single field; module "c"
+    # has no behaviour classification, so its elements have no patterns.
+    # Every builtin rule takes every direction, so some examples narrow them
+    config = load_family_config(family)
+    if data.draw(st.booleans()):
+        for rule in config.rules:
+            rule.directions = data.draw(st.lists(
+                st.sampled_from([INPUT, OUTPUT, NET]), min_size=1, max_size=2,
+                unique=True))
+    names = [g.name for g in config.groups] + ["unlisted"]
+    group_lists = data.draw(st.lists(st.lists(
+        st.sampled_from(names), min_size=1, max_size=3, unique=True),
+        min_size=1, max_size=3))
+    pattern_lists = data.draw(st.lists(st.lists(
+        st.sampled_from(PATTERNS), max_size=3, unique=True), min_size=1, max_size=3))
+    widths = data.draw(st.lists(st.sampled_from(_gate_widths(config)),
+                                min_size=1, max_size=3))
+    picks = data.draw(st.lists(st.tuples(
+        st.sampled_from("abc"), st.sampled_from(group_lists),
+        st.sampled_from(pattern_lists), st.sampled_from([INPUT, OUTPUT, INOUT, NET]),
+        st.sampled_from(widths)), max_size=40))
+    behaviors = {module: BehaviorClassification(module) for module in "ab"}
+    important = []
+    for k, (module, groups, patterns, direction, width) in enumerate(picks):
+        name = f"s{k}"
+        if module in behaviors:
+            for pattern in patterns:
+                behaviors[module]._add(pattern, name, (k, "assign", "lhs"))
+        important.append(ImportantElement(
+            module, SignalDecl(name, direction, width, k),
+            [(group, group, 0) for group in groups]))
+    candidates = apply_family_rules(important, behaviors, config)
+    assert candidates == first_match_oracle(important, behaviors, config)
+    assert len({id(c.objectives) for c in candidates}) == len(candidates)
+
+
+def test_rules_are_tried_once_per_signal_shape(seed1_workload, monkeypatch):
+    # seed-1 hier_soc: 1,824 important signals in 21 shapes, 6 rules; a
+    # search per element tried a rule 1,824 to 10,944 times, here it is 78
+    args, units = seed1_workload("hier_soc")
+    db = build_database(units)
+    config = load_family_config(args[args.index("--family") + 1])
+    important = match_elements(db, config)
+    behaviors = classify_design(db)
+    shapes = {(tuple(e.group_names), tuple(behaviors[e.module].patterns_of(e.signal.name)),
+               e.signal.direction, e.signal.width_bits) for e in important}
+    calls = []
+    original = assetscout.rules.rule_applies
+    monkeypatch.setattr(assetscout.rules, "rule_applies",
+                        lambda *args: calls.append(1) or original(*args))
+    candidates = apply_family_rules(important, behaviors, config)
+    assert len(important) > 20 * len(shapes)
+    assert candidates and len(calls) <= len(shapes) * len(config.rules)

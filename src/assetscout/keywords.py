@@ -19,6 +19,8 @@ CONFIDENTIALITY = "Confidentiality"
 INTEGRITY = "Integrity"
 AVAILABILITY = "Availability"
 OBJECTIVES = (CONFIDENTIALITY, INTEGRITY, AVAILABILITY)
+# what a rule's `directions` may hold: an Inout port passes as Input and Output
+_RULE_DIRECTIONS = (INPUT, OUTPUT, NET)
 
 _CLOCK_RESET_BASES = ("clk", "clock", "rst", "reset")
 
@@ -92,6 +94,14 @@ class ClassificationRule(Record):
         for p in self.patterns:
             if p not in ("Control", "Configuration", "Status", "Data"):
                 raise ConfigError(f"rule '{self.name}': unknown pattern {p!r}")
+        if not self.directions:
+            raise ConfigError(f"rule '{self.name}': empty direction list")
+        for d in self.directions:
+            if d not in _RULE_DIRECTIONS:
+                raise ConfigError(f"rule '{self.name}': unknown direction {d!r}")
+        for obj in self.objectives:
+            if obj not in OBJECTIVES:
+                raise ConfigError(f"rule '{self.name}': unknown objective {obj!r}")
         if self.min_width < 1:
             raise ConfigError(f"rule '{self.name}': min_width must be >= 1")
         if self.max_width is not None and self.min_width > self.max_width:
@@ -170,7 +180,7 @@ _RULE_FIELDS = (
     ("name", "a string", _REQUIRED),
     ("groups", "a list of strings", _REQUIRED),
     ("patterns", "a list of strings", _REQUIRED),
-    ("directions", "a list of strings", [INPUT, OUTPUT, NET]),
+    ("directions", "a list of strings", list(_RULE_DIRECTIONS)),
     ("min_width", "an integer", 1),
     ("max_width", "an integer or null", None),
     ("objectives", "a list of strings", []),
@@ -212,7 +222,7 @@ def _config_from_dict(data: dict) -> FamilyConfig:
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     version = data.get("version")
-    if version != CONFIG_SCHEMA_VERSION:
+    if not _is_int(version) or version != CONFIG_SCHEMA_VERSION:
         raise ConfigError(f"unsupported config version: {version!r}")
     cfg = FamilyConfig(
         groups=[PartialKeywordGroup(**_arguments(gd, _GROUP_FIELDS, "group entry"))

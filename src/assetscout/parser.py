@@ -32,7 +32,8 @@ import stat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .tokenizer import (
-    ID_START, RESERVED_WORDS, Tokens, is_number, strip_comments, tokenize,
+    ESCAPED_PATTERN, ID_START, RESERVED_WORDS, STRING_PATTERN, Tokens, is_number,
+    strip_comments, tokenize,
 )
 from .syntax import (
     BLOCKING_ASSIGN, CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, INOUT, INPUT, NET,
@@ -116,8 +117,7 @@ def preprocess(text: str, path: str = "<string>",
     if diagnostics is None:
         diagnostics = []
     cleaned, comment_diags = strip_comments(text)
-    for msg, line in comment_diags:
-        diagnostics.append(Diagnostic(msg, "warning", line))
+    diagnostics.extend(comment_diags)
 
     out_lines: List[str] = []
     # one [branch active, some branch of this level taken, its directive,
@@ -231,8 +231,9 @@ def _read_text(path: str) -> str:
 
 # A string literal holds no macro use, so it matches whole and stays as it
 # is; so does an escaped identifier (IEEE 1364-2005 §3.7.1), whose `"` must
-# not open a string.
-_MACRO_USE_RE = re.compile(r'"(?:[^"\\]|\\.?)*"?|\\[^ \t\r\n]*|`([\w$]*)')
+# not open a string. Both are the lexer's own patterns.
+_MACRO_USE_RE = re.compile(
+    STRING_PATTERN + "|" + ESCAPED_PATTERN + r"|`(?P<macro>[\w$]*)", re.DOTALL)
 
 
 def _substitute_macros(line: str, defines: Dict[str, str],
@@ -257,7 +258,7 @@ def _substitute_macros(line: str, defines: Dict[str, str],
         out.append(text[pos:m.start()])
         scanned += m.end() - pos
         pending.append((text, m.end(), expanding))
-        name = m.group(1)
+        name = m.group("macro")
         if name in expanding:
             diagnostics.append(Diagnostic(
                 f"macro `{name} expands to a use of itself", "warning", lineno))
@@ -417,9 +418,7 @@ class _Parser:
         self.end = len(tokens.texts)
         self.path = path
         self.pos = 0
-        self.diagnostics: List[Diagnostic] = [
-            Diagnostic(message, "warning", line) for message, line in tokens.diagnostics
-        ]
+        self.diagnostics: List[Diagnostic] = tokens.diagnostics
 
     # -- token stream helpers -------------------------------------------------
     def expect(self, value: str) -> int:

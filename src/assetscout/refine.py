@@ -26,8 +26,6 @@ from .patterns import CONTROL, STATUS, BehaviorClassification
 from .rules import CandidateAsset
 from .syntax import Record
 
-MAX_BFS_DEPTH = 64
-
 _PORT_SEARCH_VIAS = {VIA_INSTANTIATION, VIA_CONTINUOUS}
 
 
@@ -64,7 +62,6 @@ class PrimaryAsset(Record):
 def _bfs_paths(start: SignalRef,
                adj: Graph,
                accept,
-               max_depth: int = MAX_BFS_DEPTH,
                via: Optional[str] = None,
                ) -> List[Tuple[SignalRef, List[ConnEdge]]]:
     """All accepted nodes at the minimal BFS depth, with their paths, over
@@ -72,14 +69,13 @@ def _bfs_paths(start: SignalRef,
 
     Each reached node records the node and link kind it was first reached
     by; a path is walked back from these parent pointers only for the hits.
+    Each node is visited once, so the search ends on any graph.
     """
     if accept(start):
         return [(start, [])]
     parent: Dict[SignalRef, Optional[Tuple[SignalRef, str]]] = {start: None}
     frontier = [start]
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
+    while frontier:
         next_frontier: List[SignalRef] = []
         hits: List[SignalRef] = []
         for node in frontier:

@@ -1,21 +1,23 @@
 """Lexer for the supported Verilog/SystemVerilog subset.
 
-The lexical grammar is one list of (token class, pattern) pairs, tried in
-order at each position (the "Writing a Tokenizer" idiom of the ``re``
-docs). A token is its text: ``tokenize`` returns the token texts and their
-source lines from one ``findall`` over the grammar, and classifies again
-only the rare texts that may be a comment, string or stray character;
-whitespace, comments and ``(* ... *)`` attributes yield no token.
-``strip_comments`` blanks comments with one ``re.sub`` over the grammar's
-comment, string and escaped-identifier groups, so in both a string or an
-escaped identifier (which runs to whitespace, IEEE 1364-2005 §3.7.1) hides
-a comment opener.
+Comments are removed once: ``preprocess`` runs ``strip_comments``, which
+blanks comments and ``(* ... *)`` attributes with one ``re.sub`` over the
+comment, string and escaped-identifier patterns, so a string or an escaped
+identifier (which runs to whitespace, IEEE 1364-2005 §3.7.1) hides a
+comment opener.
+
+``tokenize`` reads that preprocessed text. Its grammar is one list of
+(token class, pattern) pairs, tried in order at each position (the "Writing
+a Tokenizer" idiom of the ``re`` docs). A token is its text: ``tokenize``
+returns the token texts and their source lines from one ``findall`` over
+the grammar. A comment opener that only macro expansion forms is two
+tokens, as in C, which removes comments before it expands macros.
 """
 
 import re
 from typing import List, Tuple
 
-from .syntax import Record
+from .syntax import Diagnostic, Record
 
 # IEEE 1364-2005 keywords plus the SystemVerilog constructs the parser knows.
 VERILOG_2005_KEYWORDS = frozenset("""
@@ -55,21 +57,22 @@ _PUNCTUATION = [
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">", "?", "'",
 ]
 
-# Fragments shared by both patterns (compiled with re.DOTALL). "(*)" is the
+# One rule each for a string literal and an escaped identifier, read by the
+# lexer, `strip_comments` and the macro scanner. A string left open ends
+# before the end of its line, with `closed` unset.
+STRING_PATTERN = r'"(?:[^"\\\n]|\\.?)*(?P<closed>")?'
+ESCAPED_PATTERN = r"\\[^ \t\r\n]*"
+
+# What `strip_comments` matches (compiled with re.DOTALL). "(*)" is the
 # event control @(*), not an attribute; an unclosed comment runs to EOF.
-_SHARED = [
+_COMMENT_GRAMMAR = [
     ("line_comment", r"//[^\n]*"),
     ("block_comment", r"/\*.*?\*/"),
     ("attribute", r"\(\*(?!\)).*?\*\)"),
     ("unterminated", r"(?:/\*|\(\*(?!\))).*"),
-    ("string", r'"(?:[^"\\\n]|\\.?)*(?P<closed>")?'),
-    ("escaped", r"\\[^ \t\r\n]*"),
+    ("string", STRING_PATTERN),
+    ("escaped", ESCAPED_PATTERN),
 ]
-
-
-def _named(groups: List[Tuple[str, str]]) -> str:
-    return "(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in groups) + ")"
-
 
 # The token grammar, tried in order at each position. "other" takes any one
 # character nothing else does, but never a blank: `tokenize` skips blanks
@@ -80,18 +83,17 @@ _GRAMMAR = [
     # a bare ' is punctuation ({'0}); only a based literal makes it a number
     ("number", r"(?:\d[\d_]*\s*)?'\s*[sS]?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+"
                r"|\d[\d_]*\.\d[\d_]*|\d[\d_]*"),
-    *_SHARED,
+    ("string", STRING_PATTERN),
+    ("escaped", ESCAPED_PATTERN),
     ("sysid", r"\$[A-Za-z_][A-Za-z0-9_$]*"),
     ("directive", r"`[A-Za-z_][A-Za-z0-9_$]*"),
     ("punct", "|".join(map(re.escape, _PUNCTUATION))),
     ("other", r"[^ \t\r\f\v]"),
 ]
-# Classifies the few texts the scan alone cannot. `re` compiles it on first
-# use and caches it, so a source without such texts does not pay for it.
-_TOKEN_PATTERN = _named(_GRAMMAR)
 # only these characters start a comment, attribute, string or escaped
 # identifier, so the lookahead spares the alternatives everywhere else
-_COMMENT_RE = re.compile(r'(?=[/("\\])' + _named(_SHARED), re.DOTALL)
+_COMMENT_RE = re.compile(r'(?=[/("\\])(?:' + "|".join(
+    f"(?P<{name}>{pattern})" for name, pattern in _COMMENT_GRAMMAR) + ")", re.DOTALL)
 # One capture per token, for `findall`: blanks without a newline are skipped
 # in front of it, and a blank run holding newlines is captured, so the line
 # count can follow. The grammar's own groups become non-capturing.
@@ -101,13 +103,10 @@ _SCAN_RE = re.compile(
     + ")", re.DOTALL)
 
 # What a text starting with one of these is, the scan alone decides: an
-# identifier, a number or punctuation. Any other text is matched again
-# against the named grammar.
-_PLAIN_START = frozenset(_LETTERS + "0123456789_'" + "".join(
-    p[0] for p in _PUNCTUATION if p[0] not in "/("))
-# the punctuation among texts starting with "/" or "("
-_PLAIN_TEXTS = frozenset(p for p in _PUNCTUATION if p[0] in "/(")
-_KEPT = frozenset(["id", "escaped", "number", "string", "punct", "sysid", "directive"])
+# identifier, a number or punctuation. Any other text is a string, an
+# escaped identifier, a system id, a directive, a number in non-ASCII digits
+# (which `\d` takes) or, alone, a stray character.
+_PLAIN_START = frozenset(_LETTERS + "0123456789_'" + "".join(p[0] for p in _PUNCTUATION))
 _UNTERMINATED = {"/": "unterminated block comment", "(": "unterminated attribute block"}
 
 
@@ -126,11 +125,11 @@ def is_number(text: str) -> bool:
 
 class Tokens(Record):
     """A tokenized text: each token's text and line, in order, plus the
-    (message, line) pairs of what could not be a token."""
+    diagnostics of what could not be a token."""
     __slots__ = _fields = ("texts", "lines", "diagnostics")
 
     def __init__(self, texts: List[str], lines: List[int],
-                 diagnostics: List[Tuple[str, int]]) -> None:
+                 diagnostics: List[Diagnostic]) -> None:
         self.texts = texts
         self.lines = lines
         self.diagnostics = diagnostics
@@ -139,14 +138,14 @@ class Tokens(Record):
         return len(self.texts)
 
 
-def strip_comments(text: str) -> Tuple[str, List[Tuple[str, int]]]:
+def strip_comments(text: str) -> Tuple[str, List[Diagnostic]]:
     """Replace comments and ``(* ... *)`` attributes with spaces, keep newlines.
 
     Line comments are deleted; strings and escaped identifiers stay as they
-    are. Returns the cleaned text plus (message, line) pairs for
-    unterminated comments and attribute blocks.
+    are. Returns the cleaned text plus a diagnostic for an unterminated
+    comment or attribute block.
     """
-    diags: List[Tuple[str, int]] = []
+    diags: List[Diagnostic] = []
 
     def blank(m: "re.Match[str]") -> str:
         group, value = m.lastgroup, m.group()
@@ -155,7 +154,8 @@ def strip_comments(text: str) -> Tuple[str, List[Tuple[str, int]]]:
         if group == "line_comment":
             return ""
         if group == "unterminated":
-            diags.append((_UNTERMINATED[value[0]], text.count("\n", 0, m.start()) + 1))
+            diags.append(Diagnostic(_UNTERMINATED[value[0]], "warning",
+                                    text.count("\n", 0, m.start()) + 1))
             return "\n" * value.count("\n")
         return "\n".join(" " * len(part) for part in value.split("\n"))
 
@@ -163,15 +163,15 @@ def strip_comments(text: str) -> Tuple[str, List[Tuple[str, int]]]:
 
 
 def tokenize(source: str) -> Tokens:
-    """Tokenize Verilog source text.
+    """Tokenize preprocessed Verilog text, which holds no comment.
 
-    Comments and attribute blocks produce no token; strings, escaped
-    identifiers and based literals each form one token. Unterminated
-    constructs and stray characters add a diagnostic instead of failing.
+    Strings, escaped identifiers and based literals each form one token.
+    An unterminated string or a stray character adds a diagnostic instead
+    of failing.
     """
     texts: List[str] = []
     lines: List[int] = []
-    diagnostics: List[Tuple[str, int]] = []
+    diagnostics: List[Diagnostic] = []
     line = 1
     for text in _SCAN_RE.findall(source):
         first = text[0]
@@ -182,20 +182,12 @@ def tokenize(source: str) -> Tokens:
                 line += text.count("\n")
         elif first == "\n":
             line += text.count("\n")
-        elif text in _PLAIN_TEXTS:
+        elif len(text) > 1 or first in '"\\' or first.isdecimal():
+            if first == '"' and re.match(STRING_PATTERN, text, re.DOTALL).group("closed") is None:
+                diagnostics.append(Diagnostic("unterminated string literal", "warning", line))
             texts.append(text)
             lines.append(line)
+            line += text.count("\n")  # a string with an escaped newline
         else:
-            m = re.match(_TOKEN_PATTERN, text, re.DOTALL)
-            group = m.lastgroup
-            if group in _KEPT:
-                if group == "string" and m.group("closed") is None:
-                    diagnostics.append(("unterminated string literal", line))
-                texts.append(text)
-                lines.append(line)
-            elif group == "unterminated":
-                diagnostics.append((_UNTERMINATED[first], line))
-            elif group == "other":
-                diagnostics.append((f"unexpected character {text!r}", line))
-            line += text.count("\n")
+            diagnostics.append(Diagnostic(f"unexpected character {text!r}", "warning", line))
     return Tokens(texts, lines, diagnostics)

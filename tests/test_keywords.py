@@ -123,7 +123,17 @@ def test_readme_config_example_loads(tmp_path):
     example = re.search(r"```json\n(.*?)```", section, re.DOTALL).group(1)
     path = tmp_path / "example.json"
     path.write_text(example, encoding="utf-8")
-    assert load_family_config(str(path)).family == json.loads(example)["family"]
+    documented = json.loads(example)
+    config = load_family_config(str(path))
+    # the example sets every field, and each reaches the loaded config unchanged
+    assert config.family == documented["family"]
+    assert config.global_exclusions == documented["global_exclusions"]
+    assert [vars_of(g) for g in config.groups] == documented["groups"]
+    assert [vars_of(r) for r in config.rules] == documented["rules"]
+
+
+def vars_of(record):
+    return {name: getattr(record, name) for name in record._fields}
 
 
 def test_old_group_keys_are_ignored(tmp_path):

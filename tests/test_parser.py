@@ -122,6 +122,34 @@ def test_unterminated_string_is_diagnosed_once():
             if d.message.startswith("unterminated")] == [("unterminated string literal", 2)]
 
 
+@pytest.mark.parametrize("source, expected", [
+    ('module m(input a);\n  wire [7:0] w;\n  assign w = "open;\nendmodule\n'
+     "`endif\n/* never\nclosed\n",
+     [("unterminated string literal", "warning", 3),
+      ("unterminated block comment", "warning", 6),
+      ("`endif without `ifdef", "warning", 5),
+      ("malformed module: unterminated continuous assignment", "error", 3)]),
+    ("module m(input a, output y);\n  assign y = a;\n  # \u00e9\nendmodule\n"
+     "(* full_case\n*/ endmodule\n",
+     [("unexpected character '\u00e9'", "warning", 3),
+      ("unterminated attribute block", "warning", 5)]),
+])
+def test_frontend_diagnostics_keep_their_stage_order(source, expected):
+    # the lexer's first, then the preprocessor's (comments before
+    # directives), then the parser's
+    assert [(d.message, d.severity, d.line)
+            for d in parse_source(source).diagnostics] == expected
+
+
+def test_comment_opener_formed_by_a_macro_is_two_slashes():
+    # comments are removed once, before macros expand, as in C
+    source = "`define SL /\nmodule m(input a, output y);\n  assign y = a `SL/ b;\nendmodule\n"
+    assert "= a / / b ;" in " ".join(tokenize(preprocess(source)).texts)
+    unit = parse_source(source)
+    assert unit.diagnostics == []
+    assert unit.modules[0].statements[0].rhs_idents == ["a", "b"]
+
+
 def test_non_ansi_ports():
     mod = parse_source("""
         module nansi (a, b, q);

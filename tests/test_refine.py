@@ -15,7 +15,7 @@ from assetscout.patterns import classify_design
 import assetscout.refine
 import assetscout.report
 from assetscout.refine import (
-    _PORT_SEARCH_VIAS, MAX_BFS_DEPTH, PrimaryAsset, _bfs_paths,
+    _PORT_SEARCH_VIAS, PrimaryAsset, _bfs_paths,
     link_status_to_control, refine,
 )
 from assetscout.report import AssetReport, run_pipeline
@@ -95,6 +95,27 @@ endmodule
     assets = refine([cand], db, graph, ["roof"])
     assert [(a.module, a.name) for a in assets] == [("stray", "key_word")]
     assert assets[0].outside_top_tree
+
+
+def test_port_many_links_from_the_top_io_still_roots(tmp_path):
+    # core.dout reaches top.q through its instance and 70 chained assigns:
+    # 71 links, more than any fixed search depth of 64 would follow
+    wires = [f"w{i}" for i in range(70)]
+    (tmp_path / "deep.v").write_text(
+        "module core (input clk, input [127:0] data_in, output reg [127:0] dout);\n"
+        "  always @(posedge clk) dout <= data_in;\n"
+        "endmodule\n"
+        "module top (input clk, input [127:0] data_in, output [127:0] q);\n"
+        f"  wire [127:0] {', '.join(wires)};\n"
+        "  core u_core (.clk(clk), .data_in(data_in), .dout(w0));\n"
+        + "".join(f"  assign {b} = {a};\n" for a, b in zip(wires, wires[1:] + ["q"]))
+        + "endmodule\n")
+    report = run_pipeline(str(tmp_path), top="top", family="crypto")
+    assert [(a.module, a.name) for a in report.assets] == [("top", "data_in"), ("top", "q")]
+    q = report.assets[1]
+    assert [c.ref for c in q.contributors] == [("core", "dout")]
+    assert len(q.trace_path) == 71
+    assert q.trace_path[0].src == ("core", "dout") and q.trace_path[-1].dst == ("top", "q")
 
 
 def test_splitter_dedup_merges_done_contributors():
@@ -296,15 +317,13 @@ def adjacency(edges, vias=None):
     return adj
 
 
-def copying_bfs_paths(start, adj, accept, max_depth=MAX_BFS_DEPTH):
+def copying_bfs_paths(start, adj, accept):
     """Oracle: the BFS that copies `path + [edge]` for every visited node."""
     if accept(start):
         return [(start, [])]
     visited = {start}
     frontier = [(start, [])]
-    depth = 0
-    while frontier and depth < max_depth:
-        depth += 1
+    while frontier:
         next_frontier = []
         hits = []
         for node, path in frontier:
@@ -329,26 +348,21 @@ _NODE = st.builds(lambda m, s: (m, s), st.sampled_from("ab"), st.sampled_from("p
 @settings(max_examples=400, deadline=None)
 @example(edges=[ConnEdge(("a", "p"), ("a", "s"), "x"),  # hits found unsorted
                 ConnEdge(("a", "p"), ("a", "r"), "x")],
-         accepted={("a", "r"), ("a", "s")}, start=("a", "p"), max_depth=2,
-         via=None)
+         accepted={("a", "r"), ("a", "s")}, start=("a", "p"), via=None)
 @example(edges=[ConnEdge(("a", "p"), ("a", "q"), "x"),  # a two-edge path
                 ConnEdge(("a", "q"), ("b", "p"), "y")],
-         accepted={("b", "p")}, start=("a", "p"), max_depth=2, via=None)
+         accepted={("b", "p")}, start=("a", "p"), via=None)
 @example(edges=[ConnEdge(("a", "p"), ("b", "p"), "y"),  # the x-only detour
                 ConnEdge(("a", "p"), ("a", "q"), "x"),
                 ConnEdge(("a", "q"), ("b", "p"), "x")],
-         accepted={("b", "p")}, start=("a", "p"), max_depth=2, via="x")
+         accepted={("b", "p")}, start=("a", "p"), via="x")
 @given(edges=st.lists(st.builds(ConnEdge, _NODE, _NODE, st.sampled_from("xy")),
                       max_size=24),
        accepted=st.sets(_NODE), start=_NODE,
-       max_depth=st.integers(min_value=0, max_value=5),
        via=st.sampled_from([None, "x"]))
-def test_parent_pointer_bfs_matches_path_copying_oracle(edges, accepted, start,
-                                                        max_depth, via):
-    assert _bfs_paths(start, edge_graph(edges), accepted.__contains__,
-                      max_depth, via) == \
-        copying_bfs_paths(start, adjacency(edges, via and {via}),
-                          accepted.__contains__, max_depth)
+def test_parent_pointer_bfs_matches_path_copying_oracle(edges, accepted, start, via):
+    assert _bfs_paths(start, edge_graph(edges), accepted.__contains__, via) == \
+        copying_bfs_paths(start, adjacency(edges, via and {via}), accepted.__contains__)
 
 
 _NAMED_NODE = st.tuples(st.sampled_from("ab"),

@@ -264,6 +264,35 @@ def test_cli_config_without_rules_exit_4(tmp_path, capsys):
     assert "has no rules" in capsys.readouterr().err
 
 
+def _set_rule_field(key, value):
+    return lambda config: config["rules"][0].update({key: value})
+
+
+@pytest.mark.parametrize("damage, error", [
+    # a lowercase direction, or none, would match no signal: the run found no asset
+    (_set_rule_field("directions", ["input"]),
+     "error: rule 'encryption-key': unknown direction 'input'"),
+    (_set_rule_field("directions", []), "error: rule 'encryption-key': empty direction list"),
+    (_set_rule_field("directions", ["Inout"]),
+     "error: rule 'encryption-key': unknown direction 'Inout'"),
+    # an objective outside the CIA triad would reach the report
+    (_set_rule_field("objectives", ["Secrecy"]),
+     "error: rule 'encryption-key': unknown objective 'Secrecy'"),
+    # JSON true and 1.0 both equal 1 in Python
+    (lambda config: config.update(version=True), "error: unsupported config version: True"),
+    (lambda config: config.update(version=1.0), "error: unsupported config version: 1.0"),
+], ids=["direction", "no-direction", "inout-direction", "objective", "version-true",
+        "version-float"])
+def test_cli_config_with_unknown_value_exit_4(tmp_path, capsys, damage, error):
+    config = copy.deepcopy(BUILTIN_FAMILIES["crypto"])
+    damage(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert main(["--rtl-dir", SPLITTER_DIR, "--config", str(path)]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()) == ("", [error])
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)

@@ -1,4 +1,7 @@
-"""Lexer behavior: comment stripping, literals, keyword tables."""
+"""Lexer behavior: comment stripping, literals, keyword tables.
+
+`tokenize` reads preprocessed text, so raw text with comments goes through
+`strip_comments` first, as `preprocess` sends it."""
 
 import re
 
@@ -6,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import assetscout.tokenizer
+from assetscout.syntax import Diagnostic
 from assetscout.tokenizer import (
     ID_START, RESERVED_WORDS, SYSTEMVERILOG_KEYWORDS, VERILOG_2005_KEYWORDS, Tokens,
     is_number, strip_comments, tokenize,
@@ -16,6 +20,17 @@ import lexer_oracle
 
 def values(source):
     return tokenize(source).texts
+
+
+def lex(raw):
+    """The frontend's composition: comments stripped once, then the lexer.
+    Returns the tokens and the comment diagnostics."""
+    text, comment_diags = strip_comments(raw)
+    return tokenize(text), comment_diags
+
+
+def pairs(diagnostics):
+    return [(d.message, d.line) for d in diagnostics]
 
 
 _KINDS_BY_FIRST = {"$": "sysid", "`": "directive", '"': "string", "_": "id", "\\": "id"}
@@ -47,11 +62,11 @@ def test_empty_input():
 
 
 def test_comments_are_stripped():
-    assert values("/* x */ wire w; // y") == ["wire", "w", ";"]
+    assert lex("/* x */ wire w; // y") == (Tokens(["wire", "w", ";"], [1, 1, 1], []), [])
 
 
 def test_block_comment_keeps_line_numbers():
-    toks = tokenize("/* one\ntwo */ wire w;")
+    toks, _diags = lex("/* one\ntwo */ wire w;")
     assert toks.texts == ["wire", "w", ";"]
     assert toks.lines[0] == 2
     # an escaped newline in a string and a size on the line above its base
@@ -62,7 +77,7 @@ def test_block_comment_keeps_line_numbers():
 
 
 def test_attribute_block_is_stripped():
-    assert values("(* full_case *) casez (sel)") == ["casez", "(", "sel", ")"]
+    assert lex("(* full_case *) casez (sel)")[0].texts == ["casez", "(", "sel", ")"]
 
 
 def test_based_literals_are_single_tokens():
@@ -94,11 +109,9 @@ def test_escaped_identifier_hides_quotes_and_comment_openers():
 
 
 def test_unterminated_block_comment_yields_diagnostic():
-    _text, diags = strip_comments("wire w; /* never closed")
-    assert any("unterminated block comment" in msg for msg, _line in diags)
-    toks = tokenize("wire w; /* never closed")
-    assert toks.diagnostics
-    assert values("wire w; /* never closed") == ["wire", "w", ";"]
+    toks, diags = lex("wire w;\n/* never closed")
+    assert diags == [Diagnostic("unterminated block comment", "warning", 2)]
+    assert toks == Tokens(["wire", "w", ";"], [1, 1, 1], [])
 
 
 def test_unterminated_string_yields_diagnostic():
@@ -142,7 +155,8 @@ _FRAGMENTS = lexer_oracle._PUNCTUATION + [
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40))
 def test_tokenize_matches_oracle_on_comment_free_text(fragments):
-    text, _diags = strip_comments("".join(fragments))
+    raw = "".join(fragments)
+    text, comment_diags = strip_comments(raw)
     tokens = tokenize(text)
     new = triples(tokens)
     # a quote closing a string early can leave a backslash outside it
@@ -155,12 +169,19 @@ def test_tokenize_matches_oracle_on_comment_free_text(fragments):
     # diagnostics are not tokens any more: compare them on their own
     old = [(t.kind, t.value, t.line) for t in oracle if t.kind != "diag"]
     old_diags = [(t.value, t.line) for t in oracle if t.kind == "diag"]
+    # the oracle's strip of the raw text reports the unterminated comment
+    # or attribute block, and each unterminated string too
+    oracle_comment_diags = [d for d in lexer_oracle.strip_comments(raw)[1]
+                            if d[0] != "unterminated string literal"]
     assert [t[:2] for t in new] == [t[:2] for t in old]
-    assert [d[0] for d in tokens.diagnostics] == [d[0] for d in old_diags]
+    assert [d.message for d in tokens.diagnostics] == [d[0] for d in old_diags]
+    assert [d.message for d in comment_diags] == [d[0] for d in oracle_comment_diags]
+    assert {d.severity for d in tokens.diagnostics + comment_diags} <= {"warning"}
     # the oracle does not count newlines inside tokens
     if not any("\n" in t.value for t in oracle):
         assert new == old
-        assert tokens.diagnostics == old_diags
+        assert pairs(tokens.diagnostics) == old_diags
+        assert pairs(comment_diags) == oracle_comment_diags
 
 
 # Raw text for the lexer: comments and attributes (closed, unterminated and
@@ -179,13 +200,17 @@ _RAW_FRAGMENTS = _FRAGMENTS + [
                           st.text(alphabet="/*()\"\\$`'8hbs_ \t\n\f\v\xe9", max_size=5)),
                 max_size=40))
 def test_tokenize_matches_master_regex_oracle(fragments):
-    text = "".join(fragments)
-    oracle = lexer_oracle.master_regex_tokenize(text)
-    tokens = tokenize(text)
+    raw = "".join(fragments)
+    oracle = lexer_oracle.master_regex_tokenize(raw)
+    tokens, comment_diags = lex(raw)
     kept = [t for t in oracle if t.kind != "diag"]
     assert tokens.texts == [t.value for t in kept]
     assert tokens.lines == [t.line for t in kept]
-    assert tokens.diagnostics == [(t.value, t.line) for t in oracle if t.kind == "diag"]
+    # an unterminated comment or attribute block runs to the end of the
+    # text, so the oracle reports it after every other diagnostic
+    assert pairs(tokens.diagnostics + comment_diags) == \
+        [(t.value, t.line) for t in oracle if t.kind == "diag"]
+    assert {d.severity for d in tokens.diagnostics + comment_diags} <= {"warning"}
     assert len(tokens) == len(kept)
     # the parser reads each kind from the text alone
     assert [kind(t) for t in tokens.texts] == [t.kind for t in kept]
@@ -196,7 +221,8 @@ def test_tokenize_matches_master_regex_oracle(fragments):
 # Oracle: the comment pattern without the lookahead, which tries every
 # alternative at every character.
 _UNGUARDED_COMMENT_RE = re.compile(
-    "|".join(f"(?P<{name}>{pattern})" for name, pattern in assetscout.tokenizer._SHARED),
+    "|".join(f"(?P<{name}>{pattern})"
+             for name, pattern in assetscout.tokenizer._COMMENT_GRAMMAR),
     re.DOTALL)
 
 

@@ -1,5 +1,9 @@
-"""Whole-design elaboration: module index, top detection, connectivity graph."""
+"""Whole-design elaboration: module index, top detection, signal widths,
+connectivity graph. No function recurses: the constant evaluator and the
+parameter resolver nest on explicit stacks. A constant past MAX_CONST_BITS
+bits reads None, so no literal or chain of products can crash or stall."""
 
+import operator
 from collections import deque
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
@@ -8,10 +12,13 @@ from .syntax import (
     ASSIGN_KINDS, TERNARY_STMT, WILDCARD,
     Diagnostic, ModuleDef, Record, SignalDecl, SourceUnit,
 )
+from .tokenizer import ID_START, is_number
 
 VIA_INSTANTIATION = "InstantiationConnection"
 VIA_CONTINUOUS = "ContinuousAssign"
 VIA_PROCEDURAL = "ProceduralAssign"
+# a constant literal, intermediate result or width of more bits reads None
+MAX_CONST_BITS = 1024
 
 SignalRef = Tuple[str, str]  # (module name, signal name)
 Graph = Dict[SignalRef, List[Tuple[SignalRef, str]]]  # signal -> (neighbour, via)
@@ -88,7 +95,145 @@ def build_database(units: Sequence[SourceUnit]) -> DesignDatabase:
     if not db.top_modules:
         # fully cyclic instantiation graph: fall back to all modules
         db.top_modules = sorted(db.modules_by_name)
+    # widths: a module's parameters are fixed, so each distinct range once
+    for mod in db.modules_by_name.values():
+        values = _resolve_parameters(mod.parameters)
+        widths: Dict[tuple, Optional[int]] = {}
+        for decl in mod.ports + mod.nets:
+            rng = decl.range_expr
+            if rng is not None:
+                key = (tuple(rng[0]), tuple(rng[1]))
+                if key not in widths:
+                    widths[key] = _range_width(rng, values)
+                decl.width_bits = widths[key]
     return db
+
+
+def _resolve_parameters(raw: Dict[str, List[str]]) -> Dict[str, Optional[int]]:
+    """Each parameter's value from its raw value texts, dependencies first,
+    on an explicit depth-first stack of (name, its unread value texts). A
+    parameter reads None while it is on the stack, so a dependency cycle
+    reads None, as does an unknown name."""
+    resolved: Dict[str, Optional[int]] = {}
+    stack = []
+    for root in raw:
+        if root not in resolved:
+            resolved[root] = None
+            stack.append((root, iter(raw[root])))
+        while stack:
+            name, rest = stack[-1]
+            for t in rest:
+                if t in raw and t not in resolved:
+                    resolved[t] = None
+                    stack.append((t, iter(raw[t])))
+                    break
+            else:
+                stack.pop()
+                resolved[name] = eval_const_expr(raw[name], resolved)
+    return resolved
+
+
+def _range_width(range_expr: Tuple[List[str], List[str]],
+                 params: Dict[str, Optional[int]]) -> Optional[int]:
+    msb_texts, lsb_texts = range_expr
+    msb = eval_const_expr(msb_texts, params)
+    lsb = eval_const_expr(lsb_texts, params)
+    if msb is None or lsb is None:
+        return None
+    width = abs(msb - lsb) + 1
+    return None if width.bit_length() > MAX_CONST_BITS else width
+
+
+# binary operator -> (precedence, function)
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
+           "*": (2, operator.mul), "/": (2, operator.floordiv)}
+
+
+def eval_const_expr(texts: Sequence[str],
+                    params: Dict[str, Optional[int]]) -> Optional[int]:
+    """Evaluate +,-,*,/ and parenthesised constant expressions.
+
+    Identifiers are looked up in `params`. An unresolved name, a malformed
+    expression, a division by zero or a literal or result of more than
+    MAX_CONST_BITS bits gives None. One loop over an operand and an
+    operator stack; a unary `-` applies to the primary after it, so
+    `- 7 / 2` is -4 (`/` floors).
+    """
+    values: List[int] = []
+    ops: List[str] = []  # "(", "~" for a unary minus, or a binary operator
+    want_operand = True
+    for t in texts:
+        if want_operand:
+            if t == "(" or t == "-":
+                ops.append("~" if t == "-" else t)
+                continue
+            if t == "+":
+                continue
+            value = _number_value(t) if is_number(t) else \
+                params.get(t) if t[0] in ID_START else None
+            if value is None:
+                return None
+        elif t == ")":
+            if not _reduce(values, ops, 1) or not ops:
+                return None
+            ops.pop()  # its "("
+            value = values.pop()
+        elif t in _BINARY:
+            if not _reduce(values, ops, _BINARY[t][0]):
+                return None
+            ops.append(t)
+            want_operand = True
+            continue
+        else:
+            return None
+        while ops and ops[-1] == "~":  # the unary minuses before the primary
+            ops.pop()
+            value = -value
+        values.append(value)
+        want_operand = False
+    if want_operand or not _reduce(values, ops, 1) or ops:
+        return None
+    return values[0]
+
+
+def _reduce(values: List[int], ops: List[str], precedence: int) -> bool:
+    """Apply the binary operators on top of `ops` that bind at least as
+    tightly as `precedence`; False on a division by zero or a result of
+    more than MAX_CONST_BITS bits, checked as each result is made."""
+    while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] >= precedence:
+        rhs = values.pop()
+        if rhs == 0 and ops[-1] == "/":
+            return False
+        values[-1] = _BINARY[ops.pop()][1](values[-1], rhs)
+        if values[-1].bit_length() > MAX_CONST_BITS:
+            return False
+    return True
+
+
+def _number_value(text: str) -> Optional[int]:
+    """A number token's value; None for an x or z digit, a malformed literal
+    or a value past MAX_CONST_BITS bits. Never raises."""
+    text = text.replace("_", "").replace(" ", "")
+    based = "'" in text
+    base = 10
+    if based:
+        rest = text.split("'", 1)[1].lstrip("sS")
+        base = {"b": 2, "o": 8, "d": 10, "h": 16}.get(rest[:1].lower())
+        text = rest[1:]
+        if base is None or not text or any(ch in "xXzZ?" for ch in text):
+            return None
+    if len(text.lstrip("0")) > MAX_CONST_BITS:  # each digit adds a bit or more
+        return None
+    try:
+        value = int(text, base)
+    except ValueError:
+        if based:
+            return None
+        try:  # a real literal, truncated: no float is past the bound
+            return int(float(text))
+        except (ValueError, OverflowError):
+            return None
+    return None if value.bit_length() > MAX_CONST_BITS else value
 
 
 def find_top_modules(db: DesignDatabase, user_top: Optional[str] = None) -> List[str]:

@@ -18,22 +18,19 @@ body parameters) is read by one walker, `_declarators`, and every instance
 list (modules, UDPs, gates) by one reader, `_parse_instantiation`.
 
 No function recurses, except `preprocess` into an included file, at most
-MAX_INCLUDE_DEPTH deep. Nesting lives on explicit stacks, so any depth
-parses: open `begin`, `if` and `case` statements on the statement
-parser's frame stack, parentheses and unary minuses on the constant
-evaluator's operator stack, and parameters waiting for their
-dependencies on the resolver's stack.
+MAX_INCLUDE_DEPTH deep: open `begin`, `if` and `case` statements wait on
+the statement parser's frame stack, so any depth parses. No constant is
+evaluated here: `design` sets widths from the kept range and parameter texts.
 """
 
-import operator
 import os
 import re
 import stat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .tokenizer import (
-    ESCAPED_PATTERN, ID_START, RESERVED_WORDS, STRING_PATTERN, Tokens, is_number,
-    strip_comments, tokenize,
+    ESCAPED_PATTERN, ID_START, RESERVED_WORDS, STRING_PATTERN, Tokens, strip_comments,
+    tokenize,
 )
 from .syntax import (
     BLOCKING_ASSIGN, CASE_STMT, CONTINUOUS_ASSIGN, IF_STMT, INOUT, INPUT, NET,
@@ -316,92 +313,6 @@ def _split_ternary(texts: Sequence[str]) -> Tuple[List[str], List[str]]:
     return [], list(texts)
 
 
-# binary operator -> (precedence, function)
-_BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
-           "*": (2, operator.mul), "/": (2, operator.floordiv)}
-
-
-def eval_const_expr(texts: Sequence[str],
-                    params: Dict[str, Optional[int]]) -> Optional[int]:
-    """Evaluate +,-,*,/ and parenthesised constant expressions.
-
-    Identifiers are looked up in `params`. An unresolved name, a malformed
-    expression or a division by zero gives None. One loop over an operand
-    and an operator stack; a unary `-` applies to the primary after it, so
-    `- 7 / 2` is -4 (`/` floors).
-    """
-    values: List[int] = []
-    ops: List[str] = []  # "(", "~" for a unary minus, or a binary operator
-    want_operand = True
-    for t in texts:
-        if want_operand:
-            if t == "(" or t == "-":
-                ops.append("~" if t == "-" else t)
-                continue
-            if t == "+":
-                continue
-            value = _number_value(t) if is_number(t) else \
-                params.get(t) if t[0] in ID_START else None
-            if value is None:
-                return None
-        elif t == ")":
-            if not _reduce(values, ops, 1) or not ops:
-                return None
-            ops.pop()  # its "("
-            value = values.pop()
-        elif t in _BINARY:
-            if not _reduce(values, ops, _BINARY[t][0]):
-                return None
-            ops.append(t)
-            want_operand = True
-            continue
-        else:
-            return None
-        while ops and ops[-1] == "~":  # the unary minuses before the primary
-            ops.pop()
-            value = -value
-        values.append(value)
-        want_operand = False
-    if want_operand or not _reduce(values, ops, 1) or ops:
-        return None
-    return values[0]
-
-
-def _reduce(values: List[int], ops: List[str], precedence: int) -> bool:
-    """Apply the binary operators on top of `ops` that bind at least as
-    tightly as `precedence`; False on a division by zero."""
-    while ops and ops[-1] in _BINARY and _BINARY[ops[-1]][0] >= precedence:
-        rhs = values.pop()
-        if rhs == 0 and ops[-1] == "/":
-            return False
-        values[-1] = _BINARY[ops.pop()][1](values[-1], rhs)
-    return True
-
-
-def _number_value(text: str) -> Optional[int]:
-    text = text.replace("_", "").replace(" ", "")
-    if "'" in text:
-        _, rest = text.split("'", 1)
-        rest = rest.lstrip("sS")
-        if not rest:
-            return None
-        base = {"b": 2, "o": 8, "d": 10, "h": 16}.get(rest[0].lower())
-        digits = rest[1:]
-        if base is None or not digits or any(ch in "xXzZ?" for ch in digits):
-            return None
-        try:
-            return int(digits, base)
-        except ValueError:
-            return None
-    try:
-        return int(text)
-    except ValueError:
-        try:
-            return int(float(text))
-        except ValueError:
-            return None
-
-
 # ---------------------------------------------------------------------------
 # Parser proper
 # ---------------------------------------------------------------------------
@@ -484,27 +395,15 @@ class _Parser:
             raise ParseError(f"bad module name {name!r}", lines[self.pos])
         self.pos += 1
         mod = ModuleDef(name=name, path=self.path, line=kw_line)
-        params: Dict[str, List[str]] = {}  # raw value texts, in first-seen order
-
         if texts[self.pos] == "#":
             self.pos += 1
             self.expect("(")
-            self._parse_param_decl(params, ")", "unterminated parameter list")
+            self._parse_param_decl(mod.parameters, ")", "unterminated parameter list")
         if texts[self.pos] == "(":
             self.pos += 1
             self._parse_port_list(mod)
         self.expect(";")
-        self._parse_body(mod, params)
-        mod.parameters = values = _resolve_parameters(params)
-        # the parameters are fixed, so each distinct range is evaluated once
-        widths: Dict[tuple, Optional[int]] = {}
-        for decl in mod.ports + mod.nets:
-            rng = decl.range_expr
-            if rng is not None:
-                key = (tuple(rng[0]), tuple(rng[1]))
-                if key not in widths:
-                    widths[key] = _range_width(rng, values)
-                decl.width_bits = widths[key]
+        self._parse_body(mod)
         return mod
 
     # -- ports ----------------------------------------------------------------
@@ -595,7 +494,7 @@ class _Parser:
             params[name] = self._declared_value(end)
 
     # -- module body ----------------------------------------------------------
-    def _parse_body(self, mod: ModuleDef, params: Dict[str, List[str]]) -> None:
+    def _parse_body(self, mod: ModuleDef) -> None:
         texts = self.texts
         while self.pos < self.end:
             t = texts[self.pos]
@@ -605,15 +504,18 @@ class _Parser:
             if t in _MODULE_KEYWORDS:
                 raise ParseError("missing endmodule", self.lines[self.pos])
             if t == "parameter" or t == "localparam":
-                self._parse_param_decl(params, ";", "unterminated parameter declaration")
+                self._parse_param_decl(mod.parameters, ";", "unterminated parameter declaration")
             elif t in _DIRECTIONS:
                 self._parse_body_port_decl(mod)
             elif t in _NET_TYPES:
                 self._parse_net_decl(mod)
-            elif t == "genvar" or t == "defparam":
-                self._rest_of_statement(
-                    "unterminated genvar declaration" if t == "genvar"
-                    else "unterminated defparam", self.lines[self.pos])
+            elif t == "genvar":
+                self._rest_of_statement("unterminated genvar declaration", self.lines[self.pos])
+            elif t == "defparam":
+                line = self.lines[self.pos]
+                self._rest_of_statement("unterminated defparam", line)
+                self.diagnostics.append(Diagnostic(
+                    "defparam skipped: parameter overrides are not applied", "warning", line))
             elif t == "assign":
                 self._parse_continuous_assign(mod)
             elif t in _OTHER_PRIMITIVES:
@@ -934,40 +836,6 @@ class _Parser:
                 self.pos += 1
                 return connections
         raise ParseError("unterminated instance connections", line)
-
-
-def _resolve_parameters(raw: Dict[str, List[str]]) -> Dict[str, Optional[int]]:
-    """Each parameter's value from its raw value texts, dependencies first,
-    on an explicit depth-first stack of (name, its unread value texts). A
-    parameter reads None while it is on the stack, so a dependency cycle
-    reads None, as does an unknown name."""
-    resolved: Dict[str, Optional[int]] = {}
-    stack = []
-    for root in raw:
-        if root not in resolved:
-            resolved[root] = None
-            stack.append((root, iter(raw[root])))
-        while stack:
-            name, rest = stack[-1]
-            for t in rest:
-                if t in raw and t not in resolved:
-                    resolved[t] = None
-                    stack.append((t, iter(raw[t])))
-                    break
-            else:
-                stack.pop()
-                resolved[name] = eval_const_expr(raw[name], resolved)
-    return resolved
-
-
-def _range_width(range_expr: _Range,
-                 params: Dict[str, Optional[int]]) -> Optional[int]:
-    msb_texts, lsb_texts = range_expr
-    msb = eval_const_expr(msb_texts, params)
-    lsb = eval_const_expr(lsb_texts, params)
-    if msb is None or lsb is None:
-        return None
-    return abs(msb - lsb) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Every container here is a `Record`: a plain class with an explicit
 `__init__`, compared field by field. Once a SourceUnit is built it is
-treated as immutable and safe to share across threads.
+treated as immutable, except that `design.build_database` sets the width
+of each ranged declaration, to the same value on every call.
 """
 
 from typing import Dict, List, Optional, Tuple, Union, ValuesView
@@ -77,7 +78,8 @@ class SignalDecl(Record):
                  range_expr: Optional[Tuple[List[str], List[str]]] = None) -> None:
         self.name = name
         self.direction = direction    # Input / Output / Inout / Net
-        self.width_bits = width_bits  # None when unresolved
+        # None when unresolved; `build_database` sets it from `range_expr`
+        self.width_bits = width_bits
         self.decl_line = decl_line
         self.range_expr = range_expr  # (msb, lsb) token texts
 
@@ -131,7 +133,7 @@ class ModuleDef(Record):
     def __init__(self, name: str, path: str = "", line: int = 0,
                  ports: Optional[List[SignalDecl]] = None,
                  nets: Optional[List[SignalDecl]] = None,
-                 parameters: Optional[Dict[str, Optional[int]]] = None,
+                 parameters: Optional[Dict[str, List[str]]] = None,
                  statements: Optional[List[Statement]] = None,
                  instantiations: Optional[List[Instantiation]] = None) -> None:
         self.name = name
@@ -139,6 +141,7 @@ class ModuleDef(Record):
         self.line = line
         self.ports = [] if ports is None else ports
         self.nets = [] if nets is None else nets
+        # parameter name -> its value texts, in declaration order
         self.parameters = {} if parameters is None else parameters
         self.statements = [] if statements is None else statements
         self.instantiations = [] if instantiations is None else instantiations

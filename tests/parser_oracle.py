@@ -1,5 +1,6 @@
 """The recursive statement parser and parameter resolver that the explicit
-stacks in `assetscout.parser` replaced, kept as test oracles.
+stacks in `assetscout.parser` and `assetscout.design` replaced, kept as
+test oracles.
 
 - `RecursiveStatementParser` is `_Parser` with the statement parser that
   recursed into each nested statement, `if` branch and `case` item;
@@ -11,9 +12,10 @@ stacks in `assetscout.parser` replaced, kept as test oracles.
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from assetscout.design import _number_value
 from assetscout.parser import (
     _CASE_STARTS, _PROCEDURAL_ASSIGN_KEYWORDS, ParseError, _is_name,
-    _number_value, _Parser, collect_identifiers, preprocess,
+    _Parser, collect_identifiers, preprocess,
 )
 from assetscout.syntax import (
     BLOCKING_ASSIGN, CASE_STMT, IF_STMT, NONBLOCKING_ASSIGN, Diagnostic,

@@ -168,10 +168,9 @@ def test_width_property():
     ok = True
     for _ in range(500):
         msb, lsb = rng.randint(0, 255), rng.randint(0, 255)
-        mod = parse_source(
-            f"module w (input x);\n  wire [{msb}:{lsb}] v;\nendmodule\n"
-        ).modules[0]
-        decl = mod.signal("v")
+        db = build_database([parse_source(
+            f"module w (input x);\n  wire [{msb}:{lsb}] v;\nendmodule\n")])
+        decl = db.signal(("w", "v"))
         ok = ok and decl.width_bits == abs(msb - lsb) + 1
     _verdict("width formula (500 random ranges)", ok)
 

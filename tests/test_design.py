@@ -1,14 +1,22 @@
-"""Design database assembly, top detection, and connectivity graph."""
+"""Design database assembly, top detection, widths, and connectivity graph."""
+
+import json
+import time
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import assetscout.design
+from assetscout.cli import EXIT_OK, main
 from assetscout.design import (
-    VIA_CONTINUOUS, VIA_INSTANTIATION, DesignError,
-    build_connectivity, build_database, find_top_modules,
+    MAX_CONST_BITS, VIA_CONTINUOUS, VIA_INSTANTIATION, DesignError,
+    _number_value, _resolve_parameters, build_connectivity, build_database,
+    eval_const_expr, find_top_modules,
 )
 from assetscout.parser import parse_source
 from assetscout.syntax import WILDCARD
+from assetscout.tokenizer import tokenize
 
 from conftest import MINI_CORPUS, SPLITTER_DIR, build_db, parse_tree
 from connectivity_oracle import connectivity_edges, traversal_graph
@@ -245,3 +253,91 @@ def test_build_connectivity_makes_no_edge_records(seed1_workload, monkeypatch):
     graph = build_connectivity(build_database(seed1_workload("hier_soc")[1]))
     assert len(graph) > 1000
     assert made == []
+
+
+def test_the_parser_keeps_texts_and_build_database_sets_widths():
+    unit = parse_source("module m #(parameter W = 8) (input [W-1:0] a, input b);\n"
+                        "  localparam HALF = W / 2;\n  wire [HALF:1] n;\n  integer i;\n"
+                        "endmodule\n")
+    mod = unit.modules[0]
+    assert mod.parameters == {"W": ["8"], "HALF": ["W", "/", "2"]}
+    assert [(d.name, d.width_bits) for d in mod.ports + mod.nets] == [
+        ("a", None), ("b", 1), ("n", None), ("i", 32)]
+    build_database([unit])
+    assert [(d.name, d.width_bits) for d in mod.ports + mod.nets] == [
+        ("a", 8), ("b", 1), ("n", 4), ("i", 32)]
+
+
+def test_constants_stop_at_the_bound():
+    top = 2 ** MAX_CONST_BITS - 1
+    assert _number_value("'h" + "f" * (MAX_CONST_BITS // 4)) == top
+    assert _number_value("'h1" + "0" * (MAX_CONST_BITS // 4)) is None
+    assert _number_value(str(top)) == top
+    assert _number_value("0" * 5000 + "7") == 7  # leading zeros add no bits
+    assert _number_value("1" * 5000) is None
+    assert _number_value("1e400") is None
+    assert _number_value("128'h0123456789abcdef0123456789abcdef") == \
+        0x0123456789abcdef0123456789abcdef
+    assert eval_const_expr(tokenize(f"-{top}").texts, {}) == -top
+    assert eval_const_expr(tokenize(f"{top} + 1").texts, {}) is None
+    # the intermediate result is past the bound, though the whole is not
+    assert eval_const_expr(tokenize(f"{top} * 2 / 4").texts, {}) is None
+    db = build_db(f"module m (input [{top}:0] a, input [{top}:1] b);\nendmodule\n")
+    assert [p.width_bits for p in db.modules_by_name["m"].ports] == [None, top]
+
+
+def _product_chain(levels):
+    """A header whose parameters each multiply the one before eight times."""
+    params = ["P0 = 1000000000000"] + [
+        f"P{k} = " + "*".join([f"P{k - 1}"] * 8) for k in range(1, levels + 1)]
+    return f"#(parameter {', '.join(params)}) (input [P{levels}:0] key_in"
+
+
+@pytest.mark.parametrize("header", [
+    "(input [" + "1" * 5000 + ":0] key_in",  # past CPython's 4,300-digit limit
+    _product_chain(3),  # a 2,560-bit msb
+    _product_chain(7),  # a 2.6-million-bit msb, unless the bound stops it
+], ids=["long_literal", "chain3", "chain7"])
+def test_cli_reads_a_constant_past_the_bound_as_unresolved(tmp_path, capsys, header):
+    (tmp_path / "m.v").write_text(f"module m {header}, output [7:0] data_out);\n"
+                                  "  assign data_out = key_in;\nendmodule\n")
+    out = tmp_path / "report.json"
+    start = time.perf_counter()
+    assert main(["--rtl-dir", str(tmp_path), "--out", str(out)]) == EXIT_OK
+    assert time.perf_counter() - start < 1.0
+    assert "Traceback" not in capsys.readouterr().err
+    assets = json.loads(out.read_text())["assets"]
+    assert {a["name"]: a["width_bits"] for a in assets} == {"key_in": None, "data_out": 8}
+
+
+# operands that reach the bound: digit runs past it and past CPython's
+# 4,300-digit string limit, based and real literals, and the parameters
+_WIDE_OPERAND = st.one_of(
+    st.integers(1, 5000).map(lambda n: "9" * n),
+    st.tuples(st.sampled_from(["'h", "128'h", "'sd", "'b", "'o"]),
+              st.integers(1, 400)).map(lambda t: t[0] + "1" * t[1]),
+    st.sampled_from(["0", "7", "1000000000000", "1e400", "2.5", "8'hFF"]),
+    st.sampled_from(["P0", "P1", "P2", "P3"]),
+)
+_WIDE_EXPR = st.recursive(
+    _WIDE_OPERAND,
+    lambda children: st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*", "/"]), children).map(" ".join),
+        children.map(lambda e: f"({e})"), children.map(lambda e: f"-{e}")),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@example(params=["1" * 5000], msb="P0", lsb="0")
+@example(params=["1e400"], msb="7", lsb="0")
+@example(params=["1000000000000"] + [" * ".join([f"P{k}"] * 8) for k in range(3)],
+         msb="P3", lsb="0")
+@given(params=st.lists(_WIDE_EXPR, min_size=1, max_size=4), msb=_WIDE_EXPR, lsb=_WIDE_EXPR)
+def test_widths_never_raise_and_stay_within_the_bound(params, msb, lsb):
+    header = ", ".join(f"P{k} = {value}" for k, value in enumerate(params))
+    mod = build_db(f"module m #(parameter {header}) (input [{msb}:{lsb}] key_in);\n"
+                   "endmodule\n").modules_by_name["m"]
+    for value in _resolve_parameters(mod.parameters).values():
+        assert value is None or value.bit_length() <= MAX_CONST_BITS
+    width = mod.signal("key_in").width_bits
+    assert width is None or 1 <= width <= 2 ** MAX_CONST_BITS

@@ -9,14 +9,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import assetscout.design
 import assetscout.parser
 from assetscout.cli import EXIT_OK, main
-from assetscout.design import build_database
+from assetscout.design import _number_value, _resolve_parameters, build_database, eval_const_expr
 from assetscout.keywords import load_family_config
 from assetscout.matcher import match_elements
 from assetscout.parser import (
-    MAX_EXPANDED_LINE, MAX_INCLUDE_DEPTH, _number_value, _resolve_parameters, eval_const_expr,
-    parse_file, parse_source, preprocess,
+    MAX_EXPANDED_LINE, MAX_INCLUDE_DEPTH, parse_file, parse_source, preprocess,
 )
 from assetscout.patterns import classify_design
 from assetscout.report import run_pipeline
@@ -45,8 +45,8 @@ def test_splitter_module_shape(splitter_unit):
     ]
 
 
-def test_splitter_widths(splitter_unit):
-    mod = splitter_unit.modules[0]
+def test_splitter_widths(splitter_db):
+    mod = splitter_db.modules_by_name["data_splitter"]
     expect = {"load": 1, "bank_selector": 2, "data": 128, "bank0": 32,
               "done": 1, "data_in_reg": 128, "done0": 1}
     for name, bits in expect.items():
@@ -151,14 +151,14 @@ def test_comment_opener_formed_by_a_macro_is_two_slashes():
 
 
 def test_non_ansi_ports():
-    mod = parse_source("""
+    mod = build_db("""
         module nansi (a, b, q);
           input a;
           input [3:0] b;
           output reg q;
           always @(*) q = a;
         endmodule
-    """).modules[0]
+    """).modules_by_name["nansi"]
     assert [(p.name, p.direction, p.width_bits) for p in mod.ports] == [
         ("a", "Input", 1), ("b", "Input", 4), ("q", "Output", 1),
     ]
@@ -175,25 +175,24 @@ def test_positional_instantiation():
 
 
 def test_parameter_width_resolution():
-    mod = parse_source("""
+    mod = build_db("""
         module m #(parameter W = 8) (output [W-1:0] q);
           localparam HALF = W / 2;
           wire [HALF*2-1:0] mirror;
           assign q = mirror;
         endmodule
-    """).modules[0]
+    """).modules_by_name["m"]
     assert mod.signal("q").width_bits == 8
     assert mod.signal("mirror").width_bits == 8
-    assert mod.parameters["W"] == 8
-    assert mod.parameters["HALF"] == 4
+    assert _resolve_parameters(mod.parameters) == {"W": 8, "HALF": 4}
 
 
 def test_unresolved_width_defaults_narrow():
-    mod = parse_source("""
+    mod = build_db("""
         module m (input [EXTERNAL_W-1:0] d, output q);
           assign q = d[0];
         endmodule
-    """).modules[0]
+    """).modules_by_name["m"]
     assert mod.signal("d").width_bits is None
 
 
@@ -208,11 +207,11 @@ def test_ternary_statement_kind():
 
 
 def test_define_macro_substitution():
-    mod = parse_source("""
+    mod = build_db("""
         `define WIDTH 16
         module m (input [`WIDTH-1:0] d);
         endmodule
-    """).modules[0]
+    """).modules_by_name["m"]
     assert mod.signal("d").width_bits == 16
 
 
@@ -228,7 +227,7 @@ def test_ifdef_branches():
         );
         endmodule
     """
-    assert parse_source(src).modules[0].signal("d").width_bits == 8
+    assert build_db(src).signal(("m", "d")).width_bits == 8
 
 
 def test_include_resolution(tmp_path):
@@ -297,7 +296,7 @@ def test_nested_include_resolves_against_including_file(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path / "elsewhere")
     unit = parse_file(str(top), include_dirs=[str(tmp_path)])
     assert unit.diagnostics == []
-    assert unit.modules[0].signal("d").width_bits == 8
+    assert build_database([unit]).signal(("m", "d")).width_bits == 8
 
 
 def test_include_never_resolves_against_the_working_directory(tmp_path, monkeypatch):
@@ -311,6 +310,7 @@ def test_include_never_resolves_against_the_working_directory(tmp_path, monkeypa
     (unit,) = parse_tree(str(tmp_path / "rtl"))
     assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
         ("include file not found: defs.vh", "warning", 1)]
+    build_database([unit])
     assert [(p.name, p.width_bits) for p in unit.modules[0].ports] == [
         ("key_in", None), ("din", None), ("dout", None)]
 
@@ -328,7 +328,7 @@ def test_macro_in_macro_text_expands_where_used():
     unit = parse_source("`define A 7\n`define B (`A+1)\n`undef A\n`define A 8\n"
                         "module t (input [`B:0] key_in);\nendmodule\n")
     assert unit.diagnostics == []
-    assert unit.modules[0].signal("key_in").width_bits == 10
+    assert build_database([unit]).signal(("t", "key_in")).width_bits == 10
 
 
 @pytest.mark.parametrize("defines", ["`define X `X", "`define X `Y\n`define Y (`X)"])
@@ -367,6 +367,15 @@ def test_unsupported_construct_is_skipped_with_diagnostic():
     assert mod.name == "m"
     assert any("function" in d.message for d in unit.diagnostics)
     assert mod.signal("y") is not None
+
+
+def test_defparam_is_skipped_with_a_warning_at_its_line():
+    unit = parse_source("module top (input [7:0] key, output [7:0] q);\n"
+                        "  core u (.k(key), .q(q));\n  defparam u.KW = 8;\n"
+                        "  assign q = key;\nendmodule\n")
+    assert [(d.message, d.severity, d.line) for d in unit.diagnostics] == [
+        ("defparam skipped: parameter overrides are not applied", "warning", 3)]
+    assert len(unit.modules[0].statements) == 1
 
 
 def test_error_recovery_at_module_boundary():
@@ -442,9 +451,8 @@ def test_rtl_discovery_is_sorted(tmp_path):
 @given(msb=st.integers(min_value=0, max_value=255),
        lsb=st.integers(min_value=0, max_value=255))
 def test_width_formula_property(msb, lsb):
-    mod = parse_source(
-        f"module m (input x);\n  wire [{msb}:{lsb}] w;\nendmodule\n").modules[0]
-    assert mod.signal("w").width_bits == abs(msb - lsb) + 1
+    db = build_db(f"module m (input x);\n  wire [{msb}:{lsb}] w;\nendmodule\n")
+    assert db.signal(("m", "w")).width_bits == abs(msb - lsb) + 1
 
 
 # `ifdef/`ifndef A ... `elsif B ... `else or `elsif C ... `endif; every case
@@ -570,10 +578,11 @@ def _retokenized_width(range_expr, params):
 @given(msb=_EXPR, lsb=st.one_of(st.none(), _EXPR))
 def test_range_width_from_kept_tokens_matches_retokenized(msb, lsb):
     rng = f"[{msb}]" if lsb is None else f"[{msb}:{lsb}]"
-    mod = parse_source("module m #(parameter P = 6, parameter Q = P * 2 - 1)"
-                       f" (input {rng} w);\nendmodule\n").modules[0]
+    mod = build_db("module m #(parameter P = 6, parameter Q = P * 2 - 1)"
+                   f" (input {rng} w);\nendmodule\n").modules_by_name["m"]
     decl = mod.signal("w")
-    assert decl.width_bits == _retokenized_width(decl.range_expr, mod.parameters)
+    assert decl.width_bits == _retokenized_width(decl.range_expr,
+                                                 _resolve_parameters(mod.parameters))
 
 
 _PP_LINES = [
@@ -823,18 +832,20 @@ def test_eval_const_expr_matches_closure_oracle(tokens):
 
 def test_each_distinct_range_is_evaluated_once_per_module(monkeypatch):
     calls = []
-    original = assetscout.parser._range_width
+    original = assetscout.design._range_width
 
     def counting(range_expr, params):
         key = tuple(tuple(texts) for texts in range_expr)
         calls.append((params["W"], key))
         return original(range_expr, params)
-    monkeypatch.setattr(assetscout.parser, "_range_width", counting)
+    monkeypatch.setattr(assetscout.design, "_range_width", counting)
     ports = ("input [W-1:0] a, input [W-1:0] b, input [7:0] c,"
              " output [W - 1 : 0] d, output [7:0] e")
     unit = parse_source(
         f"module m8 #(parameter W = 8) ({ports});\n  wire [W-1:0] n;\nendmodule\n"
         f"module m16 #(parameter W = 16) ({ports});\nendmodule\n")
+    assert calls == []  # the parser evaluates no range
+    build_database([unit])
     wide = (("W", "-", "1"), ("0",))
     assert sorted(calls) == sorted([(8, wide), (8, (("7",), ("0",))),
                                     (16, wide), (16, (("7",), ("0",)))])
@@ -875,7 +886,7 @@ def test_deep_nesting_parses_without_diagnostic(kind, tmp_path):
     unit = parse_source(deep + _SIBLING)
     assert [m.name for m in unit.modules] == ["deep", "sib"]
     assert unit.diagnostics == []
-    assert unit.modules[0].signal("key_in").width_bits == width
+    assert build_database([unit]).signal(("deep", "key_in")).width_bits == width
     (tmp_path / "deep.v").write_text(deep + _SIBLING)
     out = tmp_path / "report.json"
     assert main(["--rtl-dir", str(tmp_path), "--out", str(out)]) == EXIT_OK
@@ -1154,10 +1165,10 @@ def test_declaration_lists_parse_as_declared(header_params, body, header_ports):
     unit = parse_source(f"module m #({header}) {head};\n"
                         + "".join(f"  {line};\n" for line in lines) + "endmodule\n")
     assert unit.diagnostics == []
-    mod = unit.modules[0]
+    mod = build_database([unit]).modules_by_name["m"]
     assert [(p.name, p.direction, p.width_bits) for p in mod.ports] == ports
     assert [(n.name, n.width_bits) for n in mod.nets] == nets
-    assert mod.parameters == params
+    assert _resolve_parameters(mod.parameters) == params
     assert [(s.kind, s.lhs_idents, s.rhs_idents) for s in mod.statements] == assigns
 
 

@@ -95,17 +95,17 @@ def build_database(units: Sequence[SourceUnit]) -> DesignDatabase:
     if not db.top_modules:
         # fully cyclic instantiation graph: fall back to all modules
         db.top_modules = sorted(db.modules_by_name)
-    # widths: a module's parameters are fixed, so each distinct range once
+    # widths, the only place they are set: a module's parameters are fixed,
+    # so each distinct range is evaluated once, and no range is one bit
     for mod in db.modules_by_name.values():
         values = _resolve_parameters(mod.parameters)
-        widths: Dict[tuple, Optional[int]] = {}
+        widths: Dict[Optional[tuple], Optional[int]] = {None: 1}
         for decl in mod.ports + mod.nets:
             rng = decl.range_expr
-            if rng is not None:
-                key = (tuple(rng[0]), tuple(rng[1]))
-                if key not in widths:
-                    widths[key] = _range_width(rng, values)
-                decl.width_bits = widths[key]
+            key = rng and (tuple(rng[0]), tuple(rng[1]))
+            if key not in widths:
+                widths[key] = _range_width(rng, values)
+            decl.width_bits = widths[key]
     return db
 
 
@@ -144,9 +144,15 @@ def _range_width(range_expr: Tuple[List[str], List[str]],
     return None if width.bit_length() > MAX_CONST_BITS else width
 
 
+def _quotient(a: int, b: int) -> int:
+    """`a / b` truncated toward zero (IEEE 1364-2005 §5.1.5)."""
+    q = abs(a) // abs(b)
+    return q if (a < 0) == (b < 0) else -q
+
+
 # binary operator -> (precedence, function)
 _BINARY = {"+": (1, operator.add), "-": (1, operator.sub),
-           "*": (2, operator.mul), "/": (2, operator.floordiv)}
+           "*": (2, operator.mul), "/": (2, _quotient)}
 
 
 def eval_const_expr(texts: Sequence[str],
@@ -157,7 +163,7 @@ def eval_const_expr(texts: Sequence[str],
     expression, a division by zero or a literal or result of more than
     MAX_CONST_BITS bits gives None. One loop over an operand and an
     operator stack; a unary `-` applies to the primary after it, so
-    `- 7 / 2` is -4 (`/` floors).
+    `- 7 + 2` is -5, and `/` truncates toward zero, so `- 7 / 2` is -3.
     """
     values: List[int] = []
     ops: List[str] = []  # "(", "~" for a unary minus, or a binary operator
@@ -229,8 +235,11 @@ def _number_value(text: str) -> Optional[int]:
     except ValueError:
         if based:
             return None
-        try:  # a real literal, truncated: no float is past the bound
-            return int(float(text))
+        try:  # a real literal, rounded to the nearest integer with ties away
+            # from zero (IEEE 1364-2005 §4.8.2; it has no sign): no float is
+            # past the bound
+            real = float(text)
+            return int(real) + (real % 1 >= 0.5)
         except (ValueError, OverflowError):
             return None
     return None if value.bit_length() > MAX_CONST_BITS else value

@@ -43,13 +43,16 @@ RTL_EXTENSIONS = (".v", ".sv", ".vh", ".svh")
 MAX_INCLUDE_DEPTH = 17  # files on an include chain, the parsed file included
 MAX_EXPANDED_LINE = 1 << 16  # characters expanding one line may read
 
-# net type -> width of a net declared without a range; `time` as in IEEE
-# 1364-2005 §4.8, the SystemVerilog integer types as in IEEE 1800-2017 §6.11
-_NET_TYPES = dict.fromkeys(
-    ["wire", "reg", "logic", "tri", "tri0", "tri1", "wand", "wor", "triand",
-     "trior", "trireg", "supply0", "supply1", "uwire", "bit", "real", "realtime"], 1)
-_NET_TYPES.update(integer=32, time=64, int=32, byte=8, shortint=16, longint=64)
 _Range = Tuple[List[str], List[str]]  # the (msb, lsb) texts of `[msb:lsb]`
+# data type -> the range it implies, None for one bit unless a range follows;
+# `integer` and `time` as in IEEE 1364-2005 §4.8, the SystemVerilog integer
+# types as in IEEE 1800-2017 §6.11
+_NET_TYPES: Dict[str, Optional[_Range]] = dict.fromkeys(
+    ["wire", "reg", "logic", "tri", "tri0", "tri1", "wand", "wor", "triand",
+     "trior", "trireg", "supply0", "supply1", "uwire", "bit", "real", "realtime"])
+_NET_TYPES.update({t: ([str(bits - 1)], ["0"]) for t, bits in [
+    ("integer", 32), ("int", 32), ("time", 64), ("longint", 64), ("shortint", 16),
+    ("byte", 8)]})
 _DIRECTIONS = {"input": INPUT, "output": OUTPUT, "inout": INOUT}
 _MODULE_KEYWORDS = frozenset(["module", "macromodule"])
 # the module edges, which no declaration or statement holds: "" is the end of file
@@ -415,16 +418,14 @@ class _Parser:
             for name, line, rng, direction in self._declarators(
                     ")", "unterminated port list", self.lines[self.pos]):
                 self._declared_value(")")  # default value `= expr` allowed in SV headers
-                mod.add_port(SignalDecl(name, direction, None if rng else 1,
-                                        decl_line=line, range_expr=rng))
+                mod.add_port(SignalDecl(name, direction, decl_line=line, range_expr=rng))
         else:
             # non-ANSI: plain name list; body declarations fill in direction
             line = self.lines[self.pos]
             texts = self.collect_until(")")
             for name in collect_identifiers(texts):
                 if mod.signal(name) is None:
-                    mod.add_port(SignalDecl(name, INPUT, 1,
-                                            decl_line=line if texts else 0))
+                    mod.add_port(SignalDecl(name, INPUT, decl_line=line if texts else 0))
 
     def _parse_range(self) -> _Range:
         self.expect("[")
@@ -447,11 +448,11 @@ class _Parser:
         the caller may consume a `= value` after them before it takes the
         next name.
 
-        A direction keyword sets the direction and drops the range; other
-        keywords (net type, signing), commas and stray tokens are passed
-        over. A `;` that is not `end`, a module keyword or the end of file,
-        none of which a declaration list holds, raises
-        ParseError(`unterminated`) at `line`.
+        A direction keyword sets the direction and drops the range, and a
+        data type sets the range it implies; other keywords (signing),
+        commas and stray tokens are passed over. A `;` that is not `end`, a
+        module keyword or the end of file, none of which a declaration list
+        holds, raises ParseError(`unterminated`) at `line`.
         """
         texts = self.texts
         rng: Optional[_Range] = None
@@ -469,6 +470,8 @@ class _Parser:
             self.pos += 1
             if t in _DIRECTIONS:
                 direction, rng = _DIRECTIONS[t], None
+            elif t in _NET_TYPES:
+                rng = _NET_TYPES[t]
             elif _is_name(t):
                 line_of_name = self.lines[self.pos - 1]
                 while texts[self.pos] == "[":
@@ -537,25 +540,21 @@ class _Parser:
     def _parse_body_port_decl(self, mod: ModuleDef) -> None:
         for name, line, rng, direction in self._declarators(
                 ";", "unterminated port declaration", self.lines[self.pos]):
-            width = None if rng else 1
             existing = mod.signal(name)
             if existing is not None and existing.is_port:
-                # non-ANSI merge: direction/width from the body declaration,
+                # non-ANSI merge: direction/range from the body declaration,
                 # in the header's slot
-                existing.direction, existing.width_bits = direction, width
-                existing.decl_line, existing.range_expr = line, rng
+                existing.direction, existing.decl_line, existing.range_expr = \
+                    direction, line, rng
             else:
-                mod.add_port(SignalDecl(name, direction, width,
-                                        decl_line=line, range_expr=rng))
+                mod.add_port(SignalDecl(name, direction, decl_line=line, range_expr=rng))
 
     def _parse_net_decl(self, mod: ModuleDef) -> None:
         texts = self.texts
-        default_width = _NET_TYPES[texts[self.pos]]
         for name, line, rng, _dir in self._declarators(
                 ";", "unterminated net declaration", self.lines[self.pos]):
             if mod.signal(name) is None:
-                mod.add_net(SignalDecl(name, NET, None if rng else default_width,
-                                       decl_line=line, range_expr=rng))
+                mod.add_net(SignalDecl(name, NET, decl_line=line, range_expr=rng))
             if texts[self.pos] == "=":
                 # net declaration assignment doubles as a continuous assign
                 rhs = self._declared_value(";")
@@ -660,8 +659,9 @@ class _Parser:
                         self.pos += 1
                 frames.append(["end", None, 0])
             elif t == "if" or t in _CASE_STARTS:
-                if t == "unique" or t == "priority":
+                if t == "unique" or t == "priority":  # `unique if` or `unique case`
                     self.pos += 1
+                    t = texts[self.pos]
                 line = lines[self.pos]
                 if self.pos < self.end:
                     self.pos += 1  # if, case, casez or casex

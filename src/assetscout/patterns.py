@@ -4,7 +4,8 @@ Implements the line-scan classification over a module's flattened statement
 list.  Conditionals contribute Control (1-bit) and Configuration (>=2-bit
 with a multi-statement block) memberships for Input/Net signals; assignments
 contribute Status (1-bit Output lhs) and Data (multi-bit Output lhs or
-multi-bit Input rhs).  Inout ports count as both Input and Output.
+multi-bit Input rhs).  Inout ports count as both Input and Output.  An
+unresolved width is multi-bit: it reads as Narrow, somewhere in 2..8.
 """
 
 from typing import Dict, List, Set, Tuple
@@ -76,8 +77,7 @@ def classify_behaviors(module: ModuleDef) -> BehaviorClassification:
                 ev = (stmt.line, stmt.kind, "condition")
                 if decl.width_bits == 1:
                     result._add(CONTROL, name, ev)
-                elif (decl.width_bits is None or decl.width_bits >= 2) \
-                        and _is_multi_statement(stmt):
+                elif _is_multi_statement(stmt):
                     result._add(CONFIGURATION, name, ev)
         elif stmt.kind in ASSIGN_KINDS:
             for name in stmt.lhs_idents:
@@ -93,7 +93,7 @@ def classify_behaviors(module: ModuleDef) -> BehaviorClassification:
                 decl = module.signal(name)
                 if decl is None or decl.direction not in (INPUT, INOUT):
                     continue
-                if decl.width_bits is None or decl.width_bits >= 2:
+                if decl.width_bits != 1:
                     result._add(DATA, name, (stmt.line, stmt.kind, "rhs"))
     return result
 

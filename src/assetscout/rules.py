@@ -33,16 +33,14 @@ def _direction_matches(decl: SignalDecl, allowed: Sequence[str]) -> bool:
     return decl.direction in allowed
 
 
+# an unresolved width is Narrow: some width in 2..8
+_UNRESOLVED = (2, 8)
+
+
 def _width_matches(decl: SignalDecl, rule: ClassificationRule) -> bool:
-    if decl.width_bits is None:
-        # unresolved widths are Narrow by convention: only rules whose lower
-        # bound fits in the 2..8 band can accept them
-        return rule.min_width <= 8
-    if decl.width_bits < rule.min_width:
-        return False
-    if rule.max_width is not None and decl.width_bits > rule.max_width:
-        return False
-    return True
+    """The rule's [min_width, max_width] band overlaps the declaration's."""
+    low, high = _UNRESOLVED if decl.width_bits is None else (decl.width_bits,) * 2
+    return rule.min_width <= high and (rule.max_width is None or low <= rule.max_width)
 
 
 def rule_applies(rule: ClassificationRule, element: ImportantElement,

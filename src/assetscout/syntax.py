@@ -3,7 +3,7 @@
 Every container here is a `Record`: a plain class with an explicit
 `__init__`, compared field by field. Once a SourceUnit is built it is
 treated as immutable, except that `design.build_database` sets the width
-of each ranged declaration, to the same value on every call.
+of each declaration, to the same value on every call.
 """
 
 from typing import Dict, List, Optional, Tuple, Union, ValuesView
@@ -73,15 +73,18 @@ class Diagnostic(Record):
 class SignalDecl(Record):
     __slots__ = _fields = ("name", "direction", "width_bits", "decl_line", "range_expr")
 
-    def __init__(self, name: str, direction: str, width_bits: Optional[int] = 1,
+    def __init__(self, name: str, direction: str, width_bits: Optional[int] = None,
                  decl_line: int = 0,
                  range_expr: Optional[Tuple[List[str], List[str]]] = None) -> None:
         self.name = name
         self.direction = direction    # Input / Output / Inout / Net
-        # None when unresolved; `build_database` sets it from `range_expr`
+        # None from the parser; `build_database` sets 1 without a range, else
+        # the range's width, which stays None when a bound is unresolved
         self.width_bits = width_bits
         self.decl_line = decl_line
-        self.range_expr = range_expr  # (msb, lsb) token texts
+        # (msb, lsb) token texts: the declared range, else the one the data
+        # type implies (`integer` is [31:0]), else None
+        self.range_expr = range_expr
 
     @property
     def is_port(self) -> bool:

@@ -178,6 +178,15 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
+# White space may stand between the size, the base format and the digits of
+# a based literal (IEEE 1364-2005 §3.5.1), and a comment or attribute is
+# white space there too: `8'b /* c */ 0` is one number, whose text holds the
+# comment blanked as `strip_comments` blanks it. Each comment here can end
+# only where `strip_comments` ends it, so no backtracking shortens or
+# lengthens one to make a number.
+_GAP_COMMENT = r"//[^\n]*(?![^\n])|/\*(?:(?!\*/).)*\*/|\(\*(?!\))(?:(?!\*\)).)*\*\)"
+_GAP = rf"(?:\s|{_GAP_COMMENT})*"
+_GAP_COMMENT_RE = re.compile(_GAP_COMMENT, re.DOTALL)
 _SHARED = [
     ("line_comment", r"//[^\n]*"),
     ("block_comment", r"/\*.*?\*/"),
@@ -189,7 +198,7 @@ _SHARED = [
 _TOKEN_RE = re.compile("(?:" + "|".join(f"(?P<{name}>{pattern})" for name, pattern in [
     ("space", r"[ \t\r\f\v\n]+"),
     ("id", r"[A-Za-z_][A-Za-z0-9_$]*"),
-    ("number", r"(?:\d[\d_]*\s*)?'\s*[sS]?[bBoOdDhH]\s*[0-9a-fA-FxXzZ_?]+"
+    ("number", rf"(?:\d[\d_]*{_GAP})?'{_GAP}[sS]?[bBoOdDhH]{_GAP}[0-9a-fA-FxXzZ_?]+"
                r"|\d[\d_]*\.\d[\d_]*|\d[\d_]*"),
     *_SHARED,
     ("sysid", r"\$[A-Za-z_][A-Za-z0-9_$]*"),
@@ -209,6 +218,8 @@ def master_regex_tokenize(source: str) -> List[Token]:
     for m in _TOKEN_RE.finditer(source):
         group, value = m.lastgroup, m.group()
         kind = _TOKEN_KINDS.get(group)
+        if kind == "number":
+            value = _GAP_COMMENT_RE.sub(_blank, value)
         if kind is not None:
             if group == "string" and m.group("closed") is None:
                 tokens.append(Token("diag", "unterminated string literal", line))
@@ -220,3 +231,11 @@ def master_regex_tokenize(source: str) -> List[Token]:
         if "\n" in value:
             line += value.count("\n")
     return tokens
+
+
+def _blank(m: "re.Match[str]") -> str:
+    """A comment in a based literal: a line comment goes, a block comment or
+    attribute becomes spaces around its newlines."""
+    if m.group().startswith("//"):
+        return ""
+    return re.sub(r"[^\n]", " ", m.group())

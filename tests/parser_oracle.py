@@ -10,6 +10,7 @@ test oracles.
   one function per precedence level.
 """
 
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from assetscout.design import _number_value
@@ -60,6 +61,8 @@ class RecursiveStatementParser(_Parser):
         if t in _CASE_STARTS:
             if t == "unique" or t == "priority":
                 self.pos += 1
+                if texts[self.pos] == "if":
+                    return self._parse_if(guards)
             return self._parse_case(guards)
         if t == "for" or t == "while" or t == "repeat":
             self.pos += 1
@@ -181,7 +184,8 @@ def _eval_product(texts: Sequence[str], pos: int,
         if op == "*":
             value = value * rhs
         else:
-            value = value // rhs if rhs != 0 else None
+            # truncated toward zero (IEEE 1364-2005 §5.1.5)
+            value = int(Fraction(value, rhs)) if rhs != 0 else None
     return value, pos
 
 

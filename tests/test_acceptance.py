@@ -22,7 +22,7 @@ from assetscout.report import run_pipeline
 from assetscout.rules import CandidateAsset
 from assetscout.tokenizer import RESERVED_WORDS
 
-from conftest import CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, parse_tree
+from conftest import CORPUS_FAMILIES, MINI_CORPUS, SPLITTER_DIR, build_db, parse_tree
 from fixtures_rtl import AB_SOURCE, BEHAVIOR_CASES, NET_EXPANSION_SOURCE, SECONDARY_NET_SOURCE
 from test_matcher import match_oracle
 
@@ -59,7 +59,8 @@ def test_behavior_classifier_fidelity_suite():
     ok = True
     assert len(BEHAVIOR_CASES) == 10
     for name, source, expected in BEHAVIOR_CASES:
-        behavior = classify_behaviors(parse_source(source, name).modules[0])
+        (module,) = build_db(source, name).modules_by_name.values()
+        behavior = classify_behaviors(module)
         got = {"control": sorted(behavior.control),
                "configuration": sorted(behavior.configuration),
                "status": sorted(behavior.status),

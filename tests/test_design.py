@@ -1,6 +1,8 @@
 """Design database assembly, top detection, widths, and connectivity graph."""
 
+import ast
 import json
+import os
 import time
 
 import pytest
@@ -261,8 +263,10 @@ def test_the_parser_keeps_texts_and_build_database_sets_widths():
                         "endmodule\n")
     mod = unit.modules[0]
     assert mod.parameters == {"W": ["8"], "HALF": ["W", "/", "2"]}
-    assert [(d.name, d.width_bits) for d in mod.ports + mod.nets] == [
-        ("a", None), ("b", 1), ("n", None), ("i", 32)]
+    # the data type `integer` implies its range, [31:0]
+    assert [(d.name, d.width_bits, d.range_expr) for d in mod.ports + mod.nets] == [
+        ("a", None, (["W", "-", "1"], ["0"])), ("b", None, None),
+        ("n", None, (["HALF"], ["1"])), ("i", None, (["31"], ["0"]))]
     build_database([unit])
     assert [(d.name, d.width_bits) for d in mod.ports + mod.nets] == [
         ("a", 8), ("b", 1), ("n", 4), ("i", 32)]
@@ -341,3 +345,54 @@ def test_widths_never_raise_and_stay_within_the_bound(params, msb, lsb):
         assert value is None or value.bit_length() <= MAX_CONST_BITS
     width = mod.signal("key_in").width_bits
     assert width is None or 1 <= width <= 2 ** MAX_CONST_BITS
+
+
+def test_a_data_type_sizes_ports_and_nets_through_build_database():
+    # IEEE 1364-2005 4.8 and IEEE 1800-2017 6.11: the type implies the range
+    db = build_db("module t(input integer k, output int c, output byte b, output time tm,\n"
+                  "         output reg [3:0] r, int m);\nendmodule\n"
+                  "module n(k2, c2);\n  input integer k2;\n  output int c2;\n"
+                  "  shortint s;\n  longint l;\nendmodule\n"
+                  "module g(input logic [7:0] a, logic b, input integer [7:0] e);\nendmodule\n")
+    assert [(d.name, d.width_bits) for d in db.modules_by_name["t"].ports] == [
+        ("k", 32), ("c", 32), ("b", 8), ("tm", 64), ("r", 4), ("m", 32)]
+    n = db.modules_by_name["n"]
+    assert [(d.name, d.width_bits) for d in n.ports + n.nets] == [
+        ("k2", 32), ("c2", 32), ("s", 16), ("l", 64)]
+    # a type without a range of its own leaves one bit; an explicit range wins
+    assert [(d.name, d.width_bits) for d in db.modules_by_name["g"].ports] == [
+        ("a", 8), ("b", 1), ("e", 8)]
+
+
+def _width_writes(tree):
+    """The function of each store to a `width_bits` attribute, constructors
+    left out."""
+    return [func.name for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name != "__init__"
+            for node in ast.walk(func)
+            if isinstance(node, ast.Attribute) and node.attr == "width_bits"
+            and isinstance(node.ctx, ast.Store)]
+
+
+def test_only_build_database_sets_a_width():
+    package = os.path.dirname(os.path.abspath(assetscout.design.__file__))
+    writers = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path, encoding="utf-8") as fh:
+                writes = _width_writes(ast.parse(fh.read(), path))
+            if writes:
+                writers[name] = writes
+    assert writers == {"design.py": ["build_database"]}
+
+
+def test_constants_evaluate_as_ieee_1364_defines():
+    # 5.1.5: integer division truncates toward zero
+    assert [eval_const_expr(tokenize(e).texts, {}) for e in
+            ("-7/2", "7/-2", "-7/-2", "7/2", "-1/2", "- 7 + 2")] == [-3, -3, 3, 3, 0, -5]
+    # 4.8.2: a real rounds to the nearest integer, ties away from zero
+    assert [_number_value(r) for r in ("2.5", "2.4999", "0.5", "3.0", "1_0.5")] == \
+        [3, 2, 1, 3, 11]
+    db = build_db("module m(input [-7/2:0] a, input [2.5:0] b);\nendmodule\n")
+    assert [p.width_bits for p in db.modules_by_name["m"].ports] == [4, 4]

@@ -610,6 +610,7 @@ _SIMPLE = st.one_of(_ASSIGN, st.sampled_from([
     ";", "y = s ? t : u;", "x <= #1 t;", "assign x = s;", "disable blk;",
     '$display("s");', "x = s + ;"]))
 _CASE_LABEL = st.sampled_from(["1:", "2, 3:", "s:", "default:", "default"])
+_IF = st.sampled_from(["if", "unique if", "priority if"])
 
 
 def _nested(inner):
@@ -617,15 +618,16 @@ def _nested(inner):
     return st.one_of(
         st.tuples(st.sampled_from(["begin", "begin : blk"]), st.lists(inner, max_size=3))
         .map(lambda b: f"{b[0]} {' '.join(b[1])} end"),
-        st.tuples(_COND, inner).map(lambda c: f"if ({c[0]}) {c[1]}"),
-        st.tuples(_COND, inner, inner).map(lambda c: f"if ({c[0]}) {c[1]}\nelse {c[2]}"),
+        st.tuples(_IF, _COND, inner).map(lambda c: f"{c[0]} ({c[1]}) {c[2]}"),
+        st.tuples(_IF, _COND, inner, inner).map(
+            lambda c: f"{c[0]} ({c[1]}) {c[2]}\nelse {c[3]}"),
         # an `else if` chain; a dangling `if` without `else` takes the
         # chain's next `else`
         st.tuples(st.lists(st.tuples(_COND, inner), min_size=1, max_size=4),
                   st.one_of(st.none(), inner))
         .map(lambda c: "\n  else ".join(f"if ({cond}) {body}" for cond, body in c[0])
              + ("" if c[1] is None else f"\n  else {c[1]}")),
-        st.tuples(st.sampled_from(["case", "casez", "unique case"]), _COND,
+        st.tuples(st.sampled_from(["case", "casez", "unique case", "priority casex"]), _COND,
                   st.lists(st.tuples(_CASE_LABEL, inner), max_size=3))
         .map(lambda c: f"{c[0]} ({c[1]})\n"
              + "".join(f"  {label} {body}\n" for label, body in c[2]) + "endcase"),
@@ -684,7 +686,8 @@ _PARAM_EXPR = st.recursive(
 
 
 @settings(max_examples=500, deadline=None)
-@example(raw={"P0": ["-", "P1", "/", "2"], "P1": ["7"]})  # -4: the `-` binds first
+@example(raw={"P0": ["-", "P1", "/", "2"], "P1": ["7"]})  # -3: `/` truncates toward zero
+@example(raw={"P0": ["-", "P1", "+", "2"], "P1": ["7"]})  # -5: the `-` binds first
 @given(raw=st.dictionaries(st.sampled_from(["P0", "P1", "P2", "P3", "P4"]),
                            _PARAM_EXPR.map(lambda expr: tokenize(expr).texts),
                            max_size=5))
@@ -778,8 +781,10 @@ def closure_eval_const_expr(texts, params):
                     return None
                 if t.value == "*":
                     v = v * rhs
-                else:
-                    v = v // rhs if rhs != 0 else None
+                elif rhs == 0:
+                    v = None
+                else:  # truncated toward zero (IEEE 1364-2005 §5.1.5)
+                    v = -(-v // rhs) if (v < 0) != (rhs < 0) else v // rhs
             else:
                 break
         return v
@@ -953,7 +958,7 @@ def test_case_keyword_cut_at_end_of_file_is_a_diagnostic():
 
 def test_systemverilog_integer_types_declare_nets():
     # IEEE 1800-2017 6.11: int 32, byte 8, shortint 16 and longint 64 bits
-    mod = parse_source("""
+    mod = build_db("""
         module t (input clk);
           int count;
           byte b, c;
@@ -961,7 +966,7 @@ def test_systemverilog_integer_types_declare_nets():
           longint unsigned l;
           time t0;
         endmodule
-    """).modules[0]
+    """).modules_by_name["t"]
     # IEEE 1364-2005 4.8: time is 64 bits
     assert [(n.name, n.width_bits) for n in mod.nets] == [
         ("count", 32), ("b", 8), ("c", 8), ("s", 16), ("l", 64), ("t0", 64)]
@@ -1165,6 +1170,8 @@ def test_declaration_lists_parse_as_declared(header_params, body, header_ports):
     unit = parse_source(f"module m #({header}) {head};\n"
                         + "".join(f"  {line};\n" for line in lines) + "endmodule\n")
     assert unit.diagnostics == []
+    # the parser sets no width: build_database does
+    assert {d.width_bits for mod in unit.modules for d in mod.ports + mod.nets} <= {None}
     mod = build_database([unit]).modules_by_name["m"]
     assert [(p.name, p.direction, p.width_bits) for p in mod.ports] == ports
     assert [(n.name, n.width_bits) for n in mod.nets] == nets
@@ -1225,3 +1232,17 @@ def test_unsupported_primitive_warns_by_name_and_skips(item, name):
         (["done"], ["start"])]
     assert [d.message for d in parse_source(_GATE_CELL.format(item=item)).diagnostics] \
         == [f"unsupported {name}, skipped to ';'"]
+
+
+@pytest.mark.parametrize("keyword", ["unique", "priority"])
+def test_unique_and_priority_if_keep_their_module(keyword, tmp_path):
+    # IEEE 1800-2017 12.4.2: `unique if` and `priority if` are if statements
+    (tmp_path / "m.v").write_text(
+        "module m (input clk, input start, input [127:0] key_in,\n"
+        "          output reg [127:0] key_out);\n"
+        f"  always @(posedge clk)\n    {keyword} if (start) key_out <= key_in;\n"
+        "    else key_out <= 128'd0;\nendmodule\n")
+    report = run_pipeline(str(tmp_path))
+    assert report.diagnostics == []
+    assert {a.name: a.patterns for a in report.assets} == {
+        "start": ["Control"], "key_in": ["Data"], "key_out": ["Data"]}

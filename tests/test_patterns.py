@@ -4,7 +4,7 @@ from assetscout.parser import parse_source
 from assetscout.design import build_database
 from assetscout.patterns import PATTERNS, classify_behaviors, classify_design
 
-from conftest import MINI_CORPUS, parse_tree
+from conftest import MINI_CORPUS, build_db, parse_tree
 from fixtures_rtl import AB_SOURCE, BEHAVIOR_CASES
 
 
@@ -17,8 +17,8 @@ def sets_of(behavior):
     }
 
 
-def test_splitter_exact_sets(splitter_unit):
-    behavior = classify_behaviors(splitter_unit.modules[0])
+def test_splitter_exact_sets(splitter_db):
+    behavior = classify_behaviors(splitter_db.modules_by_name["data_splitter"])
     assert sets_of(behavior) == {
         "control": ["done0", "done1", "done2", "done3", "load"],
         "configuration": ["bank_selector"],
@@ -27,8 +27,8 @@ def test_splitter_exact_sets(splitter_unit):
     }
 
 
-def test_splitter_data_in_reg_unclassified(splitter_unit):
-    behavior = classify_behaviors(splitter_unit.modules[0])
+def test_splitter_data_in_reg_unclassified(splitter_db):
+    behavior = classify_behaviors(splitter_db.modules_by_name["data_splitter"])
     for bucket in (behavior.control, behavior.configuration,
                    behavior.status, behavior.data):
         assert "data_in_reg" not in bucket
@@ -36,7 +36,7 @@ def test_splitter_data_in_reg_unclassified(splitter_unit):
 
 def test_behavior_micro_cases():
     for name, source, expected in BEHAVIOR_CASES:
-        module = parse_source(source, name).modules[0]
+        (module,) = build_db(source, name).modules_by_name.values()
         behavior = classify_behaviors(module)
         want = {key: sorted(val) for key, val in expected.items()}
         assert sets_of(behavior) == want, name
@@ -56,16 +56,15 @@ def test_empty_body_module():
 
 
 def test_locality_of_classification():
-    both = parse_source(AB_SOURCE, "ab.v")
-    child_alone = parse_source(
-        AB_SOURCE.split("module top_b")[0], "a_only.v").modules[0]
-    child_in_pair = both.modules[0]
+    child_alone = build_db(AB_SOURCE.split("module top_b")[0],
+                           "a_only.v").modules_by_name["child_a"]
+    child_in_pair = build_db(AB_SOURCE, "ab.v").modules_by_name["child_a"]
     assert sets_of(classify_behaviors(child_alone)) == \
         sets_of(classify_behaviors(child_in_pair))
 
 
-def test_evidence_backs_every_classification(splitter_unit):
-    module = splitter_unit.modules[0]
+def test_evidence_backs_every_classification(splitter_db):
+    module = splitter_db.modules_by_name["data_splitter"]
     behavior = classify_behaviors(module)
     classified = set(behavior.control) | set(behavior.configuration) \
         | set(behavior.status) | set(behavior.data)

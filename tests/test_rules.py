@@ -167,6 +167,22 @@ def test_unresolved_width_passes_small_minimum_only():
     assert rule_applies(narrow_rule, key_element, patterns)
 
 
+@pytest.mark.parametrize("min_width, max_width, applies", [
+    (1, 1, False),  # a Single rule: an unresolved width is no flag
+    (1, 2, True), (8, None, True), (8, 8, True), (9, None, False), (64, None, False),
+])
+def test_unresolved_width_reads_as_the_narrow_band(min_width, max_width, applies):
+    db = build_db("module u (input clk, input [W-1:0] key, output reg [7:0] q);\n"
+                  "  always @(posedge clk) q <= key[7:0];\nendmodule\n")
+    key_element = next(e for e in match_elements(db, load_family_config("crypto"))
+                        if e.signal.name == "key")
+    assert key_element.signal.width_bits is None
+    rule = ClassificationRule(
+        name="custom", groups=["key"], patterns=["Data"], directions=["Input"],
+        min_width=min_width, max_width=max_width, objectives=[])
+    assert rule_applies(rule, key_element, ["Data"]) == applies
+
+
 def test_objectives_union_rule_and_groups():
     _imp, _beh, config, candidates = pipeline_to_candidates(KEY_MODULE, "crypto")
     key = next(c for c in candidates if c.signal.name == "key")

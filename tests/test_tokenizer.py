@@ -5,7 +5,7 @@
 
 import re
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import assetscout.tokenizer
@@ -196,6 +196,10 @@ _RAW_FRAGMENTS = _FRAGMENTS + [
 
 
 @settings(max_examples=1000, deadline=None)
+# a comment or attribute between the parts of a based literal is white space
+@example(["'b", "(* a\nb *)", "0"])
+@example(["8", "(* a\nb *)", "'b8"])
+@example(["8'b /* c */ 0", "4 // c\n'h f"])
 @given(st.lists(st.one_of(st.sampled_from(_RAW_FRAGMENTS),
                           st.text(alphabet="/*()\"\\$`'8hbs_ \t\n\f\v\xe9", max_size=5)),
                 max_size=40))
